@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 from .errors import ChainRuleViolation, DSquareNonzero, ShapeMismatch, \
     TotalDSquareNonzero
-from .exactalg import (RationalMatrix, quotient_basis, rank, rank_kernel,
-                       solve_matrix)
+from .exactalg import (RationalMatrix, block_diag, quotient_basis, rank,
+                       rank_kernel, solve_matrix)
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,10 @@ class ChainComplex:
 
     @cached_property
     def _hcache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _rcache(self) -> dict:
         return {}
 
 
@@ -175,12 +179,12 @@ def direct_sum(summands: Sequence[ChainComplex]):
         lo = min(c.lo for c in nonzero)
         hi = max(c.hi for c in nonzero)
         dims = {k: sum(c.dim(k) for c in summands) for k in range(lo, hi + 1)}
-        from .exactalg import block_diag
         diff = {}
         for k in range(lo + 1, hi + 1):
-            diff[k] = _offset_block_diag(
-                [c.d(k) for c in summands],
-                rows=dims.get(k - 1, 0), cols=dims.get(k, 0))
+            m = block_diag([c.d(k) for c in summands])
+            if (m.rows, m.cols) != (dims.get(k - 1, 0), dims.get(k, 0)):
+                raise ShapeMismatch("block diagonal shape mismatch")
+            diff[k] = m
         S = make_complex(dims, diff)
     incls, projs = [], []
     for i, c in enumerate(summands):
@@ -201,14 +205,6 @@ def direct_sum(summands: Sequence[ChainComplex]):
     return S, incls, projs
 
 
-def _offset_block_diag(blocks, rows, cols):
-    from .exactalg import block_diag
-    m = block_diag(blocks)
-    if (m.rows, m.cols) != (rows, cols):
-        raise ShapeMismatch("block diagonal shape mismatch")
-    return m
-
-
 # --- homology ---------------------------------------------------------------
 
 def _homology_data(C: ChainComplex, k: int):
@@ -221,7 +217,7 @@ def _homology_data(C: ChainComplex, k: int):
         data = (0, RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 0), [])
         C._hcache[k] = data
         return data
-    _, ker = rank_kernel(C.d(k))
+    C._rcache[k], ker = rank_kernel(C.d(k))
     K = RationalMatrix.from_columns(ker, nk)
     dk1 = C.d(k + 1)
     Y = solve_matrix(K, dk1)
@@ -240,11 +236,23 @@ def homology(C: ChainComplex, k: int):
     return betti, reps
 
 
+def _rank_d(C: ChainComplex, k: int) -> int:
+    """Rank of d_k, cached on the complex."""
+    if not C.dim(k) or not C.dim(k - 1):
+        return 0
+    got = C._rcache.get(k)
+    if got is None:
+        got = C._rcache[k] = rank(C.d(k))
+    return got
+
+
 def betti_numbers(C: ChainComplex) -> dict[int, int]:
-    """Nonzero Betti numbers, degree -> count."""
+    """Nonzero Betti numbers, degree -> count, from ranks alone:
+    b_k = dim C_k - rk d_k - rk d_{k+1}.  Complexes are validated
+    (d o d = 0) when built, so no cycle basis is needed."""
     out = {}
     for k in range(C.lo, C.hi + 1):
-        b, _ = homology(C, k)
+        b = C.dim(k) - _rank_d(C, k) - _rank_d(C, k + 1)
         if b:
             out[k] = b
     return out

@@ -61,6 +61,8 @@ def run_command(ws: dsl.Workspace, command: str, depth: int = 4,
     if not parts:
         raise TypeMismatch("empty command")
     cmd, args = parts[0], parts[1:]
+    if depth < 0:
+        raise TypeMismatch(f"--depth must be at least 0, got {depth}")
     if cmd not in USAGE_COMMANDS:
         raise TypeMismatch(f"unknown command {cmd!r}; commands: "
                            f"{', '.join(USAGE_COMMANDS)}")

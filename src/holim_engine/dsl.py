@@ -189,13 +189,17 @@ class _Parser:
         text = t.text.replace("−", "-")
         if "/" in text:
             num, den = text.split("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator in {t.text!r}",
+                                 t.line, t.col)
             return Fraction(int(num), int(den))
         return Fraction(int(text))
 
     def parse_int(self) -> int:
+        t = self.peek()
         v = self.parse_number()
         if v.denominator != 1:
-            raise ParseError("expected an integer")
+            raise ParseError("expected an integer", t.line, t.col)
         return int(v)
 
     def parse_matrix(self) -> list[list[Fraction]]:

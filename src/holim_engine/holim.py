@@ -1,11 +1,13 @@
 """The homotopy-limit engine.
 
-Everything here computes ends of powered bifunctors: the weighted end
-of a diagram F with weight W is the end of
+The weighted end of a diagram F with weight W is the end of
 (x, y) |-> Hom(chains of W(x), F(y)) over product(opposite(G), G).
 With the nerve weight g |-> N(G over g) this is the Bousfield-Kan
-homotopy limit; with the truncated injective-simplex weight it is the
-fat totalization.
+homotopy limit, which `bk_holim` computes as the product over the
+chains of G (the weight is free on them); with the truncated
+injective-simplex weight it is the fat totalization.  The equalizer
+end (`weighted_end`) serves explicit weights and is the oracle for the
+chain product.
 
 Quasi-isomorphism is only ever asserted along an explicitly constructed
 comparison map; equal Betti numbers alone are reported as consistent,
@@ -21,8 +23,8 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from . import chaincx, fincat, ssets
-from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
-                      direct_sum, hom_complex, hom_postcompose,
+from .chaincx import (ChainComplex, ChainMap, _write_block, betti_numbers,
+                      compose_maps, direct_sum, hom_complex, hom_postcompose,
                       hom_precompose, identity_map, is_quasi_iso,
                       make_chain_map, power)
 from .endkan import (ChainDiagram, ChainDiagramMap, EndChain,
@@ -36,9 +38,9 @@ from .fincat import (FinCategory, FunctorData, comma_over,
                      comma_under_functor, cospan_category, is_direct,
                      validate_category)
 from .ssets import (SSetMap, Weight, boundary, chains_of_map,
-                    check_point_resolution, homology_contractible, nerve,
-                    nerve_of_comma_under, nerve_weight, normalized_chains,
-                    standard_simplex)
+                    check_point_resolution, contractible_values,
+                    homology_contractible, nerve, nerve_of_comma_under,
+                    nerve_weight, normalized_chains, standard_simplex)
 
 
 @dataclass
@@ -168,22 +170,90 @@ def weighted_end(F: ChainDiagram, W: Weight,
 
 def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     """Bousfield-Kan homotopy limit: the end of F powered by a
-    projectively cofibrant resolution of the point (default: the nerves
-    of the slice categories)."""
+    projectively cofibrant resolution of the point.
+
+    With no weight the resolution is the nerve weight
+    g |-> N(G over g), which is free on the chains of G, so by Yoneda
+    its end is the product over chains (`_chain_product`); an explicit
+    weight goes through the equalizer end (`weighted_end`)."""
     G = F.base
     if is_direct(G) is None:
         raise NotLoopFree("bk_holim requires a loop-free base")
-    if W is None:
+    explicit = W is not None
+    if explicit:
+        passed = check_point_resolution(W).passed
+    else:
+        # built here, so free by construction: only its values are checked
         W = nerve_weight(G)
-    report = check_point_resolution(W)
-    if not report.passed:
+        passed = all(contractible_values(W))
+    if not passed:
         raise WeightRejected(
             f"weight (provenance {W.provenance!r}) is not a certified "
             f"cofibrant resolution of the point")
-    end = weighted_end(F, W)
-    return HolimResult(end.complex, betti_numbers(end.complex),
-                       f"bousfield-kan end, {W.provenance} weight",
-                       end=end)
+    if explicit:
+        end = weighted_end(F, W)
+        cx = end.complex
+    else:
+        end, cx = None, _chain_product(F)
+    return HolimResult(cx, betti_numbers(cx),
+                       f"bousfield-kan end, {W.provenance} weight", end=end)
+
+
+def _chain_product(F: ChainDiagram) -> ChainComplex:
+    """The end of F weighted by the nerve weight, as the product over
+    the k-chains c = (x_0 -> ... -> x_k) of the nerve of G of F(x_k).
+
+    Total degree n is the sum over k and c of F(x_k)_{n+k}, in the order
+    of `nerve(G).cells`; for phi of degree n,
+      (delta phi)(c) = d_F phi(c) - (-1)^n [sum_{i<k} (-1)^i phi(d_i c)
+                                            + (-1)^k F(m_k) phi(d_k c)],
+    where d_k drops the last arrow m_k, the only face that moves the
+    last object."""
+    G = F.base
+    K = nerve(G)
+    gens = [(k, c, c if k == 0 else G.tgt(c[-1]))
+            for k, cells in enumerate(K.cells) for c in cells]
+    nonzero = [(k, F.value(x)) for k, _, x in gens
+               if not F.value(x).is_zero()]
+    if not nonzero:
+        return chaincx.ZERO_COMPLEX
+    lo = min(V.lo - k for k, V in nonzero)
+    hi = max(V.hi - k for k, V in nonzero)
+    offsets, dims = {}, {}
+    for n in range(lo, hi + 1):
+        off, acc = {}, 0
+        for k, c, x in gens:
+            off[(k, c)] = acc
+            acc += F.value(x).dim(n + k)
+        offsets[n], dims[n] = off, acc
+    diff = {}
+    for n in range(lo + 1, hi + 1):
+        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
+        src, tgt = offsets[n], offsets[n - 1]
+        sign = -1 if n % 2 == 0 else 1          # -(-1)^n
+        for k, c, x in gens:
+            V = F.value(x)
+            q = n + k - 1
+            if not V.dim(q):
+                continue
+            _write_block(rows, tgt[(k, c)], src[(k, c)], V.d(q + 1))
+            if not k:
+                continue
+            # the faces of c are (k-1)-chains, read in internal degree q
+            r0 = tgt[(k, c)]
+            for i, face in enumerate(K.faces[(k, c)]):
+                s, c0 = (sign if i % 2 == 0 else -sign), src[(k - 1, face)]
+                if i < k:
+                    for j in range(V.dim(q)):
+                        rows[r0 + j][c0 + j] += s
+                else:
+                    _write_block(rows, r0, c0,
+                                 F.action(c[-1]).component(q).scale(s),
+                                 add=True)
+        diff[n] = RationalMatrix(dims[n - 1], dims[n],
+                                 tuple(tuple(r) for r in rows))
+    return chaincx.make_complex({n: dims[n] for n in range(lo, hi + 1)},
+                                diff)
 
 
 # --- homotopy pullback ------------------------------------------------------------
@@ -217,22 +287,14 @@ def mapping_path_complex(p: ChainMap, q: ChainMap) -> ChainComplex:
         rows = [[Fraction(0)] * dims[k] for _ in range(dims.get(k - 1, 0))]
         oa, ob, oc = 0, A.dim(k - 1), A.dim(k - 1) + B.dim(k - 1)
         ja, jb, jc = 0, A.dim(k), A.dim(k) + B.dim(k)
-        _put(rows, oa, ja, A.d(k))
-        _put(rows, ob, jb, B.d(k))
-        _put(rows, oc, ja, p.component(k))
-        _put(rows, oc, jb, q.component(k).scale(-1))
-        _put(rows, oc, jc, C.d(k + 1).scale(-1))
+        _write_block(rows, oa, ja, A.d(k))
+        _write_block(rows, ob, jb, B.d(k))
+        _write_block(rows, oc, ja, p.component(k))
+        _write_block(rows, oc, jb, q.component(k).scale(-1))
+        _write_block(rows, oc, jc, C.d(k + 1).scale(-1))
         diff[k] = RationalMatrix(dims.get(k - 1, 0), dims[k],
                                  tuple(tuple(r) for r in rows))
     return chaincx.make_complex(dims, diff)
-
-
-def _put(rows, r0, c0, blk):
-    for i in range(blk.rows):
-        row = rows[r0 + i]
-        for j in range(blk.cols):
-            if blk.entries[i][j]:
-                row[c0 + j] = blk.entries[i][j]
 
 
 @dataclass(frozen=True)
@@ -391,7 +453,7 @@ def cosimplicial_replacement(F: ChainDiagram, N: int) -> ChainDiagram:
                     else:
                         blk = RationalMatrix.identity(
                             F.value(last_obj(c)).dim(k))
-                    _put(rows, r0, c0, blk)
+                    _write_block(rows, r0, c0, blk)
                     r0 += F.value(last_obj(c)).dim(k)
                 comps[k] = RationalMatrix(levels[n].dim(k),
                                           levels[n - 1].dim(k),
@@ -626,7 +688,7 @@ def _change_of_diagrams(f: FunctorData, F: ChainDiagram):
                                  F.value(fg)).component(k)
             c0 = sum(hom_complex(NV[gp], F.value(gp)).dim(k)
                      for gp in range(fg))
-            _put(rows, r0, c0, blk)
+            _write_block(rows, r0, c0, blk)
             r0 += blk.rows
         big = RationalMatrix(E3.sum_complex.dim(k), E2.sum_complex.dim(k),
                              tuple(tuple(r) for r in rows))

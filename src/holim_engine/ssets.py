@@ -376,15 +376,7 @@ def homology_contractible(K: SemiSimplicialSet) -> bool:
     """True iff H_0 = Q and H_k = 0 for k > 0."""
     if K.is_empty():
         raise EmptyComplex("the empty semisimplicial set is never contractible")
-    C = normalized_chains(K)
-    b0, _ = chaincx.homology(C, 0)
-    if b0 != 1:
-        return False
-    for k in range(1, C.hi + 1):
-        b, _ = chaincx.homology(C, k)
-        if b:
-            return False
-    return True
+    return chaincx.betti_numbers(normalized_chains(K)) == {0: 1}
 
 
 def euler_characteristic(K: SemiSimplicialSet) -> int:
@@ -402,26 +394,42 @@ class PointResolutionReport:
     passed: bool
 
 
+def contractible_values(W: Weight) -> tuple[bool, ...]:
+    """Per object: is the value nonempty and homology-contractible?"""
+    return tuple(not W.value(x).is_empty() and
+                 homology_contractible(W.value(x)) for x in W.base.objects())
+
+
+def _same_weight(W: Weight, ref: Weight) -> bool:
+    """Equal values and equal action mappings on every morphism."""
+    if W.values != ref.values:
+        return False
+    for m in W.base.morphisms():
+        a = W.actions.get(m)
+        if a is None or a.mapping != ref.actions[m].mapping:
+            return False
+    return True
+
+
 def check_point_resolution(W: Weight) -> PointResolutionReport:
-    """Per-object homology contractibility plus the structural
-    cofibrancy whitelist (see module notes: cofibrancy is not decided
-    algorithmically; the whitelist covers every weight the formulas use)."""
-    per_object = []
-    for x in W.base.objects():
-        K = W.value(x)
-        if K.is_empty():
-            per_object.append(False)
-        else:
-            per_object.append(homology_contractible(K))
+    """Per-object homology contractibility plus structural cofibrancy.
+
+    Cofibrancy is not decided algorithmically.  A weight is trusted as
+    free when it is, cell for cell, the weight its provenance names:
+    `nerve_weight(W.base)`, or the constant point over a base with an
+    initial object (the functor represented there).  A
+    `nerve_of_comma_under` weight is f_! of the cofibrant nerve weight
+    and resolves the point exactly when every value is contractible."""
+    per_object = contractible_values(W)
     if W.provenance == "nerve_weight":
-        white = True
+        white = is_direct(W.base) is not None and \
+            _same_weight(W, nerve_weight(W.base))
     elif W.provenance == "nerve_of_comma_under":
-        # f_! of the cofibrant nerve weight; cofibrant resolution of the
-        # point exactly when f is homotopy-initial, i.e. all values pass
         white = all(per_object)
     elif W.provenance == "constant_point":
-        white = find_initial(W.base) is not None
+        white = find_initial(W.base) is not None and \
+            _same_weight(W, constant_point_weight(W.base))
     else:
         white = False
-    return PointResolutionReport(tuple(per_object), white, W.provenance,
+    return PointResolutionReport(per_object, white, W.provenance,
                                  passed=white and all(per_object))

@@ -1,0 +1,144 @@
+"""The product over nerve chains that `bk_holim` computes, against the
+equalizer end of the nerve weight (the oracle)."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import holim_engine.cli as cli_mod
+from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
+                                  identity_map, is_quasi_iso, make_chain_map)
+from holim_engine.dsl import parse
+from holim_engine.endkan import ChainDiagram
+from holim_engine.errors import WeightRejected
+from holim_engine.exactalg import RationalMatrix, solve_matrix
+from holim_engine.fincat import arrow_category, comma_over
+from holim_engine.holim import bk_holim, weighted_end
+from holim_engine.randgen import (random_chain_complex, random_chain_map,
+                                  random_cospan_diagram,
+                                  random_loopfree_category, random_poset,
+                                  random_poset_chain_diagram)
+from holim_engine.ssets import (constant_point_weight, nerve, nerve_weight,
+                                normalized_chains)
+
+CORPUS = Path(cli_mod.__file__).parent / "corpus"
+
+
+def arrow_chain_diagram(A, B, fmap):
+    C = arrow_category()
+    f = C.non_identities()[0]
+    return ChainDiagram(C, [A, B], {C.identity[0]: identity_map(A),
+                                    C.identity[1]: identity_map(B),
+                                    f: fmap})
+
+
+def _last(G, k, c):
+    return c if k == 0 else G.tgt(c[-1])
+
+
+def _cell_chain(G, com, p, cell):
+    """A p-cell of N(G over g) as (chain of G, augmentation last -> g)."""
+    if p == 0:
+        aug = com.object_keys[cell]
+        return G.src(aug), aug
+    chain = tuple(com.mor_key(m)[2] for m in cell)
+    return chain, com.object_keys[com.mor_key(cell[-1])[1]]
+
+
+def _product_to_diagonal_sum(F, R, S):
+    """phi |-> (F(a) phi(c))_{(c, a)}: the chain product R into the sum S
+    of the diagonal values Hom(chains of N(G over g), F(g)), one matrix
+    per degree.  R is laid out as in `nerve(G).cells`; a Hom block is
+    flattened target index major, cell index minor."""
+    G = F.base
+    K = nerve(G)
+    gens = [(k, c) for k, cells in enumerate(K.cells) for c in cells]
+    W = nerve_weight(G)
+    comps = {}
+    for n in R.degrees():
+        off, acc = {}, 0
+        for k, c in gens:
+            off[(k, c)] = acc
+            acc += F.value(_last(G, k, c)).dim(n + k)
+        assert acc == R.dim(n)
+        rows = [[Fraction(0)] * R.dim(n) for _ in range(S.dim(n))]
+        r0 = 0
+        for g in G.objects():
+            com = comma_over(G, g)
+            A = normalized_chains(W.value(g))
+            for p, a, b in _hom_blocks(A, F.value(g), n):
+                for j, cell in enumerate(W.value(g).n_cells(p)):
+                    chain, aug = _cell_chain(G, com, p, cell)
+                    blk = F.action(aug).component(p + n)
+                    for i in range(b):
+                        for r in range(blk.cols):
+                            rows[r0 + i * a + j][off[(p, chain)] + r] = \
+                                blk.entries[i][r]
+                r0 += a * b
+        assert r0 == S.dim(n)
+        comps[n] = RationalMatrix(S.dim(n), R.dim(n),
+                                  tuple(tuple(r) for r in rows))
+    return comps
+
+
+def _check_against_equalizer(F):
+    res = bk_holim(F)
+    assert res.end is None
+    R = res.complex
+    E = weighted_end(F, nerve_weight(F.base))
+    assert {k: v for k, v in R.dims.items() if v} == \
+        {k: v for k, v in E.complex.dims.items() if v}
+    assert betti_numbers(R) == betti_numbers(E.complex)
+    psi = _product_to_diagonal_sum(F, R, E.sum_complex)
+    comps = {}
+    for n, m in psi.items():
+        X = solve_matrix(E.inclusion.component(n), m)
+        assert X is not None, f"image leaves the end in degree {n}"
+        comps[n] = X
+    theta = make_chain_map(R, E.complex, comps, check=True)
+    ok, _ = is_quasi_iso(theta)
+    assert ok
+
+
+def test_chain_product_matches_equalizer_end_randomized():
+    rng = random.Random(2024)
+    for _ in range(12):
+        P = random_poset(rng, 4)
+        _check_against_equalizer(
+            random_poset_chain_diagram(rng, P, max_dim=2, max_width=2))
+    for _ in range(8):
+        _check_against_equalizer(random_cospan_diagram(rng, 2, 2))
+    for _ in range(8):
+        A = random_chain_complex(rng, max_dim=2, max_width=2)
+        B = random_chain_complex(rng, max_dim=2, max_width=2)
+        _check_against_equalizer(
+            arrow_chain_diagram(A, B, random_chain_map(rng, A, B)))
+    for _ in range(6):
+        # free categories have parallel arrows: not posets
+        G = random_loopfree_category(rng)
+        c = random_chain_complex(rng, max_dim=2, max_width=2)
+        _check_against_equalizer(
+            ChainDiagram(G, [c for _ in G.objects()],
+                         lambda m, c=c: identity_map(c)))
+
+
+def test_chain_product_of_zero_diagram_is_zero():
+    z = ZERO_COMPLEX
+    res = bk_holim(ChainDiagram(arrow_category(), [z, z],
+                                lambda m: identity_map(z)))
+    assert res.complex.is_zero() and res.betti == {}
+    assert res.end is None
+
+
+def test_bk_holim_rejects_relabelled_constant_point_weight():
+    # the constant point over the cospan is not a resolution of the
+    # point (no initial object); the nerve_weight label must not hide it
+    ws = parse((CORPUS / "cospan.hle").read_text())
+    D = ws.get("Loop", "diagram_ch").value
+    W = replace(constant_point_weight(D.base), provenance="nerve_weight")
+    with pytest.raises(WeightRejected):
+        bk_holim(D, W)
+    assert bk_holim(D).betti == {-1: 1}

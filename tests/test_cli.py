@@ -141,6 +141,25 @@ def test_cli_exit_codes():
     assert b"error" in err.stderr
 
 
+def test_cli_zero_denominator_exits_1(tmp_path):
+    src = tmp_path / "bad.hle"
+    src.write_text("complex K {\n  degrees: 0..1\n  dim 0: 1\n"
+                   "  dim 1: 1\n  d 1: [[1/0]]\n}\n")
+    err = _run_cli([str(src), "--cmd", "homology K"])
+    assert err.returncode == 1
+    assert b"line 5, column 10" in err.stderr
+    assert b"Traceback" not in err.stderr
+
+
+def test_negative_depth_rejected(cospan_ws):
+    with pytest.raises(TypeMismatch):
+        run_command(cospan_ws, "fattot Loop", depth=-1)
+    err = _run_cli([str(CORPUS / "cospan.hle"), "--cmd", "fattot Loop",
+                    "--depth", "-1"])
+    assert err.returncode == 1
+    assert b"--depth" in err.stderr
+
+
 def test_cli_threads_env_does_not_change_output():
     path = str(CORPUS / "arrow.hle")
     a = _run_cli([path, "--cmd", "verify all", "--json"],

@@ -151,6 +151,13 @@ def test_syntax_error_carries_position():
     assert "line" in str(exc.value)
 
 
+def test_zero_denominator_is_a_located_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("complex K {\n  degrees: 0..1\n  dim 0: 1\n  dim 1: 1\n"
+              "  d 1: [[1/0]]\n}\n")
+    assert (exc.value.line, exc.value.col) == (5, 10)
+
+
 def _chain_diagrams_equal(D1, D2):
     if D1.base != D2.base:
         return False

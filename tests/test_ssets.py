@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -159,6 +160,16 @@ def test_check_point_resolution_constant_point():
     assert rep.passed  # [1] has an initial object
     rep2 = check_point_resolution(constant_point_weight(cospan_category()))
     assert not rep2.passed  # the cospan has no initial object
+
+
+def test_check_point_resolution_checks_structure_not_label():
+    C = arrow_category()
+    fake = replace(nerve_weight(C), provenance="constant_point")
+    assert not check_point_resolution(fake).whitelisted
+    fake2 = replace(constant_point_weight(cospan_category()),
+                    provenance="nerve_weight")
+    rep = check_point_resolution(fake2)
+    assert not rep.whitelisted and not rep.passed
 
 
 def test_check_point_resolution_rejects_boundary_value():
