@@ -2,20 +2,16 @@
 
 Exit codes: 0 = success / all checks passed, 1 = computation error,
 2 = a verification verdict failed.  JSON output is deterministic:
-sorted keys, fixed separators, newline-terminated.  The environment
-variable HOLIM_ENGINE_THREADS caps the number of workers used by the
-`verify` suites; items are reported in submission order either way.
+sorted keys, fixed separators, newline-terminated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -426,21 +422,13 @@ def _cmd_verify(ws, args, seed=0, **kw):
     items = []
     for gen in _SUITES[suite_name]:
         items.extend(gen(ws, rng))
-    threads = max(1, int(os.environ.get("HOLIM_ENGINE_THREADS", "1")))
-
-    def run_item(item):
-        name, fn = item
+    results = []
+    for name, fn in items:
         try:
             ok, detail = fn()
         except EngineError as e:
             ok, detail = False, str(e)
-        return name, ok, detail
-
-    if threads == 1:
-        results = [run_item(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_item, items))
+        results.append((name, ok, detail))
     lines = []
     for name, ok, detail in results:
         mark = "PASS" if ok else "FAIL"

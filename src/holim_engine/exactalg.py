@@ -380,15 +380,17 @@ def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatri
     return RationalMatrix.from_columns(cols_out, A.cols)
 
 
-def canonical_row_basis(vectors: Sequence[Sequence], dim: int) -> list[Vector]:
-    """The unique reduced-row-echelon basis of the span; depends only on
-    the subspace, so equal subspaces give identical bases."""
+def _rref(vectors: Sequence[Sequence], dim: int, what: str):
+    """The reduced row echelon form of the span of the vectors: one
+    (pivot column, sparse row with 1 at the pivot) pair per row, in
+    increasing pivot order."""
     vecs = [[_frac(x) for x in v] for v in vectors]
     for v in vecs:
         if len(v) != dim:
-            raise ValueError("vector length mismatch")
+            raise ValueError(f"{what} length mismatch")
     pivots, _ = _echelon(_sparse_int_rows(
         RationalMatrix.from_rows(vecs, cols=dim)), dim)
+    # normalize pivots to 1 and eliminate upwards
     rref: list[tuple[int, dict[int, Fraction]]] = []
     for c, row in reversed(pivots):
         p = Fraction(row[c])
@@ -404,8 +406,14 @@ def canonical_row_basis(vectors: Sequence[Sequence], dim: int) -> list[Vector]:
                         frow.pop(k, None)
         rref.append((c, frow))
     rref.reverse()
+    return rref
+
+
+def canonical_row_basis(vectors: Sequence[Sequence], dim: int) -> list[Vector]:
+    """The unique reduced-row-echelon basis of the span; depends only on
+    the subspace, so equal subspaces give identical bases."""
     return [tuple(frow.get(j, Fraction(0)) for j in range(dim))
-            for _, frow in rref]
+            for _, frow in _rref(vectors, dim, "vector")]
 
 
 def quotient_basis(ambient_dim: int, subspace_gens: Sequence[Sequence]):
@@ -415,30 +423,9 @@ def quotient_basis(ambient_dim: int, subspace_gens: Sequence[Sequence]):
     every generator, and sends each representative to a distinct
     standard basis vector of the quotient.
     """
-    gens = [[_frac(x) for x in g] for g in subspace_gens]
-    for g in gens:
-        if len(g) != ambient_dim:
-            raise ValueError("generator length mismatch")
-    pivots, _ = _echelon(_sparse_int_rows(
-        RationalMatrix.from_rows(gens, cols=ambient_dim)), ambient_dim)
-    # reduced form: normalize pivots to 1 and eliminate upwards
-    rref: list[tuple[int, dict[int, Fraction]]] = []
-    for c, row in reversed(pivots):
-        p = Fraction(row[c])
-        frow = {k: Fraction(v) / p for k, v in row.items()}
-        for c2, row2 in rref:
-            coef = frow.get(c2, Fraction(0))
-            if coef:
-                for k, v in row2.items():
-                    nv = frow.get(k, Fraction(0)) - coef * v
-                    if nv:
-                        frow[k] = nv
-                    else:
-                        frow.pop(k, None)
-        rref.append((c, frow))
-    rref.reverse()
-    pivot_cols = [c for c, _ in rref]
-    free_cols = [j for j in range(ambient_dim) if j not in set(pivot_cols)]
+    rref = _rref(subspace_gens, ambient_dim, "generator")
+    pivot_cols = {c for c, _ in rref}
+    free_cols = [j for j in range(ambient_dim) if j not in pivot_cols]
     proj_rows = []
     for f in free_cols:
         row = [Fraction(0)] * ambient_dim

@@ -411,21 +411,45 @@ def _same_weight(W: Weight, ref: Weight) -> bool:
     return True
 
 
+def _levelwise_free(W: Weight) -> bool:
+    """Is every W_n a free diagram of sets?  The generators in dimension
+    n are the n-cells outside the image of every non-identity action;
+    W_n is free on them exactly when, through the actions W(u) for
+    u: x -> y, they map bijectively onto every W(y)_n."""
+    C = W.base
+    if any(u not in W.actions for u in C.morphisms()):
+        return False
+    top = max((len(W.value(x).cells) for x in C.objects()), default=0)
+    for n in range(top):
+        hit = {(C.tgt(u), W.actions[u].mapping.get((n, c)))
+               for u in C.non_identities()
+               for c in W.value(C.src(u)).n_cells(n)}
+        gens = [(x, c) for x in C.objects() for c in W.value(x).n_cells(n)
+                if (x, c) not in hit]
+        for y in C.objects():
+            images = [W.actions[u].mapping.get((n, c))
+                      for x, c in gens for u in C.hom(x, y)]
+            cells = W.value(y).n_cells(n)
+            if len(images) != len(cells) or set(images) != set(cells):
+                return False
+    return True
+
+
 def check_point_resolution(W: Weight) -> PointResolutionReport:
     """Per-object homology contractibility plus structural cofibrancy.
 
-    Cofibrancy is not decided algorithmically.  A weight is trusted as
-    free when it is, cell for cell, the weight its provenance names:
-    `nerve_weight(W.base)`, or the constant point over a base with an
-    initial object (the functor represented there).  A
-    `nerve_of_comma_under` weight is f_! of the cofibrant nerve weight
-    and resolves the point exactly when every value is contractible."""
+    A weight is trusted as free when it is, cell for cell, the weight
+    its provenance names: `nerve_weight(W.base)`, or the constant point
+    over a base with an initial object (the functor represented there).
+    A `nerve_of_comma_under` weight (f_! of the cofibrant nerve weight)
+    is trusted when it is levelwise free, and then resolves the point
+    exactly when every value is contractible."""
     per_object = contractible_values(W)
     if W.provenance == "nerve_weight":
         white = is_direct(W.base) is not None and \
             _same_weight(W, nerve_weight(W.base))
     elif W.provenance == "nerve_of_comma_under":
-        white = all(per_object)
+        white = _levelwise_free(W)
     elif W.provenance == "constant_point":
         white = find_initial(W.base) is not None and \
             _same_weight(W, constant_point_weight(W.base))

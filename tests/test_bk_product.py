@@ -1,5 +1,6 @@
-"""The product over nerve chains that `bk_holim` computes, against the
-equalizer end of the nerve weight (the oracle)."""
+"""The products over generating cells that `bk_holim`, `fat_tot` and
+`holim_we_invariance` compute, against the equalizer end of their free
+weights (the oracle)."""
 
 import random
 from dataclasses import replace
@@ -10,19 +11,27 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
-                                  identity_map, is_quasi_iso, make_chain_map)
+                                  hom_postcompose, identity_map, is_quasi_iso,
+                                  make_chain_map)
 from holim_engine.dsl import parse
-from holim_engine.endkan import ChainDiagram
+from holim_engine.endkan import ChainDiagram, end_induced_map
 from holim_engine.errors import WeightRejected
 from holim_engine.exactalg import RationalMatrix, solve_matrix
 from holim_engine.fincat import arrow_category, comma_over
-from holim_engine.holim import bk_holim, weighted_end
-from holim_engine.randgen import (random_chain_complex, random_chain_map,
-                                  random_cospan_diagram,
+from holim_engine.holim import (_simplex_inclusion, bk_holim,
+                                constant_cosimplicial,
+                                cosimplicial_replacement,
+                                delta_plus_vertices, fat_tot,
+                                holim_we_invariance, weighted_end)
+from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
+                                  random_chain_map, random_cospan_diagram,
+                                  random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import (constant_point_weight, nerve, nerve_weight,
-                                normalized_chains)
+from holim_engine.ssets import (Weight, check_point_resolution,
+                                constant_point_weight, nerve,
+                                nerve_of_comma_under, nerve_weight,
+                                normalized_chains, standard_simplex)
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -135,10 +144,74 @@ def test_chain_product_of_zero_diagram_is_zero():
 
 def test_bk_holim_rejects_relabelled_constant_point_weight():
     # the constant point over the cospan is not a resolution of the
-    # point (no initial object); the nerve_weight label must not hide it
+    # point (no initial object); no trusted label may hide it
     ws = parse((CORPUS / "cospan.hle").read_text())
     D = ws.get("Loop", "diagram_ch").value
-    W = replace(constant_point_weight(D.base), provenance="nerve_weight")
-    with pytest.raises(WeightRejected):
-        bk_holim(D, W)
+    for label in ("nerve_weight", "nerve_of_comma_under"):
+        W = replace(constant_point_weight(D.base), provenance=label)
+        with pytest.raises(WeightRejected):
+            bk_holim(D, W)
     assert bk_holim(D).betti == {-1: 1}
+
+
+def test_comma_under_weights_are_levelwise_free():
+    rng = random.Random(2025)
+    for _ in range(10):
+        f = random_functor_between_loopfree(rng)
+        assert check_point_resolution(nerve_of_comma_under(f)).whitelisted
+
+
+def _nonzero_dims(C):
+    return {k: v for k, v in C.dims.items() if v}
+
+
+def _delta_weight(C):
+    """[n] |-> Delta^n over delta_plus_category(N), acting by the simplex
+    inclusion with the image vertices of each morphism."""
+    S = [standard_simplex(n) for n in C.objects()]
+    return Weight(C, tuple(S),
+                  {m: _simplex_inclusion(S[C.src(m)], S[C.tgt(m)],
+                                         delta_plus_vertices(C, m))
+                   for m in C.morphisms()}, provenance="delta")
+
+
+def _check_fat_tot_against_equalizer(X):
+    res = fat_tot(X)
+    assert res.end is None
+    E = weighted_end(X, _delta_weight(X.base))
+    assert _nonzero_dims(res.complex) == _nonzero_dims(E.complex)
+    assert res.betti == betti_numbers(E.complex)
+
+
+def test_fat_tot_matches_equalizer_end_randomized():
+    rng = random.Random(2026)
+    for N in (1, 2, 3):
+        for _ in range(3):
+            c = random_chain_complex(rng, max_dim=2, max_width=2)
+            _check_fat_tot_against_equalizer(constant_cosimplicial(c, N))
+    for N in (2, 3):
+        for _ in range(3):
+            D = random_cospan_diagram(rng, 2, 2, lo_min=0, hi_max=1)
+            _check_fat_tot_against_equalizer(cosimplicial_replacement(D, N))
+    ws = parse((CORPUS / "cospan.hle").read_text())
+    _check_fat_tot_against_equalizer(
+        cosimplicial_replacement(ws.get("Loop", "diagram_ch").value, 3))
+
+
+def test_we_invariance_matches_equalizer_end_randomized():
+    rng = random.Random(2027)
+    for _ in range(8):
+        P = random_poset(rng, 3)
+        G = random_poset_chain_diagram(rng, P, max_dim=2, max_width=2)
+        _, alpha = fattened_quasi_iso(rng, G)
+        rep = holim_we_invariance(alpha)
+        W = nerve_weight(P)
+        NW = [normalized_chains(W.value(x)) for x in P.objects()]
+        E_F = weighted_end(alpha.source, W)
+        E_G = weighted_end(alpha.target, W)
+        induced = end_induced_map(
+            E_F, E_G, [hom_postcompose(NW[x], alpha.component(x))
+                       for x in P.objects()])
+        assert rep.quasi_iso == is_quasi_iso(induced)[0]
+        assert rep.betti_source == betti_numbers(E_F.complex)
+        assert rep.betti_target == betti_numbers(E_G.complex)

@@ -160,6 +160,46 @@ def test_negative_depth_rejected(cospan_ws):
     assert b"--depth" in err.stderr
 
 
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
+
+# (payload in bench/expected, workspace, command, extra flags)
+GOLDEN = [
+    ("cospan_holim_Loop", "cospan.hle", "holim Loop", ()),
+    ("cospan_holim_Glue", "cospan.hle", "holim Glue", ()),
+    ("cospan_hopullback_Loop", "cospan.hle", "hopullback Loop", ()),
+    ("cospan_hopullback_Glue", "cospan.hle", "hopullback Glue", ()),
+    ("cospan_homology_Interval", "cospan.hle", "homology Interval", ()),
+    ("cospan_nerve_W", "cospan.hle", "nerve W", ()),
+    ("cospan_fattot_Loop_depth_3", "cospan.hle", "fattot Loop",
+     ("--depth", "3")),
+    ("cospan_fattot_Loop_depth_4", "cospan.hle", "fattot Loop",
+     ("--depth", "4")),
+    ("cospan_fattot_Glue_depth_4", "cospan.hle", "fattot Glue",
+     ("--depth", "4")),
+    ("arrow_holim_D", "arrow.hle", "holim D", ()),
+    ("arrow_lim_S", "arrow.hle", "lim S", ()),
+    ("arrow_colim_S", "arrow.hle", "colim S", ()),
+    ("arrow_lan_ia_P", "arrow.hle", "lan ia P", ()),
+    ("arrow_ran_ia_P", "arrow.hle", "ran ia P", ()),
+    ("arrow_nerve_C", "arrow.hle", "nerve C", ()),
+    ("arrow_homology_Cone", "arrow.hle", "homology Cone", ()),
+    ("arrow_hoinitial_ia", "arrow.hle", "hoinitial ia", ()),
+    ("arrow_compare-holim_ia_D", "arrow.hle", "compare-holim ia D", ()),
+    ("hom_end_end_H", "hom_end.hle", "end H", ()),
+    ("hom_end_coend_H", "hom_end.hle", "coend H", ()),
+]
+
+
+@pytest.mark.parametrize("slug,fname,cmd,flags", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_cli_json_matches_golden_payload(capsys, slug, fname, cmd, flags):
+    code = cli_mod.main([str(CORPUS / fname), "--cmd", cmd, "--json",
+                         *flags])
+    assert code == 0
+    want = (EXPECTED / f"{slug}.json").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_cli_threads_env_does_not_change_output():
     path = str(CORPUS / "arrow.hle")
     a = _run_cli([path, "--cmd", "verify all", "--json"],
