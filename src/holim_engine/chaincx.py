@@ -152,7 +152,7 @@ def zero_map(C: ChainComplex, D: ChainComplex) -> ChainMap:
 
 
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if g.source.dims != f.target.dims:
+    if g.source != f.target:
         raise ShapeMismatch("chain maps not composable")
     return ChainMap(f.source, g.target,
                     {k: g.component(k) * f.component(k)
@@ -160,7 +160,7 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 
 def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.source.dims != g.source.dims or f.target.dims != g.target.dims:
+    if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("maps are not parallel")
     return ChainMap(f.source, f.target,
                     {k: f.component(k) - g.component(k)
@@ -280,15 +280,32 @@ def induced_homology_maps(f: ChainMap) -> dict[int, RationalMatrix]:
     return out
 
 
-def is_quasi_iso(f: ChainMap) -> tuple[bool, dict[int, RationalMatrix]]:
-    """True iff the induced map on homology is an isomorphism in every
-    degree; the induced matrices are returned for inspection."""
-    maps = induced_homology_maps(f)
-    ok = True
-    for k, m in maps.items():
-        if m.rows != m.cols or rank(m) != m.rows:
-            ok = False
-    return ok, maps
+def mapping_cone(f: ChainMap) -> ChainComplex:
+    """Cone(f)_n = A_{n-1} + B_n for f: A -> B, with
+    d(a, b) = (-d a, f a + d b)."""
+    A, B = f.source, f.target
+    nonzero = [(c, s) for c, s in ((A, 1), (B, 0)) if not c.is_zero()]
+    if not nonzero:
+        return ZERO_COMPLEX
+    lo = min(c.lo + s for c, s in nonzero)
+    hi = max(c.hi + s for c, s in nonzero)
+    dims = {n: A.dim(n - 1) + B.dim(n) for n in range(lo, hi + 1)}
+    diff = {}
+    for n in range(lo + 1, hi + 1):
+        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
+        _write_block(rows, 0, 0, A.d(n - 1).scale(-1))
+        _write_block(rows, A.dim(n - 2), 0, f.component(n - 1))
+        _write_block(rows, A.dim(n - 2), A.dim(n - 1), B.d(n))
+        diff[n] = RationalMatrix(dims[n - 1], dims[n],
+                                 tuple(tuple(r) for r in rows))
+    return make_complex(dims, diff)
+
+
+def is_quasi_iso(f: ChainMap) -> bool:
+    """True iff f induces an isomorphism on homology in every degree,
+    that is iff its mapping cone is acyclic: ranks alone decide it.
+    `induced_homology_maps` gives the induced matrices."""
+    return not betti_numbers(mapping_cone(f))
 
 
 # --- hom complexes and powering ----------------------------------------------

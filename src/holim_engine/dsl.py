@@ -426,17 +426,16 @@ def _parse_complex(p: _Parser, ws: Workspace):
         if not lo < k <= hi:
             raise ParseError(f"complex {name!r}: d {k} outside the "
                              f"declared range {lo}..{hi}")
-    full_dims = {k: dims.get(k, 0) for k in range(lo, hi + 1)}
     diff_m = {}
     for k, rows in diffs.items():
-        r, c = full_dims.get(k - 1, 0), full_dims.get(k, 0)
+        r, c = dims.get(k - 1, 0), dims.get(k, 0)
         flat = [list(row) for row in rows]
         if len(flat) != r or any(len(row) != c for row in flat):
             raise ParseError(
                 f"complex {name!r}: d {k} should be {r}x{c}")
         diff_m[k] = RationalMatrix.from_rows(flat, rows=r, cols=c)
     try:
-        C = make_complex(full_dims, diff_m)
+        C = make_complex(dims, diff_m)
     except EngineError as e:
         raise _named_error(name, e, decl_line)
     ws.add(Binding(name, "complex", C,
@@ -742,10 +741,10 @@ def _print_complex(b: Binding) -> str:
     lo = b.meta.get("declared_lo", C.lo)
     hi = b.meta.get("declared_hi", C.hi)
     lines = [f"complex {b.name} {{", f"  degrees: {lo}..{hi}"]
-    for k in range(lo, hi + 1):
+    for k in C.degrees():
         if C.dim(k):
             lines.append(f"  dim {k}: {C.dim(k)}")
-    for k in range(lo + 1, hi + 1):
+    for k in range(C.lo + 1, C.hi + 1):
         d = C.d(k)
         if not d.is_zero():
             lines.append(f"  d {k}: {_fmt_matrix(d)}")

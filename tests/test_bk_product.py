@@ -1,6 +1,6 @@
-"""The products over generating cells that `bk_holim`, `fat_tot` and
-`holim_we_invariance` compute, against the equalizer end of their free
-weights (the oracle)."""
+"""The products over generating cells that `bk_holim`, `fat_tot`,
+`holim_we_invariance` and `comparison_map` compute, against the
+equalizer end of their free weights (the oracle)."""
 
 import random
 from dataclasses import replace
@@ -11,14 +11,17 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
-                                  hom_postcompose, identity_map, is_quasi_iso,
+                                  hom_postcompose, identity_map,
+                                  induced_homology_maps, is_quasi_iso,
                                   make_chain_map)
 from holim_engine.dsl import parse
-from holim_engine.endkan import ChainDiagram, end_induced_map
+from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
 from holim_engine.errors import WeightRejected
-from holim_engine.exactalg import RationalMatrix, solve_matrix
-from holim_engine.fincat import arrow_category, comma_over
+from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
+from holim_engine.fincat import (arrow_category, comma_over, find_initial,
+                                 identity_functor, object_inclusion)
 from holim_engine.holim import (_simplex_inclusion, bk_holim,
+                                check_homotopy_initial, comparison_map,
                                 constant_cosimplicial,
                                 cosimplicial_replacement,
                                 delta_plus_vertices, fat_tot,
@@ -108,7 +111,7 @@ def _check_against_equalizer(F):
         assert X is not None, f"image leaves the end in degree {n}"
         comps[n] = X
     theta = make_chain_map(R, E.complex, comps, check=True)
-    ok, _ = is_quasi_iso(theta)
+    ok = is_quasi_iso(theta)
     assert ok
 
 
@@ -212,6 +215,38 @@ def test_we_invariance_matches_equalizer_end_randomized():
         induced = end_induced_map(
             E_F, E_G, [hom_postcompose(NW[x], alpha.component(x))
                        for x in P.objects()])
-        assert rep.quasi_iso == is_quasi_iso(induced)[0]
+        assert rep.quasi_iso == is_quasi_iso(induced)
         assert rep.betti_source == betti_numbers(E_F.complex)
         assert rep.betti_target == betti_numbers(E_G.complex)
+
+
+def _check_comparison_against_equalizer(f, F):
+    R, rep = comparison_map(f, F)
+    assert rep.betti_full == betti_numbers(
+        weighted_end(F, nerve_weight(f.target)).complex)
+    assert rep.betti_restricted == betti_numbers(
+        weighted_end(restrict(f, F), nerve_weight(f.source)).complex)
+    induced = induced_homology_maps(R).values()
+    assert rep.quasi_iso == all(m.rows == m.cols and rank(m) == m.rows
+                                for m in induced)
+    if check_homotopy_initial(f).passed:
+        assert rep.quasi_iso
+    return rep.quasi_iso
+
+
+def test_comparison_map_matches_equalizer_end_randomized():
+    rng = random.Random(2028)
+    verdicts = []
+    for _ in range(14):
+        # identity functors, posets and free categories into a poset
+        f = random_functor_between_loopfree(rng)
+        verdicts.append(_check_comparison_against_equalizer(
+            f, random_poset_chain_diagram(rng, f.target, 2, 2)))
+    for _ in range(4):
+        P = random_poset(rng, 4, with_bottom=True)
+        F = random_poset_chain_diagram(rng, P, 2, 2)
+        verdicts.append(_check_comparison_against_equalizer(
+            object_inclusion(P, find_initial(P)), F))
+        verdicts.append(_check_comparison_against_equalizer(
+            identity_functor(P), F))
+    assert True in verdicts and False in verdicts

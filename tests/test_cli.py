@@ -7,7 +7,7 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.cli import run_command
-from holim_engine.dsl import parse
+from holim_engine.dsl import parse, pretty_print
 from holim_engine.errors import TypeMismatch
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
@@ -151,6 +151,29 @@ def test_cli_zero_denominator_exits_1(tmp_path):
     assert b"Traceback" not in err.stderr
 
 
+def test_huge_declared_degree_range(tmp_path):
+    # only the declared dims are stored, so a wide range costs nothing;
+    # the address-space cap turns a regression into a failure, not a
+    # machine out of memory
+    import resource
+    cap = 1536 * 2 ** 20
+    src = tmp_path / "big.hle"
+    src.write_text("complex Big { degrees: 0..99999999  dim 0: 1 }\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "holim_engine.cli", str(src), "--cmd",
+         "homology Big", "--json"], capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (cap, cap)))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["betti"] == {"0": 1}
+    ws = parse(src.read_text())
+    printed = pretty_print(ws)
+    assert "degrees: 0..99999999" in printed
+    assert parse(printed).get("Big", "complex").value == \
+        ws.get("Big", "complex").value
+    assert pretty_print(parse(printed)) == printed
+
+
 def test_negative_depth_rejected(cospan_ws):
     with pytest.raises(TypeMismatch):
         run_command(cospan_ws, "fattot Loop", depth=-1)
@@ -227,7 +250,7 @@ diagram H over op(C) * C into Ch {
 
 
 def test_end_of_chain_bifunctor():
-    from holim_engine.dsl import parse
+    from holim_engine.dsl import parse, pretty_print
     ws = parse(CHAIN_END_SRC)
     rep = run_command(ws, "end H")
     # identity structure maps: the end is the diagonal copy of Q[0]
