@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 from .errors import ChainRuleViolation, DSquareNonzero, ShapeMismatch, \
     TotalDSquareNonzero
-from .exactalg import (RationalMatrix, block_diag, quotient_basis, rank,
-                       rank_kernel, solve_matrix)
+from .exactalg import (RationalMatrix, block_diag, block_matrix,
+                       quotient_basis, rank, rank_kernel, solve_matrix)
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,9 @@ def direct_sum(summands: Sequence[ChainComplex]):
         lo = min(c.lo for c in nonzero)
         hi = max(c.hi for c in nonzero)
         dims = {k: sum(c.dim(k) for c in summands) for k in range(lo, hi + 1)}
-        diff = {}
-        for k in range(lo + 1, hi + 1):
-            m = block_diag([c.d(k) for c in summands])
-            if (m.rows, m.cols) != (dims.get(k - 1, 0), dims.get(k, 0)):
-                raise ShapeMismatch("block diagonal shape mismatch")
-            diff[k] = m
+        # make_complex checks the block diagonal against dims
+        diff = {k: block_diag([c.d(k) for c in summands])
+                for k in range(lo + 1, hi + 1)}
         S = make_complex(dims, diff)
     incls, projs = [], []
     for i, c in enumerate(summands):
@@ -193,11 +190,8 @@ def direct_sum(summands: Sequence[ChainComplex]):
             if not c.dim(k):
                 continue
             off = sum(cc.dim(k) for cc in summands[:i])
-            rows = []
-            for r in range(S.dim(k)):
-                rows.append(tuple(Fraction(1 if r - off == j else 0)
-                                  for j in range(c.dim(k))))
-            m = RationalMatrix(S.dim(k), c.dim(k), tuple(rows))
+            m = block_matrix(S.dim(k), c.dim(k),
+                             [(off, 0, RationalMatrix.identity(c.dim(k)))])
             comps_i[k] = m
             comps_p[k] = m.transpose()
         incls.append(ChainMap(c, S, comps_i))
@@ -292,12 +286,10 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     dims = {n: A.dim(n - 1) + B.dim(n) for n in range(lo, hi + 1)}
     diff = {}
     for n in range(lo + 1, hi + 1):
-        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
-        _write_block(rows, 0, 0, A.d(n - 1).scale(-1))
-        _write_block(rows, A.dim(n - 2), 0, f.component(n - 1))
-        _write_block(rows, A.dim(n - 2), A.dim(n - 1), B.d(n))
-        diff[n] = RationalMatrix(dims[n - 1], dims[n],
-                                 tuple(tuple(r) for r in rows))
+        diff[n] = block_matrix(dims[n - 1], dims[n], [
+            (0, 0, A.d(n - 1).scale(-1)),
+            (A.dim(n - 2), 0, f.component(n - 1)),
+            (A.dim(n - 2), A.dim(n - 1), B.d(n))])
     return make_complex(dims, diff)
 
 
@@ -347,30 +339,19 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         tgt_blocks = _hom_blocks(A, B, k - 1)
         src_offs, src_dim = _hom_offsets(src_blocks)
         tgt_offs, tgt_dim = _hom_offsets(tgt_blocks)
-        rows = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        sign = Fraction(-1 if k % 2 == 0 else 1)  # -(-1)^k
+        sign = -1 if k % 2 == 0 else 1  # -(-1)^k
+        blocks = []
         for n, a, bt in tgt_blocks:
             # post-composition with d_B from block n
             if n in src_offs:
                 blk = B.d(n + k).kron(RationalMatrix.identity(a))
-                _write_block(rows, tgt_offs[n], src_offs[n], blk)
+                blocks.append((tgt_offs[n], src_offs[n], blk))
             # pre-composition with d_A from block n-1
             if (n - 1) in src_offs:
                 blk = RationalMatrix.identity(bt).kron(A.d(n).transpose())
-                _write_block(rows, tgt_offs[n], src_offs[n - 1],
-                             blk.scale(sign))
-        diff[k] = RationalMatrix(tgt_dim, src_dim,
-                                 tuple(tuple(r) for r in rows))
+                blocks.append((tgt_offs[n], src_offs[n - 1], blk.scale(sign)))
+        diff[k] = block_matrix(tgt_dim, src_dim, blocks)
     return make_complex(dims, diff)
-
-
-def _write_block(rows, r0, c0, blk, add=False):
-    for i in range(blk.rows):
-        row = rows[r0 + i]
-        for j in range(blk.cols):
-            v = blk.entries[i][j]
-            if v:
-                row[c0 + j] = row[c0 + j] + v if add else v
 
 
 def hom_decode(A: ChainComplex, B: ChainComplex, k: int,
@@ -417,12 +398,10 @@ def hom_postcompose(A: ChainComplex, f: ChainMap,
         tgt_blocks = _hom_blocks(A, Bp, k)
         src_offs, sdim = _hom_offsets(src_blocks)
         tgt_offs, tdim = _hom_offsets(tgt_blocks)
-        rows = [[Fraction(0)] * sdim for _ in range(tdim)]
-        for n, a, bt in tgt_blocks:
-            if n in src_offs:
-                blk = f.component(n + k).kron(RationalMatrix.identity(a))
-                _write_block(rows, tgt_offs[n], src_offs[n], blk)
-        comps[k] = RationalMatrix(tdim, sdim, tuple(tuple(r) for r in rows))
+        comps[k] = block_matrix(tdim, sdim, [
+            (tgt_offs[n], src_offs[n],
+             f.component(n + k).kron(RationalMatrix.identity(a)))
+            for n, a, _ in tgt_blocks if n in src_offs])
     return make_chain_map(H, Hp, comps, check=check)
 
 
@@ -439,13 +418,10 @@ def hom_precompose(g: ChainMap, B: ChainComplex,
         tgt_blocks = _hom_blocks(Ap, B, k)
         src_offs, sdim = _hom_offsets(src_blocks)
         tgt_offs, tdim = _hom_offsets(tgt_blocks)
-        rows = [[Fraction(0)] * sdim for _ in range(tdim)]
-        for n, a, bt in tgt_blocks:
-            if n in src_offs:
-                blk = RationalMatrix.identity(bt).kron(
-                    g.component(n).transpose())
-                _write_block(rows, tgt_offs[n], src_offs[n], blk)
-        comps[k] = RationalMatrix(tdim, sdim, tuple(tuple(r) for r in rows))
+        comps[k] = block_matrix(tdim, sdim, [
+            (tgt_offs[n], src_offs[n],
+             RationalMatrix.identity(bt).kron(g.component(n).transpose()))
+            for n, _, bt in tgt_blocks if n in src_offs])
     return make_chain_map(H, Hp, comps, check=check)
 
 
@@ -514,19 +490,16 @@ def product_total(columns: Sequence[ChainComplex], horizontal) -> ChainComplex:
 
     diff = {}
     for k in range(lo + 1, hi + 1):
-        rows = [[Fraction(0)] * dims[k] for _ in range(dims.get(k - 1, 0))]
+        blocks = []
         for n, c in enumerate(columns):
             q = k + n
             if not c.dim(q):
                 continue
-            _write_block(rows, offset(k - 1, n), offset(k, n), c.d(q),
-                         add=True)
+            blocks.append((offset(k - 1, n), offset(k, n), c.d(q)))
             hm = h(n, q)
             if hm.rows:
-                _write_block(rows, offset(k - 1, n + 1), offset(k, n), hm,
-                             add=True)
-        diff[k] = RationalMatrix(dims.get(k - 1, 0), dims[k],
-                                 tuple(tuple(r) for r in rows))
+                blocks.append((offset(k - 1, n + 1), offset(k, n), hm))
+        diff[k] = block_matrix(dims.get(k - 1, 0), dims[k], blocks)
     try:
         return make_complex(dims, diff)
     except DSquareNonzero as e:

@@ -51,7 +51,8 @@ from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map, make_complex
 from .endkan import (ChainDiagram, FinSetDiagram, validate_chain_diagram,
                      validate_finset_diagram)
-from .errors import EngineError, ParseError, TypeMismatch, UnknownBinding
+from .errors import (DiagramError, EngineError, ParseError, ShapeMismatch,
+                     TypeMismatch, UnknownBinding)
 from .exactalg import RationalMatrix
 from .fincat import (FinCategory, FunctorData, category_from_presentation,
                      opposite, product, validate_category, validate_functor)
@@ -84,6 +85,11 @@ class Workspace:
             raise TypeMismatch(
                 f"binding {name!r} is a {b.kind}, expected {kind}")
         return b
+
+
+# A complex is stored degree by degree from its lowest to its highest
+# nonzero dim, so the parser bounds that span.
+MAX_DEGREE_SPAN = 10_000
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -145,7 +151,8 @@ class _Parser:
         while skip_newlines and self.toks[self.pos].kind == "newline":
             self.pos += 1
         t = self.toks[self.pos]
-        self.pos += 1
+        if t.kind != "eof":          # the end token is never consumed
+            self.pos += 1
         return t
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
@@ -418,6 +425,10 @@ def _parse_complex(p: _Parser, ws: Workspace):
             raise ParseError(f"unknown complex field {key!r}", t.line, t.col)
     if lo is None:
         raise ParseError(f"complex {name!r} lacks a degrees range")
+    support = [k for k, v in dims.items() if v]
+    if support and max(support) - min(support) >= MAX_DEGREE_SPAN:
+        raise ParseError(f"complex {name!r}: its nonzero dims span more "
+                         f"than {MAX_DEGREE_SPAN} degrees", decl_line)
     for k in dims:
         if not lo <= k <= hi:
             raise ParseError(f"complex {name!r}: dim {k} outside the "
@@ -601,20 +612,20 @@ def _build_chain_diagram(C, at_entries, on_entries, ws) -> ChainDiagram:
     for lab, comps in on_entries.items():
         m = _mor_by_label(C, lab)
         src, tgt = values[C.src(m)], values[C.tgt(m)]
-        comp_m: dict[int, RationalMatrix] = {}
         if None in comps:
             support = [k for k in src.degrees() if src.dim(k)]
             if len(support) != 1:
                 raise TypeMismatch(
                     f"shorthand matrix for {lab!r} needs a single-degree "
                     f"source complex")
-            k = support[0]
-            comp_m[k] = RationalMatrix.from_rows(
-                comps[None], rows=tgt.dim(k), cols=src.dim(k))
-        else:
-            for k, rows in comps.items():
-                comp_m[k] = RationalMatrix.from_rows(
-                    rows, rows=tgt.dim(k), cols=src.dim(k))
+            comps = {support[0]: comps[None]}
+        comp_m: dict[int, RationalMatrix] = {}
+        for k, rows in comps.items():
+            r, c = tgt.dim(k), src.dim(k)
+            if len(rows) != r or any(len(row) != c for row in rows):
+                raise ShapeMismatch(
+                    f"action on {lab!r} at degree {k} should be {r}x{c}")
+            comp_m[k] = RationalMatrix.from_rows(rows, rows=r, cols=c)
         known[m] = make_chain_map(src, tgt, comp_m, check=True)
 
     def forced(m):
@@ -639,7 +650,12 @@ def _build_finset_diagram(C, at_entries, on_entries) -> FinSetDiagram:
         known[C.identity[x]] = {e: e for e in values[x]}
     for lab, pairs in on_entries.items():
         m = _mor_by_label(C, lab)
-        known[m] = {a: b for a, b in pairs}
+        src, tgt = values[C.src(m)], values[C.tgt(m)]
+        known[m] = dict(pairs)
+        if set(known[m]) != set(src) or not set(known[m].values()) <= set(tgt):
+            raise DiagramError(
+                f"on {lab!r} must send {{{', '.join(src)}}} into "
+                f"{{{', '.join(tgt)}}}")
 
     def compose(ag, af):
         return {e: ag[v] for e, v in af.items()}

@@ -15,13 +15,12 @@ its factors by the interchange law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .chaincx import (ChainComplex, ChainMap, compose_maps, direct_sum,
                       subcomplex_from_kernels, validate_map)
 from .errors import DiagramError, ShapeMismatch
-from .exactalg import RationalMatrix, rank_kernel
+from .exactalg import RationalMatrix, block_diag, block_matrix, rank_kernel
 from .fincat import (Comma, FinCategory, FunctorData, comma_from,
                      comma_under_functor, generating_morphisms, opposite,
                      product, product_mor, product_obj)
@@ -674,28 +673,18 @@ def end_chain(H: ChainDiagram, generators: Optional[Sequence[int]] = None,
     for k in S.degrees():
         if not S.dim(k):
             continue
-        rows: list[tuple] = []
+        blocks, r0 = [], 0
         for i, f in enumerate(gens):
             t_dim = targets[i].dim(k)
             if not t_dim:
                 continue
             s, t = G.src(f), G.tgt(f)
-            mp = push[i].component(k)
-            ml = pull[i].component(k)
             off_s = sum(diag[x].dim(k) for x in range(s))
             off_t = sum(diag[x].dim(k) for x in range(t))
-            for r in range(t_dim):
-                row = [Fraction(0)] * S.dim(k)
-                for j in range(mp.cols):
-                    v = mp.entries[r][j]
-                    if v:
-                        row[off_s + j] += v
-                for j in range(ml.cols):
-                    v = ml.entries[r][j]
-                    if v:
-                        row[off_t + j] -= v
-                rows.append(tuple(row))
-        M = RationalMatrix(len(rows), S.dim(k), tuple(rows))
+            blocks.append((r0, off_s, push[i].component(k)))
+            blocks.append((r0, off_t, pull[i].component(k).scale(-1)))
+            r0 += t_dim
+        M = block_matrix(r0, S.dim(k), blocks)
         _, basis = rank_kernel(M)
         kernels[k] = RationalMatrix.from_columns(basis, S.dim(k))
     E, incl = subcomplex_from_kernels(S, kernels)
@@ -740,19 +729,7 @@ def end_induced_map(src: EndChain, tgt: EndChain,
     for k in src.complex.degrees():
         if not src.complex.dim(k):
             continue
-        rows_out: list[list] = [[Fraction(0)] * src.sum_complex.dim(k)
-                                for _ in range(tgt.sum_complex.dim(k))]
-        off_s = off_t = 0
-        for x, c in enumerate(comps):
-            m = c.component(k)
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    if m.entries[i][j]:
-                        rows_out[off_t + i][off_s + j] = m.entries[i][j]
-            off_s += m.cols
-            off_t += m.rows
-        big = RationalMatrix(tgt.sum_complex.dim(k), src.sum_complex.dim(k),
-                             tuple(tuple(r) for r in rows_out))
+        big = block_diag([c.component(k) for c in comps])
         X = solve_matrix(tgt.inclusion.component(k),
                          big * src.inclusion.component(k))
         if X is None:
@@ -975,7 +952,6 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
                 continue
             n_rows = ambient.dim(k)
             out_m = outer.inclusion.component(k)
-            rows = [[Fraction(0)] * out_m.rows for _ in range(n_rows)]
             # row offset of the (g, d) diagonal block in the joint sum
             def joint_off(g, d):
                 off = 0
@@ -987,7 +963,7 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
                             P, pp_obj(gg, dd), pp_obj(gg, dd))).dim(k)
                 raise AssertionError
 
-            col_off = 0
+            blocks, col_off = [], 0
             for pos, inn in enumerate(inners):
                 m = inn.inclusion.component(k)
                 # rows of m are blocks over the inner base objects
@@ -995,17 +971,13 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
                 for d2 in range(len(inn.projections)):
                     blk_dim = inn.projections[d2].target.dim(k)
                     g, d = (pos, d2) if major_first else (d2, pos)
-                    jo = joint_off(g, d)
-                    for i in range(blk_dim):
-                        for j in range(m.cols):
-                            v = m.entries[inner_off + i][j]
-                            if v:
-                                rows[jo + i][col_off + j] = v
+                    rows = m.entries[inner_off:inner_off + blk_dim]
+                    blocks.append((joint_off(g, d), col_off,
+                                   RationalMatrix(blk_dim, m.cols, rows)))
                     inner_off += blk_dim
                 col_off += m.cols
             # compose: outer coords -> inner coords -> joint ambient
-            big = RationalMatrix(n_rows, out_m.rows,
-                                 tuple(tuple(r) for r in rows))
+            big = block_matrix(n_rows, out_m.rows, blocks)
             comps[k] = big * out_m
         return ChainMap(outer.complex, ambient, comps)
 

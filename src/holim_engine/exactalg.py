@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from .errors import ShapeMismatch
+
 Vector = tuple[Fraction, ...]
 
 
@@ -79,9 +81,9 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
+        one, z = Fraction(1), Fraction(0)
         return RationalMatrix(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)))
+            tuple(one if i == j else z for j in range(n)) for i in range(n)))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "RationalMatrix":
@@ -207,21 +209,41 @@ class RationalMatrix:
                               self.entries + other.entries)
 
 
-def block_diag(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
-    blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
+def block_matrix(nrows: int, ncols: int,
+                 blocks: Iterable[tuple]) -> RationalMatrix:
+    """The nrows x ncols matrix holding each block at its offsets.
+
+    `blocks` yields (row offset, column offset, block), where a block is
+    a RationalMatrix or a scalar (a 1x1 block).  Overlapping blocks add;
+    only nonzero entries are scattered.  A block that does not fit in
+    the matrix raises ShapeMismatch."""
     z = Fraction(0)
-    out = [[z] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
+    out = [[z] * ncols for _ in range(nrows)]
+    for r0, c0, blk in blocks:
+        if isinstance(blk, RationalMatrix):
+            br, bc, ent = blk.rows, blk.cols, blk.entries
+        else:
+            br, bc, ent = 1, 1, ((_frac(blk),),)
+        if r0 < 0 or c0 < 0 or r0 + br > nrows or c0 + bc > ncols:
+            raise ShapeMismatch(
+                f"{br}x{bc} block at ({r0}, {c0}) does not fit in a "
+                f"{nrows}x{ncols} matrix")
+        for i, brow in enumerate(ent):
             row = out[r0 + i]
-            for j in range(b.cols):
-                row[c0 + j] = b.entries[i][j]
+            for j, v in enumerate(brow):
+                if v:
+                    cur = row[c0 + j]
+                    row[c0 + j] = v if cur is z else cur + v
+    return RationalMatrix(nrows, ncols, tuple(tuple(r) for r in out))
+
+
+def block_diag(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
+    placed, r0, c0 = [], 0, 0
+    for b in blocks:
+        placed.append((r0, c0, b))
         r0 += b.rows
         c0 += b.cols
-    return RationalMatrix(rows, cols, tuple(tuple(r) for r in out))
+    return block_matrix(r0, c0, placed)
 
 
 # --- fraction-free elimination core ----------------------------------------

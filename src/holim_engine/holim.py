@@ -22,14 +22,13 @@ never as quasi-isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from . import chaincx, fincat, ssets
-from .chaincx import (ChainComplex, ChainMap, _write_block, betti_numbers,
-                      compose_maps, direct_sum, hom_complex, hom_postcompose,
+from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
+                      direct_sum, hom_complex, hom_postcompose,
                       hom_precompose, identity_map, is_quasi_iso,
                       make_chain_map, power)
 from .endkan import (ChainDiagram, ChainDiagramMap, EndChain,
@@ -38,7 +37,7 @@ from .endkan import (ChainDiagram, ChainDiagramMap, EndChain,
 from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
                      NotLoopFree, ShapeMismatch, TruncationTooShallow,
                      WeightRejected)
-from .exactalg import RationalMatrix, rank, solve_matrix
+from .exactalg import RationalMatrix, block_matrix, rank, solve_matrix
 from .fincat import (FinCategory, FunctorData, comma_over,
                      comma_under_functor, cospan_category, is_direct,
                      validate_category)
@@ -241,32 +240,29 @@ def _chain_product(F: ChainDiagram) -> ChainComplex:
     offsets, dims = {}, {}
     for n in range(lo, hi + 1):
         offsets[n], dims[n] = _chain_offsets(F, gens, n)
+    signed_identity = lru_cache(None)(
+        lambda d, s: RationalMatrix.identity(d).scale(s))
     diff = {}
     for n in range(lo + 1, hi + 1):
-        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
         src, tgt = offsets[n], offsets[n - 1]
         sign = -1 if n % 2 == 0 else 1          # -(-1)^n
+        blocks = []
         for k, c, x in gens:
             V = F.value(x)
             q = n + k - 1
             if not V.dim(q):
                 continue
-            _write_block(rows, tgt[(k, c)], src[(k, c)], V.d(q + 1))
+            r0 = tgt[(k, c)]
+            blocks.append((r0, src[(k, c)], V.d(q + 1)))
             if not k:
                 continue
             # the faces of c are (k-1)-chains, read in internal degree q
-            r0 = tgt[(k, c)]
             for i, face in enumerate(K.faces[(k, c)]):
-                s, c0 = (sign if i % 2 == 0 else -sign), src[(k - 1, face)]
-                if i < k:
-                    for j in range(V.dim(q)):
-                        rows[r0 + j][c0 + j] += s
-                else:
-                    _write_block(rows, r0, c0,
-                                 F.action(c[-1]).component(q).scale(s),
-                                 add=True)
-        diff[n] = RationalMatrix(dims[n - 1], dims[n],
-                                 tuple(tuple(r) for r in rows))
+                s = sign if i % 2 == 0 else -sign
+                blk = signed_identity(V.dim(q), s) if i < k else \
+                    F.action(c[-1]).component(q).scale(s)
+                blocks.append((r0, src[(k - 1, face)], blk))
+        diff[n] = block_matrix(dims[n - 1], dims[n], blocks)
     return chaincx.make_complex({n: dims[n] for n in range(lo, hi + 1)},
                                 diff)
 
@@ -292,11 +288,9 @@ def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
     for n in P.degrees():
         src, cols = _chain_offsets(Fp, src_gens, n)
         tgt, nrows = _chain_offsets(F, tgt_gens, n)
-        rows = [[Fraction(0)] * cols for _ in range(nrows)]
-        for k, c, x, fc in images:
-            _write_block(rows, tgt[(k, c)], src[(k, fc)],
-                         alpha[x].component(n + k))
-        comps[n] = RationalMatrix(nrows, cols, tuple(tuple(r) for r in rows))
+        comps[n] = block_matrix(nrows, cols, [
+            (tgt[(k, c)], src[(k, fc)], alpha[x].component(n + k))
+            for k, c, x, fc in images])
     return make_chain_map(P, Q, comps, check=True)
 
 
@@ -328,16 +322,14 @@ def mapping_path_complex(p: ChainMap, q: ChainMap) -> ChainComplex:
     dims = {k: A.dim(k) + B.dim(k) + C.dim(k + 1) for k in range(lo, hi + 1)}
     diff = {}
     for k in range(lo + 1, hi + 1):
-        rows = [[Fraction(0)] * dims[k] for _ in range(dims.get(k - 1, 0))]
         oa, ob, oc = 0, A.dim(k - 1), A.dim(k - 1) + B.dim(k - 1)
         ja, jb, jc = 0, A.dim(k), A.dim(k) + B.dim(k)
-        _write_block(rows, oa, ja, A.d(k))
-        _write_block(rows, ob, jb, B.d(k))
-        _write_block(rows, oc, ja, p.component(k))
-        _write_block(rows, oc, jb, q.component(k).scale(-1))
-        _write_block(rows, oc, jc, C.d(k + 1).scale(-1))
-        diff[k] = RationalMatrix(dims.get(k - 1, 0), dims[k],
-                                 tuple(tuple(r) for r in rows))
+        diff[k] = block_matrix(dims.get(k - 1, 0), dims[k], [
+            (oa, ja, A.d(k)),
+            (ob, jb, B.d(k)),
+            (oc, ja, p.component(k)),
+            (oc, jb, q.component(k).scale(-1)),
+            (oc, jc, C.d(k + 1).scale(-1))])
     return chaincx.make_complex(dims, diff)
 
 
@@ -485,9 +477,7 @@ def cosimplicial_replacement(F: ChainDiagram, N: int) -> ChainDiagram:
         for i in range(n + 1):
             comps = {}
             for k in levels[n - 1].degrees():
-                rows = [[Fraction(0)] * levels[n - 1].dim(k)
-                        for _ in range(levels[n].dim(k))]
-                r0 = 0
+                blocks, r0 = [], 0
                 for c in chains[n]:
                     src_c = face_chain(c, i)
                     ci = index[n - 1][src_c]
@@ -497,11 +487,10 @@ def cosimplicial_replacement(F: ChainDiagram, N: int) -> ChainDiagram:
                     else:
                         blk = RationalMatrix.identity(
                             F.value(last_obj(c)).dim(k))
-                    _write_block(rows, r0, c0, blk)
+                    blocks.append((r0, c0, blk))
                     r0 += F.value(last_obj(c)).dim(k)
-                comps[k] = RationalMatrix(levels[n].dim(k),
-                                          levels[n - 1].dim(k),
-                                          tuple(tuple(r) for r in rows))
+                comps[k] = block_matrix(levels[n].dim(k),
+                                        levels[n - 1].dim(k), blocks)
             cofaces[(n, i)] = make_chain_map(levels[n - 1], levels[n], comps,
                                              check=False)
     return cosimplicial_from_cofaces(levels, cofaces)
@@ -641,9 +630,7 @@ def change_of_diagrams_iso(f: FunctorData, F: ChainDiagram) \
     for k in E2.complex.degrees():
         if not E2.complex.dim(k) and not E3.complex.dim(k):
             continue
-        rows = [[Fraction(0)] * E2.sum_complex.dim(k)
-                for _ in range(E3.sum_complex.dim(k))]
-        r0 = 0
+        blocks, r0 = [], 0
         for g in G.objects():
             fg = f.object_map[g]
             lam = _relift_sset_map(f, over_commas[g], under_commas[fg],
@@ -652,10 +639,10 @@ def change_of_diagrams_iso(f: FunctorData, F: ChainDiagram) \
                                  F.value(fg)).component(k)
             c0 = sum(hom_complex(NV[gp], F.value(gp)).dim(k)
                      for gp in range(fg))
-            _write_block(rows, r0, c0, blk)
+            blocks.append((r0, c0, blk))
             r0 += blk.rows
-        big = RationalMatrix(E3.sum_complex.dim(k), E2.sum_complex.dim(k),
-                             tuple(tuple(r) for r in rows))
+        big = block_matrix(E3.sum_complex.dim(k), E2.sum_complex.dim(k),
+                           blocks)
         X = solve_matrix(E3.inclusion.component(k),
                          big * E2.inclusion.component(k))
         if X is None:

@@ -20,7 +20,7 @@ from .chaincx import ChainComplex, ChainMap, hom_complex, hom_decode, \
     make_chain_map, make_complex
 from .endkan import ChainDiagram, FinSetDiagram, constant_finset_diagram, \
     representable_finset_diagram
-from .exactalg import RationalMatrix, rank_kernel
+from .exactalg import RationalMatrix, block_matrix, rank_kernel
 from .fincat import (FinCategory, FunctorData, arrow_category, chain_poset,
                      cospan_category, discrete_category, from_poset,
                      terminal_category, validate_category, validate_functor)
@@ -311,27 +311,21 @@ def random_poset_chain_diagram(rng: random.Random, P: FinCategory,
 
     def action(m):
         x, y = P.src(m), P.tgt(m)
-        Sx, incl_x, _ = chaincx.direct_sum(
-            [summands[i][1] for i in actives[x]])
-        Sy, incl_y, _ = chaincx.direct_sum(
-            [summands[i][1] for i in actives[y]])
         comps = {}
-        for k in Sx.degrees():
-            if not Sx.dim(k):
+        for k in values[x].degrees():
+            if not values[x].dim(k):
                 continue
-            rows = [[Fraction(0)] * Sx.dim(k) for _ in range(Sy.dim(k))]
-            for pos_x, i in enumerate(actives[x]):
-                pos_y = actives[y].index(i)
-                cx = incl_x[pos_x].component(k)
-                cy = incl_y[pos_y].component(k)
-                for r in range(cy.rows):
-                    for jj in range(cy.cols):
-                        if cy.entries[r][jj]:
-                            for rr in range(cx.rows):
-                                if cx.entries[rr][jj]:
-                                    rows[r][rr] += Fraction(1)
-            comps[k] = RationalMatrix(Sy.dim(k), Sx.dim(k),
-                                      tuple(tuple(r) for r in rows))
+            # summand i goes identically from its block in F(x) to its
+            # block in F(y)
+            blocks, c0 = [], 0
+            for i in actives[x]:
+                r0 = sum(summands[j][1].dim(k)
+                         for j in actives[y][:actives[y].index(i)])
+                d = summands[i][1].dim(k)
+                blocks.append((r0, c0, RationalMatrix.identity(d)))
+                c0 += d
+            comps[k] = block_matrix(values[y].dim(k), values[x].dim(k),
+                                    blocks)
         return make_chain_map(values[x], values[y], comps, check=False)
 
     return ChainDiagram(P, values, action)

@@ -14,7 +14,6 @@ at the i-th object.  On 1-cells this gives d(f) = tgt(f) - src(f).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional
@@ -22,7 +21,7 @@ from typing import Mapping, Optional
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
 from .errors import EmptyComplex, NotLoopFree, SimplicialError
-from .exactalg import RationalMatrix
+from .exactalg import RationalMatrix, block_matrix
 from .fincat import (Comma, FinCategory, FunctorData, comma_over,
                      comma_under_functor, find_initial, is_direct)
 
@@ -335,13 +334,10 @@ def normalized_chains(K: SemiSimplicialSet) -> ChainComplex:
     dims = {n: len(cs) for n, cs in enumerate(K.cells)}
     diff = {}
     for n in range(1, len(K.cells)):
-        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n - 1])]
-        for j, c in enumerate(K.n_cells(n)):
-            for i, fc in enumerate(K.faces[(n, c)]):
-                r = K.cell_index(n - 1, fc)
-                rows[r][j] += Fraction(-1 if i % 2 else 1)
-        diff[n] = RationalMatrix(dims[n - 1], dims[n],
-                                 tuple(tuple(r) for r in rows))
+        diff[n] = block_matrix(dims[n - 1], dims[n], [
+            (K.cell_index(n - 1, fc), j, -1 if i % 2 else 1)
+            for j, c in enumerate(K.n_cells(n))
+            for i, fc in enumerate(K.faces[(n, c)])])
     return chaincx.make_complex(dims, diff)
 
 
@@ -351,12 +347,9 @@ def chains_of_map(m: SSetMap) -> ChainMap:
     for n, cs in enumerate(m.source.cells):
         if not cs:
             continue
-        rows = [[Fraction(0)] * len(cs)
-                for _ in range(len(m.target.n_cells(n)))]
-        for j, c in enumerate(cs):
-            rows[m.target.cell_index(n, m.mapping[(n, c)])][j] += Fraction(1)
-        comps[n] = RationalMatrix(len(m.target.n_cells(n)), len(cs),
-                                  tuple(tuple(r) for r in rows))
+        comps[n] = block_matrix(len(m.target.n_cells(n)), len(cs), [
+            (m.target.cell_index(n, m.mapping[(n, c)]), j, 1)
+            for j, c in enumerate(cs)])
     return make_chain_map(A, B, comps, check=False)
 
 
@@ -367,8 +360,7 @@ def augmentation(K: SemiSimplicialSet) -> ChainMap:
     pt = chaincx.single(0, 1)
     if K.is_empty():
         return chaincx.zero_map(N, pt)
-    row = RationalMatrix(1, len(K.n_cells(0)),
-                         (tuple(Fraction(1) for _ in K.n_cells(0)),))
+    row = RationalMatrix.from_rows([[1] * len(K.n_cells(0))])
     return make_chain_map(N, pt, {0: row}, check=True)
 
 

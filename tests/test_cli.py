@@ -174,6 +174,39 @@ def test_huge_declared_degree_range(tmp_path):
     assert pretty_print(parse(printed)) == printed
 
 
+def test_dims_spanning_too_many_degrees_rejected(tmp_path):
+    # a complex is stored degree by degree between its nonzero dims, so
+    # dims this far apart are refused before anything is built
+    import resource
+    cap = 1536 * 2 ** 20
+    src = tmp_path / "big.hle"
+    src.write_text("complex Big { degrees: 0..99999999  dim 0: 1  "
+                   "dim 99999999: 1 }\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "holim_engine.cli", str(src), "--cmd",
+         "homology Big"], capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (cap, cap)))
+    assert run.returncode == 1
+    assert run.stderr.startswith(b"error: ")
+    assert b"'Big'" in run.stderr and b"line 1" in run.stderr
+    assert b"Traceback" not in run.stderr
+
+
+def test_chain_action_of_wrong_shape_exits_1(tmp_path):
+    src = tmp_path / "shape.hle"
+    src.write_text("category C {\n  objects: a, b\n  arrows: f: a -> b\n}\n"
+                   "complex Q0 { degrees: 0..0; dim 0: 1 }\n"
+                   "diagram D over C into Ch {\n  at a: Q0\n  at b: Q0\n"
+                   "  on f: deg 0: [[1, 1]]\n}\n")
+    err = _run_cli([str(src), "--cmd", "holim D"])
+    assert err.returncode == 1
+    assert err.stderr.startswith(b"error: ")
+    assert b"'f' at degree 0 should be 1x1" in err.stderr
+    assert b"'D' (declared at line 6)" in err.stderr
+    assert b"Traceback" not in err.stderr
+
+
 def test_negative_depth_rejected(cospan_ws):
     with pytest.raises(TypeMismatch):
         run_command(cospan_ws, "fattot Loop", depth=-1)

@@ -5,8 +5,8 @@ import pytest
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import betti_numbers
 from holim_engine.dsl import parse, pretty_print
-from holim_engine.errors import (DSquareNonzero, NotLoopFree, ParseError,
-                                 UnknownBinding)
+from holim_engine.errors import (DSquareNonzero, EngineError, NotLoopFree,
+                                 ParseError, UnknownBinding)
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -156,6 +156,25 @@ def test_zero_denominator_is_a_located_parse_error():
         parse("complex K {\n  degrees: 0..1\n  dim 0: 1\n  dim 1: 1\n"
               "  d 1: [[1/0]]\n}\n")
     assert (exc.value.line, exc.value.col) == (5, 10)
+
+
+@pytest.mark.parametrize("pairs", ["x -> zz", "zz -> u", "x -> u, y -> v"])
+def test_finset_action_outside_its_sets(pairs):
+    src = ("category C { objects: a, b; arrows: f: a -> b }\n"
+           "diagram S over C into FinSet {\n  at a: {x}\n  at b: {u, v}\n"
+           f"  on f: {pairs}\n}}\n")
+    with pytest.raises(EngineError) as exc:
+        parse(src)
+    assert "'f' must send {x} into {u, v}" in str(exc.value)
+    assert "'S' (declared at line 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("tail", ["x -> u,", "x ->"])
+def test_input_ending_inside_a_finset_action_is_a_parse_error(tail):
+    with pytest.raises(ParseError):
+        parse("category C { objects: a, b; arrows: f: a -> b }\n"
+              "diagram S over C into FinSet {\n  at a: {x}\n  at b: {u}\n"
+              f"  on f: {tail}\n")
 
 
 def _chain_diagrams_equal(D1, D2):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from holim_engine.exactalg import (RationalMatrix, block_diag, kernel_matrix,
-                                   quotient_basis, rank, rank_kernel, solve,
-                                   solve_matrix)
+from holim_engine.errors import ShapeMismatch
+from holim_engine.exactalg import (RationalMatrix, block_diag, block_matrix,
+                                   kernel_matrix, quotient_basis, rank,
+                                   rank_kernel, solve, solve_matrix)
 
 
 def test_rank_kernel_identity():
@@ -120,6 +121,28 @@ def test_block_diag_and_kron_shapes():
     K = A.kron(B)
     assert (K.rows, K.cols) == (2, 2)
     assert K.entries == ((Fraction(3), Fraction(6)), (Fraction(4), Fraction(8)))
+
+
+def test_block_matrix_adds_overlaps_and_rejects_outside_blocks():
+    A = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    M = block_matrix(3, 3, [(0, 0, A), (1, 1, A.scale(Fraction(1, 2))),
+                            (2, 0, -1), (2, 2, 0)])
+    assert M == RationalMatrix.from_rows(
+        [[1, 2, 0], [3, Fraction(9, 2), 1], [-1, Fraction(3, 2), 2]])
+    # overlapping entries that cancel leave a zero entry
+    assert block_matrix(1, 1, [(0, 0, 5), (0, 0, -5)]).is_zero()
+    # empty and 0 x k blocks place nothing, also at the far edge
+    Z = block_matrix(2, 3, [(2, 0, RationalMatrix.zero(0, 3)),
+                            (0, 3, RationalMatrix.zero(2, 0)),
+                            (1, 1, RationalMatrix.zero(0, 0))])
+    assert Z == RationalMatrix.zero(2, 3)
+    assert block_matrix(0, 0, []) == RationalMatrix.zero(0, 0)
+    assert block_matrix(0, 2, [(0, 0, RationalMatrix.zero(0, 2))]) == \
+        RationalMatrix.zero(0, 2)
+    for r0, c0, blk in [(2, 2, A), (0, 2, A), (-1, 0, A), (0, -1, 1),
+                        (3, 0, 1), (4, 0, RationalMatrix.zero(0, 1))]:
+        with pytest.raises(ShapeMismatch):
+            block_matrix(3, 3, [(r0, c0, blk)])
 
 
 def test_empty_shapes():
