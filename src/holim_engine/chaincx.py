@@ -361,13 +361,9 @@ def hom_decode(A: ChainComplex, B: ChainComplex, k: int,
     offs, total = _hom_offsets(blocks)
     if len(vector) != total:
         raise ShapeMismatch("hom element has wrong length")
-    out = {}
-    for n, a, b in blocks:
-        o = offs[n]
-        out[n] = RationalMatrix(b, a, tuple(
-            tuple(Fraction(vector[o + i * a + j]) for j in range(a))
-            for i in range(b)))
-    return out
+    return {n: RationalMatrix.from_rows(
+        [vector[offs[n] + i * a:offs[n] + (i + 1) * a] for i in range(b)],
+        rows=b, cols=a) for n, a, b in blocks}
 
 
 def hom_encode(A: ChainComplex, B: ChainComplex, k: int,
@@ -381,7 +377,8 @@ def hom_encode(A: ChainComplex, B: ChainComplex, k: int,
         else:
             if (m.rows, m.cols) != (b, a):
                 raise ShapeMismatch(f"block {n} has wrong shape")
-            out.extend(m.entries[i][j] for i in range(b) for j in range(a))
+            for i in range(b):
+                out.extend(m.row(i))
     return tuple(out)
 
 

@@ -727,8 +727,8 @@ def _fmt_frac(x: Fraction) -> str:
 
 def _fmt_matrix(m: RationalMatrix) -> str:
     return "[" + ", ".join(
-        "[" + ", ".join(_fmt_frac(v) for v in row) + "]"
-        for row in m.entries) + "]"
+        "[" + ", ".join(_fmt_frac(v) for v in m.row(i)) + "]"
+        for i in range(m.rows)) + "]"
 
 
 def _print_category(b: Binding) -> str:

@@ -971,9 +971,8 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
                 for d2 in range(len(inn.projections)):
                     blk_dim = inn.projections[d2].target.dim(k)
                     g, d = (pos, d2) if major_first else (d2, pos)
-                    rows = m.entries[inner_off:inner_off + blk_dim]
-                    blocks.append((joint_off(g, d), col_off,
-                                   RationalMatrix(blk_dim, m.cols, rows)))
+                    blocks.append((joint_off(g, d), col_off, m.row_block(
+                        inner_off, inner_off + blk_dim)))
                     inner_off += blk_dim
                 col_off += m.cols
             # compose: outer coords -> inner coords -> joint ambient

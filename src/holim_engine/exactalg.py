@@ -1,240 +1,369 @@
 """Exact rational linear algebra.
 
 All homology and equalizer computations reduce to ranks, kernels and
-quotients of matrices over Q.  Entries are `fractions.Fraction`;
-elimination clears denominators row-wise and runs fraction-free
-(integer cross-multiplication with gcd reduction) with fixed row-major
-pivoting, so every basis this module emits is deterministic across runs
-and platforms.
+quotients of matrices over Q.  A `RationalMatrix` stores only its
+nonzero rows, each as an integer row over a positive row denominator:
+row i is `(den, {j: numerator})` with entry (i, j) = numerator / den.
+Every row is normalized (zero entries dropped, den > 0, and den coprime
+to the gcd of the numerators), so a matrix has exactly one storage and
+`==` and `hash` compare values exactly.  `entries`, the dense tuple of
+`fractions.Fraction` rows, is a derived view built on first use.
+
+Elimination reads the stored integer rows directly (row scaling keeps
+the row space) and runs fraction-free (integer cross-multiplication
+with gcd reduction), pivoting on columns left to right; every basis this
+module emits depends only on the row space and the column order, so it
+is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-_FRAC_CACHE = {i: Fraction(i) for i in range(-16, 17)}
+def _normal(den: int, row: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """A nonzero row over den > 0 with the common factor of den and the
+    numerators divided out."""
+    if den != 1:
+        g = gcd(den, *row.values())
+        if g != 1:
+            den //= g
+            row = {j: v // g for j, v in row.items()}
+    return den, row
 
 
-def _wrap_int(v: int) -> Fraction:
-    got = _FRAC_CACHE.get(v)
-    return got if got is not None else Fraction(v)
+def _row_of(vals: dict[int, object]) -> Optional[tuple[int, dict[int, int]]]:
+    """The stored form of the row with the given entries (ints or
+    Fractions; zeros allowed), or None for a zero row.  Over the lcm of
+    the entries' reduced denominators the row is already normalized."""
+    den = 1
+    for x in vals.values():
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    row = {j: x.numerator * (den // x.denominator)
+           for j, x in vals.items() if x}
+    return (den, row) if row else None
 
 
-def _int_entries(m: "RationalMatrix"):
-    """Numerator table when every entry is an integer, else None;
-    cached on the instance (entries are immutable)."""
-    cached = m.__dict__.get("_ints", False)
-    if cached is not False:
-        return cached
-    out = []
-    for row in m.entries:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                m.__dict__["_ints"] = None
-                return None
-            r.append(x.numerator)
-        out.append(r)
-    m.__dict__["_ints"] = out
-    return out
+def _merge(parts) -> Optional[tuple[int, dict[int, int]]]:
+    """The sum of the rows (den, row, column shift), or None if zero."""
+    if len(parts) == 1:
+        den, row, c0 = parts[0]
+        return den, (row if not c0 else
+                     {j + c0: v for j, v in row.items()})
+    L = 1
+    for den, _, _ in parts:
+        if den != 1:
+            L = L * den // gcd(L, den)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for den, row, c0 in parts:
+        f = L // den
+        for j, v in row.items():
+            j += c0
+            acc[j] = get(j, 0) + (v if f == 1 else v * f)
+    if 0 in acc.values():
+        acc = {j: v for j, v in acc.items() if v}
+    return _normal(L, acc) if acc else None
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    """An immutable rows x cols matrix over Q, stored as sparse rows.
+
+    `RationalMatrix(rows, cols, dense_rows)` builds one from dense rows of
+    numbers; `entries` gives them back as tuples of Fractions."""
+
+    __slots__ = ("rows", "cols", "_r", "_dense", "_hash")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        stored = {}
+        for i, row in enumerate(entries):
+            if len(row) != cols:
+                raise ValueError("ragged rows")
+            got = _row_of({j: _frac(x) for j, x in enumerate(row) if x})
+            if got is not None:
+                stored[i] = got
+        self.rows, self.cols, self._r = rows, cols, stored
+        self._dense = self._hash = None
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, stored: dict) -> "RationalMatrix":
+        """The matrix with the given normalized rows (not copied)."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._r = rows, cols, stored
+        m._dense = m._hash = None
+        return m
 
     @staticmethod
     def from_rows(data: Sequence[Sequence], rows: Optional[int] = None,
                   cols: Optional[int] = None) -> "RationalMatrix":
-        ent = tuple(tuple(_frac(x) for x in row) for row in data)
-        r = len(ent) if rows is None else rows
-        if len(ent) != r:
-            raise ValueError(f"expected {r} rows, got {len(ent)}")
-        if ent:
-            c = len(ent[0]) if cols is None else cols
-            for row in ent:
-                if len(row) != c:
-                    raise ValueError("ragged rows")
-        else:
-            c = 0 if cols is None else cols
-        return RationalMatrix(r, c, ent)
+        data = [tuple(row) for row in data]
+        r = len(data) if rows is None else rows
+        if len(data) != r:
+            raise ValueError(f"expected {r} rows, got {len(data)}")
+        c = (len(data[0]) if data else 0) if cols is None else cols
+        return RationalMatrix(r, c, data)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return RationalMatrix(rows, cols, tuple(tuple(z for _ in range(cols))
-                                                for _ in range(rows)))
+        return RationalMatrix._of(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one, z = Fraction(1), Fraction(0)
-        return RationalMatrix(n, n, tuple(
-            tuple(one if i == j else z for j in range(n)) for i in range(n)))
+        return RationalMatrix._of(n, n, {i: (1, {i: 1}) for i in range(n)})
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], nrows: int) -> "RationalMatrix":
-        cs = [tuple(_frac(x) for x in c) for c in cols]
-        for c in cs:
+        cols = list(cols)
+        vals: dict[int, dict[int, object]] = {}
+        for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise ValueError("column length mismatch")
-        return RationalMatrix(nrows, len(cs), tuple(
-            tuple(c[i] for c in cs) for i in range(nrows)))
+            for i, x in enumerate(c):
+                if x:
+                    vals.setdefault(i, {})[j] = _frac(x)
+        stored = {}
+        for i, row in vals.items():
+            got = _row_of(row)
+            if got is not None:
+                stored[i] = got
+        return RationalMatrix._of(nrows, len(cols), stored)
+
+    # --- views ----------------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, as tuples of Fractions (built once, cached)."""
+        if self._dense is None:
+            self._dense = tuple(self.row(i) for i in range(self.rows))
+        return self._dense
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return self.row(i)[j]
+
+    def row(self, i: int) -> Vector:
+        """Row i as a dense tuple of Fractions."""
+        out = [_ZERO] * self.cols
+        got = self._r.get(range(self.rows)[i])
+        if got is not None:
+            den, row = got
+            for j, v in row.items():
+                out[j] = Fraction(v, den)
+        return tuple(out)
+
+    def row_block(self, start: int, stop: int) -> "RationalMatrix":
+        """The matrix of rows start..stop-1."""
+        if not 0 <= start <= stop <= self.rows:
+            raise ValueError(f"rows {start}..{stop} outside a "
+                             f"{self.rows}-row matrix")
+        return RationalMatrix._of(stop - start, self.cols, {
+            i - start: r for i, r in self._r.items() if start <= i < stop})
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        out = [_ZERO] * self.rows
+        for i, (den, row) in self._r.items():
+            v = row.get(j)
+            if v:
+                out[i] = Fraction(v, den)
+        return tuple(out)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not self._r
+
+    def _integral(self) -> bool:
+        return all(den == 1 for den, _ in self._r.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and \
+            self._r == other._r
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, frozenset(
+                (i, den, frozenset(row.items()))
+                for i, (den, row) in self._r.items())))
+        return self._hash
+
+    def __repr__(self):
+        return f"RationalMatrix({self.rows}, {self.cols}, {self.entries!r})"
+
+    # --- arithmetic -------------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        cols: dict[int, list] = {}
+        for i, (den, row) in self._r.items():
+            for j, v in row.items():
+                got = cols.get(j)
+                if got is None:
+                    cols[j] = [(i, v, den)]
+                else:
+                    got.append((i, v, den))
+        stored = {}
+        for j, col in cols.items():
+            L = 1
+            for _, _, den in col:
+                if den != 1:
+                    L = L * den // gcd(L, den)
+            stored[j] = _normal(L, {i: v if den == L else v * (L // den)
+                                    for i, v, den in col})
+        return RationalMatrix._of(self.cols, self.rows, stored)
+
+    def _combine(self, other: "RationalMatrix", sign: int, what: str):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch in {what}")
+        stored = dict(self._r)
+        for i, (den, row) in other._r.items():
+            if sign < 0:
+                row = {j: -v for j, v in row.items()}
+            mine = stored.pop(i, None)
+            got = (den, row) if mine is None else \
+                _merge([(mine[0], mine[1], 0), (den, row, 0)])
+            if got is not None:
+                stored[i] = got
+        return RationalMatrix._of(self.rows, self.cols, stored)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        return RationalMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._combine(other, 1, "+")
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in -")
-        return RationalMatrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._combine(other, -1, "-")
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, tuple(
-            tuple(-a for a in row) for row in self.entries))
+        return RationalMatrix._of(self.rows, self.cols, {
+            i: (den, {j: -v for j, v in row.items()})
+            for i, (den, row) in self._r.items()})
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        ia = _int_entries(self)
-        if ia is not None and c.denominator == 1:
-            cn = c.numerator
-            return RationalMatrix(self.rows, self.cols, tuple(
-                tuple(_wrap_int(cn * a) for a in row) for row in ia))
-        return RationalMatrix(self.rows, self.cols, tuple(
-            tuple(c * a for a in row) for row in self.entries))
+        if not isinstance(c, int):
+            c = _frac(c)
+        if not c:
+            return RationalMatrix.zero(self.rows, self.cols)
+        if c == 1:
+            return self
+        p, q = c.numerator, c.denominator
+        return RationalMatrix._of(self.rows, self.cols, {
+            i: _normal(den * q, {j: p * v for j, v in row.items()})
+            for i, (den, row) in self._r.items()})
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} "
                              f"by {other.rows}x{other.cols}")
-        ia, ib = _int_entries(self), _int_entries(other)
-        if ia is not None and ib is not None:
-            out = []
-            for arow in ia:
-                acc = [0] * other.cols
-                for k, a in enumerate(arow):
-                    if a:
-                        brow = ib[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] += a * b
-                out.append(tuple(_wrap_int(v) for v in acc))
-            return RationalMatrix(self.rows, other.cols, tuple(out))
-        zero = Fraction(0)
-        ot = other.entries
-        out = []
-        for arow in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = ot[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix(self.rows, other.cols, tuple(out))
+        brows = other._r
+        stored = {}
+        if not brows:
+            return RationalMatrix._of(self.rows, other.cols, stored)
+        b_int = other._integral()
+        for i, (da, ra) in self._r.items():
+            L = 1
+            if not b_int:
+                for k in ra:
+                    got = brows.get(k)
+                    if got is not None and got[0] != 1:
+                        L = L * got[0] // gcd(L, got[0])
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, a in ra.items():
+                got = brows.get(k)
+                if got is None:
+                    continue
+                db, rb = got
+                if db != L:
+                    a *= L // db
+                for j, b in rb.items():
+                    acc[j] = get(j, 0) + a * b
+            if 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                stored[i] = _normal(da * L, acc)
+        return RationalMatrix._of(self.rows, other.cols, stored)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         vv = [_frac(x) for x in v]
-        return tuple(sum((a * x for a, x in zip(row, vv) if a and x),
-                         Fraction(0)) for row in self.entries)
+        out = [_ZERO] * self.rows
+        for i, (den, row) in self._r.items():
+            s = sum((a * vv[j] for j, a in row.items() if vv[j]), _ZERO)
+            out[i] = s / den if den != 1 else s
+        return tuple(out)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        ia, ib = _int_entries(self), _int_entries(other)
-        if ia is not None and ib is not None:
-            out = []
-            for ra in ia:
-                for rb in ib:
-                    out.append(tuple(_wrap_int(a * b)
-                                     for a in ra for b in rb))
-            return RationalMatrix(self.rows * other.rows,
-                                  self.cols * other.cols, tuple(out))
-        out = []
-        for ra in self.entries:
-            for rb in other.entries:
-                out.append(tuple(a * b for a in ra for b in rb))
-        return RationalMatrix(self.rows * other.rows,
-                              self.cols * other.cols, tuple(out))
+        br, bc = other.rows, other.cols
+        stored = {}
+        for i, (da, ra) in self._r.items():
+            for k, (db, rb) in other._r.items():
+                stored[i * br + k] = _normal(da * db, {
+                    j * bc + l: a * b for j, a in ra.items()
+                    for l, b in rb.items()})
+        return RationalMatrix._of(self.rows * br, self.cols * bc, stored)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return RationalMatrix(self.rows, self.cols + other.cols, tuple(
-            ra + rb for ra, rb in zip(self.entries, other.entries)))
+        return block_matrix(self.rows, self.cols + other.cols,
+                            [(0, 0, self), (0, self.cols, other)])
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return RationalMatrix(self.rows + other.rows, self.cols,
-                              self.entries + other.entries)
-
+        return block_matrix(self.rows + other.rows, self.cols,
+                            [(0, 0, self), (self.rows, 0, other)])
 
 def block_matrix(nrows: int, ncols: int,
                  blocks: Iterable[tuple]) -> RationalMatrix:
     """The nrows x ncols matrix holding each block at its offsets.
 
     `blocks` yields (row offset, column offset, block), where a block is
-    a RationalMatrix or a scalar (a 1x1 block).  Overlapping blocks add;
-    only nonzero entries are scattered.  A block that does not fit in
-    the matrix raises ShapeMismatch."""
-    z = Fraction(0)
-    out = [[z] * ncols for _ in range(nrows)]
+    a RationalMatrix or a scalar (a 1x1 block).  Overlapping blocks add.
+    A block that does not fit in the matrix raises ShapeMismatch."""
+    parts: dict[int, list] = {}
     for r0, c0, blk in blocks:
         if isinstance(blk, RationalMatrix):
-            br, bc, ent = blk.rows, blk.cols, blk.entries
+            br, bc, rows = blk.rows, blk.cols, blk._r.items()
         else:
-            br, bc, ent = 1, 1, ((_frac(blk),),)
+            br = bc = 1
+            if not isinstance(blk, int):
+                blk = _frac(blk)
+            rows = ((0, (blk.denominator, {0: blk.numerator})),) \
+                if blk else ()
         if r0 < 0 or c0 < 0 or r0 + br > nrows or c0 + bc > ncols:
             raise ShapeMismatch(
                 f"{br}x{bc} block at ({r0}, {c0}) does not fit in a "
                 f"{nrows}x{ncols} matrix")
-        for i, brow in enumerate(ent):
-            row = out[r0 + i]
-            for j, v in enumerate(brow):
-                if v:
-                    cur = row[c0 + j]
-                    row[c0 + j] = v if cur is z else cur + v
-    return RationalMatrix(nrows, ncols, tuple(tuple(r) for r in out))
+        for i, (den, row) in rows:
+            got = parts.get(r0 + i)
+            if got is None:
+                parts[r0 + i] = [(den, row, c0)]
+            else:
+                got.append((den, row, c0))
+    stored = {}
+    for i, row_parts in parts.items():
+        got = _merge(row_parts)
+        if got is not None:
+            stored[i] = got
+    return RationalMatrix._of(nrows, ncols, stored)
 
 
 def block_diag(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
@@ -248,73 +377,71 @@ def block_diag(blocks: Iterable[RationalMatrix]) -> RationalMatrix:
 
 # --- fraction-free elimination core ----------------------------------------
 
-def _sparse_int_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    """Clear denominators row by row; row scaling preserves row space."""
-    out = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            if x:
-                den = den * x.denominator // gcd(den, x.denominator)
-        d = {}
-        for j, x in enumerate(row):
-            if x:
-                d[j] = x.numerator * (den // x.denominator)
-        out.append(d)
-    return out
-
-
-def _reduce_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
+def _int_rows(m: RationalMatrix) -> list[dict[int, int]]:
+    """The stored rows without their denominators: the same row space."""
+    return [row for _, row in m._r.values()]
 
 
 def _echelon(rows: list[dict[int, int]], cols: int):
-    """Row echelon by fraction-free elimination.
+    """Row echelon form by fraction-free elimination.
 
-    Pivot rule: columns left to right, first (in input order) remaining
-    row with a nonzero entry in the pivot column.  Returns the pivot
-    rows as (pivot_col, row) in pivot-column order.
+    Pivot columns are taken left to right among the columns below
+    `cols`; in each, the shortest row holding it is the pivot and clears
+    it from the others.  Returns the pivot rows as (pivot_col, row) in
+    pivot-column order, and the remaining nonzero rows, which hold no
+    column below `cols`.  The input rows are not modified.
     """
-    work = [dict(r) for r in rows if r]
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        if r:
+            by_lead.setdefault(min(r), []).append(r)
+    heap = list(by_lead)
+    heapify(heap)
     pivots: list[tuple[int, dict[int, int]]] = []
-    for c in range(cols):
-        pidx = None
-        for i, r in enumerate(work):
-            if r.get(c):
-                pidx = i
-                break
-        if pidx is None:
+    while heap and heap[0] < cols:
+        c = heappop(heap)
+        group = by_lead.pop(c)
+        if len(group) == 1:
+            pivots.append((c, group[0]))
             continue
-        prow = work.pop(pidx)
+        pi = min(range(len(group)), key=lambda t: len(group[t]))
+        prow = group[pi]
         p = prow[c]
-        nxt = []
-        for r in work:
-            e = r.get(c)
-            if e:
-                r2 = {}
-                for k in r.keys() | prow.keys():
-                    v = p * r.get(k, 0) - e * prow.get(k, 0)
-                    if v:
-                        r2[k] = v
-                if r2:
-                    nxt.append(_reduce_row(r2))
-            else:
-                nxt.append(r)
-        work = nxt
+        for t, r in enumerate(group):
+            if t == pi:
+                continue
+            e = r[c]
+            g = gcd(p, e)
+            pm, em = p // g, e // g
+            r2 = dict(r) if pm == 1 else {k: pm * v for k, v in r.items()}
+            del r2[c]
+            for k, v in prow.items():
+                if k != c:
+                    s = r2.get(k, 0) - em * v
+                    if s:
+                        r2[k] = s
+                    else:
+                        del r2[k]
+            if r2:
+                g = gcd(*r2.values())
+                if g > 1:
+                    r2 = {k: v // g for k, v in r2.items()}
+                lead = min(r2)
+                got = by_lead.get(lead)
+                if got is None:
+                    by_lead[lead] = [r2]
+                    heappush(heap, lead)
+                else:
+                    got.append(r2)
         pivots.append((c, prow))
-    return pivots, work
+    rest = [r for c in sorted(by_lead) for r in by_lead[c]]
+    return pivots, rest
 
 
-def _kernel_from_echelon(pivots, cols: int, free_cols=None) -> list[Vector]:
+def _kernel_from_echelon(pivots, cols: int) -> list[Vector]:
     """Back-substitute one kernel vector per free column (set to 1)."""
     pivot_cols = {c for c, _ in pivots}
-    if free_cols is None:
-        free_cols = [c for c in range(cols) if c not in pivot_cols]
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
         x: dict[int, Fraction] = {f: Fraction(1)}
@@ -325,12 +452,12 @@ def _kernel_from_echelon(pivots, cols: int, free_cols=None) -> list[Vector]:
                     s += v * x[k]
             if s:
                 x[c] = -s / row[c]
-        basis.append(tuple(x.get(j, Fraction(0)) for j in range(cols)))
+        basis.append(tuple(x.get(j, _ZERO) for j in range(cols)))
     return basis
 
 
 def rank(A: RationalMatrix) -> int:
-    pivots, _ = _echelon(_sparse_int_rows(A), A.cols)
+    pivots, _ = _echelon(_int_rows(A), A.cols)
     return len(pivots)
 
 
@@ -340,7 +467,7 @@ def rank_kernel(A: RationalMatrix) -> tuple[int, list[Vector]]:
     Each basis vector carries 1 at its free column and 0 at every other
     free column (reduced column echelon of the kernel).
     """
-    pivots, _ = _echelon(_sparse_int_rows(A), A.cols)
+    pivots, _ = _echelon(_int_rows(A), A.cols)
     return len(pivots), _kernel_from_echelon(pivots, A.cols)
 
 
@@ -358,13 +485,11 @@ def solve(A: RationalMatrix, b: Sequence) -> Optional[Vector]:
     if len(bb) != A.rows:
         raise ValueError("rhs length mismatch")
     aug = A.hstack(RationalMatrix.from_columns([bb], A.rows))
-    rows = _sparse_int_rows(aug)
     bcol = A.cols
-    # never pivot on the rhs column
-    pivots, rest = _echelon(rows, A.cols)
-    for r in rest:
-        if r.get(bcol):
-            return None
+    # never pivot on the rhs column: every row left over holds only it
+    pivots, rest = _echelon(_int_rows(aug), A.cols)
+    if rest:
+        return None
     x: dict[int, Fraction] = {}
     for c, row in reversed(pivots):
         s = Fraction(row.get(bcol, 0))
@@ -372,7 +497,7 @@ def solve(A: RationalMatrix, b: Sequence) -> Optional[Vector]:
             if k != c and k != bcol and k in x:
                 s -= v * x[k]
         x[c] = s / row[c]
-    return tuple(x.get(j, Fraction(0)) for j in range(A.cols))
+    return tuple(x.get(j, _ZERO) for j in range(A.cols))
 
 
 def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatrix]:
@@ -383,11 +508,10 @@ def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatri
     if A.rows != B.rows:
         raise ValueError("row count mismatch")
     aug = A.hstack(B)
-    pivots, rest = _echelon(_sparse_int_rows(aug), A.cols)
+    pivots, rest = _echelon(_int_rows(aug), A.cols)
+    if rest:
+        return None
     bcols = range(A.cols, A.cols + B.cols)
-    for r in rest:
-        if any(r.get(j) for j in bcols):
-            return None
     # pivot rows may involve several rhs columns at once; substitute per rhs
     cols_out = []
     for jb in bcols:
@@ -398,7 +522,7 @@ def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatri
                 if k != c and k < A.cols and k in x:
                     s -= v * x[k]
             x[c] = s / row[c]
-        cols_out.append(tuple(x.get(j, Fraction(0)) for j in range(A.cols)))
+        cols_out.append(tuple(x.get(j, _ZERO) for j in range(A.cols)))
     return RationalMatrix.from_columns(cols_out, A.cols)
 
 
@@ -406,22 +530,21 @@ def _rref(vectors: Sequence[Sequence], dim: int, what: str):
     """The reduced row echelon form of the span of the vectors: one
     (pivot column, sparse row with 1 at the pivot) pair per row, in
     increasing pivot order."""
-    vecs = [[_frac(x) for x in v] for v in vectors]
-    for v in vecs:
+    for v in vectors:
         if len(v) != dim:
             raise ValueError(f"{what} length mismatch")
-    pivots, _ = _echelon(_sparse_int_rows(
-        RationalMatrix.from_rows(vecs, cols=dim)), dim)
+    pivots, _ = _echelon(_int_rows(
+        RationalMatrix(len(vectors), dim, vectors)), dim)
     # normalize pivots to 1 and eliminate upwards
     rref: list[tuple[int, dict[int, Fraction]]] = []
     for c, row in reversed(pivots):
         p = Fraction(row[c])
         frow = {k: Fraction(v) / p for k, v in row.items()}
         for c2, row2 in rref:
-            coef = frow.get(c2, Fraction(0))
+            coef = frow.get(c2, _ZERO)
             if coef:
                 for k, v in row2.items():
-                    nv = frow.get(k, Fraction(0)) - coef * v
+                    nv = frow.get(k, _ZERO) - coef * v
                     if nv:
                         frow[k] = nv
                     else:
@@ -434,7 +557,7 @@ def _rref(vectors: Sequence[Sequence], dim: int, what: str):
 def canonical_row_basis(vectors: Sequence[Sequence], dim: int) -> list[Vector]:
     """The unique reduced-row-echelon basis of the span; depends only on
     the subspace, so equal subspaces give identical bases."""
-    return [tuple(frow.get(j, Fraction(0)) for j in range(dim))
+    return [tuple(frow.get(j, _ZERO) for j in range(dim))
             for _, frow in _rref(vectors, dim, "vector")]
 
 
@@ -448,19 +571,18 @@ def quotient_basis(ambient_dim: int, subspace_gens: Sequence[Sequence]):
     rref = _rref(subspace_gens, ambient_dim, "generator")
     pivot_cols = {c for c, _ in rref}
     free_cols = [j for j in range(ambient_dim) if j not in pivot_cols]
-    proj_rows = []
-    for f in free_cols:
-        row = [Fraction(0)] * ambient_dim
-        row[f] = Fraction(1)
+    stored = {}
+    for i, f in enumerate(free_cols):
+        row = {f: 1}
         for c, frow in rref:
             coef = frow.get(f)
             if coef:
                 row[c] = -coef
-        proj_rows.append(tuple(row))
-    projection = RationalMatrix(len(free_cols), ambient_dim, tuple(proj_rows))
+        stored[i] = _row_of(row)
+    projection = RationalMatrix._of(len(free_cols), ambient_dim, stored)
     reps = []
     for f in free_cols:
-        v = [Fraction(0)] * ambient_dim
+        v = [_ZERO] * ambient_dim
         v[f] = Fraction(1)
         reps.append(tuple(v))
     return projection, reps

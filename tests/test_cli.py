@@ -174,6 +174,23 @@ def test_huge_declared_degree_range(tmp_path):
     assert pretty_print(parse(printed)) == printed
 
 
+def test_huge_dim_beside_another_costs_no_dense_zero(tmp_path):
+    # a zero differential stores no rows and its rank visits none, so a
+    # huge dim next to a nonzero one runs under the same address cap
+    import resource
+    cap = 1536 * 2 ** 20
+    src = tmp_path / "big.hle"
+    src.write_text("complex Big { degrees: 0..1  dim 0: 99999999  "
+                   "dim 1: 1 }\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "holim_engine.cli", str(src), "--cmd",
+         "homology Big", "--json"], capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (cap, cap)))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["betti"] == {"0": 99999999, "1": 1}
+
+
 def test_dims_spanning_too_many_degrees_rejected(tmp_path):
     # a complex is stored degree by degree between its nonzero dims, so
     # dims this far apart are refused before anything is built

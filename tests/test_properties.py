@@ -89,6 +89,128 @@ def test_block_matrix_is_the_sum_of_zero_padded_blocks(case):
     assert block_matrix(nrows, ncols, blocks) == want
 
 
+
+# --- the sparse kernel against a dense list-of-Fraction reference ------------
+
+def _ref_mul(a, b, inner, ncols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def _ref_kron(a, b, bc):
+    ac = len(a[0]) if a else 0
+    return [[a[i1][j // bc] * b[i2][j % bc] for j in range(ac * bc)]
+            for i1 in range(len(a)) for i2 in range(len(b))]
+
+
+def _ref_rank(a, ncols):
+    m = [list(r) for r in a]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def _dense(draw, nrows, ncols):
+    """Dense rows of Fractions: random, sparse, or all zero."""
+    kind = draw(st.sampled_from(["random", "sparse", "zero"]))
+    entry = st.just(Fraction(0)) if kind == "zero" else st.one_of(
+        st.just(Fraction(0)), st.builds(Fraction, _ENTRY)) \
+        if kind == "sparse" else st.builds(Fraction, _ENTRY)
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+def _assert_matrix(got, want, nrows, ncols):
+    """got holds exactly the dense rows want, and equals and hashes like
+    the same rows entered as a literal."""
+    assert (got.rows, got.cols) == (nrows, ncols)
+    assert got.entries == tuple(tuple(Fraction(x) for x in r) for r in want)
+    lit = RationalMatrix(nrows, ncols, tuple(tuple(r) for r in want))
+    assert got == lit and hash(got) == hash(lit)
+    assert got.is_zero() == all(x == 0 for r in want for x in r)
+
+
+@st.composite
+def _kernel_case(draw):
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(_dense(r, k)), draw(_dense(r, k))
+    m = draw(_dense(k, c))
+    s = draw(st.sampled_from([0, 1, -1, Fraction(2, 3), Fraction(-5, 2)]))
+    return r, k, c, a, b, m, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_sparse_kernel_matches_dense_reference(case):
+    r, k, c, a, b, m, s = case
+    A = RationalMatrix.from_rows(a, rows=r, cols=k)
+    B = RationalMatrix.from_rows(b, rows=r, cols=k)
+    M = RationalMatrix.from_rows(m, rows=k, cols=c)
+    _assert_matrix(A, a, r, k)
+    _assert_matrix(A * M, _ref_mul(a, m, k, c), r, c)
+    _assert_matrix(A + B, [[x + y for x, y in zip(p, q)]
+                           for p, q in zip(a, b)], r, k)
+    _assert_matrix(A - B, [[x - y for x, y in zip(p, q)]
+                           for p, q in zip(a, b)], r, k)
+    _assert_matrix(-A, [[-x for x in p] for p in a], r, k)
+    _assert_matrix(A.scale(s), [[s * x for x in p] for p in a], r, k)
+    _assert_matrix(A.kron(M), _ref_kron(a, m, c), r * k, k * c)
+    _assert_matrix(A.transpose(), [[a[i][j] for i in range(r)]
+                                   for j in range(k)], k, r)
+    _assert_matrix(A.hstack(B), [p + q for p, q in zip(a, b)], r, 2 * k)
+    _assert_matrix(A.vstack(B), a + b, 2 * r, k)
+    assert rank(A) == _ref_rank(a, k)
+    assert rank(A * M) == _ref_rank(_ref_mul(a, m, k, c), c)
+    # equal values reached by other routes store and hash the same
+    for other in (A.scale(2).scale(Fraction(1, 2)), A + B - B,
+                  RationalMatrix.identity(r) * A,
+                  A.scale(Fraction(3, 4)).scale(Fraction(4, 3))):
+        assert other == A and hash(other) == hash(A)
+
+
+@st.composite
+def _dense_blocks(draw):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        r0, c0 = draw(st.integers(0, nrows)), draw(st.integers(0, ncols))
+        if r0 < nrows and c0 < ncols and draw(st.booleans()):
+            blocks.append((r0, c0, draw(_ENTRY)))
+            continue
+        br = draw(st.integers(0, nrows - r0))
+        bc = draw(st.integers(0, ncols - c0))
+        blocks.append((r0, c0, draw(_dense(br, bc))))
+    return nrows, ncols, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_blocks())
+def test_sparse_block_matrix_matches_dense_scatter(case):
+    nrows, ncols, blocks = case
+    want = [[Fraction(0)] * ncols for _ in range(nrows)]
+    placed = []
+    for r0, c0, blk in blocks:
+        rows = [[blk]] if not isinstance(blk, list) else blk
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                want[r0 + i][c0 + j] += x
+        placed.append((r0, c0, blk if not isinstance(blk, list) else
+                       RationalMatrix.from_rows(
+                           blk, rows=len(blk),
+                           cols=len(blk[0]) if blk else 0)))
+    _assert_matrix(block_matrix(nrows, ncols, placed), want, nrows, ncols)
+
+
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 _PIECE = re.compile(r"\s+|\w+|[^\w\s]")
 _TEXTS = [(CORPUS / name).read_text()
