@@ -2,17 +2,18 @@
 
 The weighted end of a diagram F with weight W is the end of
 (x, y) |-> Hom(chains of W(x), F(y)) over product(opposite(G), G).
-Both weights in production are free, so by Yoneda their ends are
-products over the generating cells.  With the nerve weight
-g |-> N(G over g) the end is the Bousfield-Kan homotopy limit, which
-`bk_holim`, `holim_we_invariance` and `comparison_map` compute as the
-product over the chains of G (`_chain_product`), maps between such
-products being block maps along the chains (`_chain_product_map`);
-with the truncated injective-simplex weight [n] |-> Delta^n it is the
-fat totalization, which `fat_tot` computes as the double complex of the
-levels.  The equalizer end (`weighted_end`) serves explicit weights and
-`change_of_diagrams_iso` (whose weight N(f over -) is explicit), and is
-the oracle for both products.
+Every weight the engine accepts is free, so by Yoneda its end is the
+product over the generating cells of F at their representing objects:
+`free_end` builds that product from the basis `ssets._levelwise_free`
+reads off the weight.  With the nerve weight g |-> N(G over g) the end
+is the Bousfield-Kan homotopy limit; its generators are the chains of
+G (`_chain_generators`), and maps between such products are block maps
+along the chains (`_chain_product_map`).  `bk_holim`,
+`holim_we_invariance`, `comparison_map` and `change_of_diagrams_iso`
+all take their ends this way.  With the truncated injective-simplex
+weight [n] |-> Delta^n the end is the fat totalization, which `fat_tot`
+computes as the double complex of the levels.  The equalizer end
+(`weighted_end`) is kept as the independent oracle for these products.
 
 Quasi-isomorphism is only ever asserted along an explicitly constructed
 comparison map; equal Betti numbers alone are reported as consistent,
@@ -37,14 +38,14 @@ from .endkan import (ChainDiagram, ChainDiagramMap, EndChain,
 from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
                      NotLoopFree, ShapeMismatch, TruncationTooShallow,
                      WeightRejected)
-from .exactalg import RationalMatrix, block_matrix, rank, solve_matrix
+from .exactalg import RationalMatrix, block_matrix, rank
 from .fincat import (FinCategory, FunctorData, comma_over,
-                     comma_under_functor, cospan_category, is_direct,
-                     validate_category)
-from .ssets import (SSetMap, Weight, boundary, chains_of_map,
-                    check_point_resolution, contractible_values,
+                     comma_under_functor, cospan_category, find_terminal,
+                     is_direct, validate_category)
+from .ssets import (SSetMap, Weight, _levelwise_free, boundary,
+                    chains_of_map, check_point_resolution,
                     homology_contractible, nerve, nerve_of_comma_under,
-                    nerve_weight, normalized_chains, standard_simplex)
+                    normalized_chains, standard_simplex)
 
 
 @dataclass
@@ -52,7 +53,6 @@ class HolimResult:
     complex: ChainComplex
     betti: dict[int, int]
     provenance: str
-    end: Optional[EndChain] = None
 
 
 # --- simplicial frames ---------------------------------------------------------
@@ -176,62 +176,42 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     projectively cofibrant resolution of the point.
 
     With no weight the resolution is the nerve weight
-    g |-> N(G over g), which is free on the chains of G, so by Yoneda
-    its end is the product over chains (`_chain_product`); an explicit
-    weight goes through the equalizer end (`weighted_end`)."""
+    g |-> N(G over g), free on the chains of G (`_chain_product`); each
+    G over g has the terminal object id_g, so its nerve is contractible.
+    An explicit weight must pass `check_point_resolution`, and is then
+    free on the basis `ssets._levelwise_free` reads off it."""
     G = F.base
     if is_direct(G) is None:
         raise NotLoopFree("bk_holim requires a loop-free base")
-    explicit = W is not None
-    if explicit:
-        passed = check_point_resolution(W).passed
+    if W is None:
+        provenance = "nerve_weight"
+        passed = all(find_terminal(comma_over(G, g).cat) is not None
+                     for g in G.objects())
     else:
-        # built here, so free by construction: only its values are checked
-        W = nerve_weight(G)
-        passed = all(contractible_values(W))
+        if W.base != G:
+            raise ShapeMismatch("weight and diagram have different bases")
+        provenance = W.provenance
+        passed = check_point_resolution(W).passed
     if not passed:
         raise WeightRejected(
-            f"weight (provenance {W.provenance!r}) is not a certified "
+            f"weight (provenance {provenance!r}) is not a certified "
             f"cofibrant resolution of the point")
-    if explicit:
-        end = weighted_end(F, W)
-        cx = end.complex
-    else:
-        end, cx = None, _chain_product(F)
+    cx = _chain_product(F) if W is None else free_end(F, _levelwise_free(W))
     return HolimResult(cx, betti_numbers(cx),
-                       f"bousfield-kan end, {W.provenance} weight", end=end)
+                       f"bousfield-kan end, {provenance} weight")
 
 
-def _chain_generators(G: FinCategory):
-    """The nerve of G with its cells as generators (k, c, last object of
-    c), in the order of `nerve(G).cells`."""
-    K = nerve(G)
-    return K, [(k, c, c if k == 0 else G.tgt(c[-1]))
-               for k, cells in enumerate(K.cells) for c in cells]
+def free_end(F: ChainDiagram, basis) -> ChainComplex:
+    """The end of F weighted by a free weight, as the product over the
+    generators (k, x, cell, faces) of its basis (`ssets._levelwise_free`)
+    of F(x) shifted down by k.
 
-
-def _chain_offsets(F: ChainDiagram, gens, n: int):
-    """Offsets of the blocks F(x)_{n+k} of the generators (k, c, x) in
-    total degree n of the chain product, and its dimension there."""
-    off, acc = {}, 0
-    for k, c, x in gens:
-        off[(k, c)] = acc
-        acc += F.value(x).dim(n + k)
-    return off, acc
-
-
-def _chain_product(F: ChainDiagram) -> ChainComplex:
-    """The end of F weighted by the nerve weight, as the product over
-    the k-chains c = (x_0 -> ... -> x_k) of the nerve of G of F(x_k).
-
-    Total degree n is the sum over k and c of F(x_k)_{n+k}, in the order
-    of `nerve(G).cells`; for phi of degree n,
-      (delta phi)(c) = d_F phi(c) - (-1)^n [sum_{i<k} (-1)^i phi(d_i c)
-                                            + (-1)^k F(m_k) phi(d_k c)],
-    where d_k drops the last arrow m_k, the only face that moves the
-    last object."""
-    K, gens = _chain_generators(F.base)
-    nonzero = [(k, F.value(x)) for k, _, x in gens
+    Total degree n is the sum of F(x)_{n+k}, in basis order.  Face i of
+    a generator is W(u_i) of the generator g_i, where (g_i, u_i) =
+    faces[i], so by naturality, for phi of degree n,
+      (delta phi)(gen) = d_F phi(gen) - (-1)^n sum_i (-1)^i F(u_i) phi(g_i)."""
+    G = F.base
+    nonzero = [(k, F.value(x)) for k, x, _, _ in basis
                if not F.value(x).is_zero()]
     if not nonzero:
         return chaincx.ZERO_COMPLEX
@@ -239,7 +219,7 @@ def _chain_product(F: ChainDiagram) -> ChainComplex:
     hi = max(V.hi - k for k, V in nonzero)
     offsets, dims = {}, {}
     for n in range(lo, hi + 1):
-        offsets[n], dims[n] = _chain_offsets(F, gens, n)
+        offsets[n], dims[n] = _chain_offsets(F, basis, n)
     signed_identity = lru_cache(None)(
         lambda d, s: RationalMatrix.identity(d).scale(s))
     diff = {}
@@ -247,24 +227,54 @@ def _chain_product(F: ChainDiagram) -> ChainComplex:
         src, tgt = offsets[n], offsets[n - 1]
         sign = -1 if n % 2 == 0 else 1          # -(-1)^n
         blocks = []
-        for k, c, x in gens:
+        for j, (k, x, _, faces) in enumerate(basis):
             V = F.value(x)
             q = n + k - 1
             if not V.dim(q):
                 continue
-            r0 = tgt[(k, c)]
-            blocks.append((r0, src[(k, c)], V.d(q + 1)))
-            if not k:
-                continue
-            # the faces of c are (k-1)-chains, read in internal degree q
-            for i, face in enumerate(K.faces[(k, c)]):
+            blocks.append((tgt[j], src[j], V.d(q + 1)))
+            # the faces are (k-1)-generators, read in internal degree q
+            for i, (g, u) in enumerate(faces):
                 s = sign if i % 2 == 0 else -sign
-                blk = signed_identity(V.dim(q), s) if i < k else \
-                    F.action(c[-1]).component(q).scale(s)
-                blocks.append((r0, src[(k - 1, face)], blk))
+                blk = signed_identity(V.dim(q), s) if G.is_identity(u) \
+                    else F.action(u).component(q).scale(s)
+                blocks.append((tgt[j], src[g], blk))
         diff[n] = block_matrix(dims[n - 1], dims[n], blocks)
     return chaincx.make_complex({n: dims[n] for n in range(lo, hi + 1)},
                                 diff)
+
+
+def _chain_generators(G: FinCategory):
+    """The nerve of G as a free basis for `free_end`, with the index of
+    each chain: the k-chains c = (x_0 -> ... -> x_k) in the order of
+    `nerve(G).cells`, at x_k, whose faces d_i c carry the identity for
+    i < k and the last arrow m_k for i = k (d_k alone moves x_k)."""
+    K = nerve(G)
+    index = {(k, c): j for j, (k, c) in enumerate(
+        (k, c) for k, cells in enumerate(K.cells) for c in cells)}
+    basis = []
+    for k, c in index:
+        x = c if k == 0 else G.tgt(c[-1])
+        basis.append((k, x, c, tuple(
+            (index[(k - 1, d)], c[-1] if i == k else G.identity[x])
+            for i, d in enumerate(K.faces.get((k, c), ())))))
+    return index, basis
+
+
+def _chain_offsets(F: ChainDiagram, basis, n: int):
+    """Offsets of the blocks F(x)_{n+k} of the generators (k, x, ...) in
+    total degree n of the product over them, and its dimension there."""
+    off, acc = [], 0
+    for k, x, _, _ in basis:
+        off.append(acc)
+        acc += F.value(x).dim(n + k)
+    return off, acc
+
+
+def _chain_product(F: ChainDiagram) -> ChainComplex:
+    """The end of F weighted by the nerve weight: the product over the
+    k-chains c of G of F(x_k) shifted down by k."""
+    return free_end(F, _chain_generators(F.base)[1])
 
 
 def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
@@ -276,21 +286,21 @@ def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
     n + k applied to the block of the chain f(c), and zero when f sends
     an arrow of c to an identity (f(c) is degenerate)."""
     Gp = f.target
-    _, src_gens = _chain_generators(Gp)
+    src_index, src_gens = _chain_generators(Gp)
     _, tgt_gens = _chain_generators(f.source)
     images = []
-    for k, c, x in tgt_gens:
+    for j, (k, x, c, _) in enumerate(tgt_gens):
         fc = f.object_map[c] if k == 0 else \
             tuple(f.morphism_map[m] for m in c)
         if k == 0 or not any(Gp.is_identity(m) for m in fc):
-            images.append((k, c, x, fc))
+            images.append((j, k, x, src_index[(k, fc)]))
     comps = {}
     for n in P.degrees():
         src, cols = _chain_offsets(Fp, src_gens, n)
         tgt, nrows = _chain_offsets(F, tgt_gens, n)
         comps[n] = block_matrix(nrows, cols, [
-            (tgt[(k, c)], src[(k, fc)], alpha[x].component(n + k))
-            for k, c, x, fc in images])
+            (tgt[j], src[i], alpha[x].component(n + k))
+            for j, k, x, i in images])
     return make_chain_map(P, Q, comps, check=True)
 
 
@@ -568,33 +578,6 @@ def check_homotopy_initial(f: FunctorData) -> InitialReport:
     return InitialReport(tuple(verdicts), all(verdicts))
 
 
-def _relift_sset_map(f: FunctorData, over: fincat.Comma,
-                     under_f: fincat.Comma, K_over, K_under) -> SSetMap:
-    """N(G over g) -> N(f over f(g)): keep the chain, push augmentations
-    through f.  No collapse can occur: the underlying morphisms are
-    unchanged."""
-    G, Gp = f.source, f.target
-    under_obj = {key: i for i, key in enumerate(under_f.object_keys)}
-    under_mor = {under_f.mor_key(m): m for m in under_f.cat.morphisms()}
-
-    def obj_image(i):
-        beta = over.object_keys[i]          # beta: x -> g in G
-        x = G.src(beta)
-        return under_obj[(x, f.morphism_map[beta])]
-
-    mapping = {}
-    for c in K_over.n_cells(0):
-        mapping[(0, c)] = obj_image(c)
-    for n in range(1, len(K_over.cells)):
-        for c in K_over.n_cells(n):
-            image = []
-            for mhat in c:
-                i1, i2, m = over.mor_key(mhat)
-                image.append(under_mor[(obj_image(i1), obj_image(i2), m)])
-            mapping[(n, c)] = tuple(image)
-    return ssets.make_sset_map(K_over, K_under, mapping)
-
-
 @dataclass
 class ChangeOfDiagramsReport:
     dims_over_source: dict[int, int]
@@ -610,52 +593,46 @@ def change_of_diagrams_iso(f: FunctorData, F: ChainDiagram) \
         -> ChangeOfDiagramsReport:
     """Both sides of the change-of-diagrams lemma, E2 the end over the
     target weighted by N(f over -) and E3 the end over the source of f*F
-    weighted by the nerve weight, with the explicit basis-level map
-    Theta: E2 -> E3 between them; reports whether Theta is an
-    isomorphism of complexes."""
+    weighted by the nerve weight, with the basis-level map Theta: E2 -> E3
+    between them; reports whether Theta is an isomorphism of complexes.
+
+    Both weights are free, so both ends are `free_end` products.  The
+    generators of N(f over -) are the chains c of G with the identity
+    augmentation at f(x_k); Theta matches each with the chain c of E3 by
+    an identity block, and is an isomorphism iff that matching is a
+    bijection."""
     G, Gp = f.source, f.target
     if is_direct(G) is None or is_direct(Gp) is None:
         raise NotLoopFree("change of diagrams needs loop-free categories")
-    V = nerve_of_comma_under(f)
-    E2 = weighted_end(F, V)
+    basis = _levelwise_free(nerve_of_comma_under(f))
+    E2 = free_end(F, basis)
     Frest = restrict(f, F)
-    WG = nerve_weight(G)
-    E3 = weighted_end(Frest, WG)
-    # blocks of Theta: project to the f(g) component and precompose with
-    # the relift N(G over g) -> N(f over f(g))
-    under_commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
-    over_commas = [comma_over(G, g) for g in G.objects()]
-    NV = [normalized_chains(V.value(gp)) for gp in Gp.objects()]
+    index, gens = _chain_generators(G)
+    E3 = free_end(Frest, gens)
+    commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
+    match = {}                                  # generator of E3 -> of E2
+    for j, (k, gp, cell, _) in enumerate(basis):
+        com = commas[gp]
+        if k == 0:
+            c, last = com.object_keys[cell][0], cell
+        else:
+            c = tuple(com.mor_key(m)[2] for m in cell)
+            last = com.mor_key(cell[-1])[1]
+        if Gp.is_identity(com.object_keys[last][1]):
+            match[index[(k, c)]] = j
     comps = {}
-    for k in E2.complex.degrees():
-        if not E2.complex.dim(k) and not E3.complex.dim(k):
-            continue
-        blocks, r0 = [], 0
-        for g in G.objects():
-            fg = f.object_map[g]
-            lam = _relift_sset_map(f, over_commas[g], under_commas[fg],
-                                   WG.value(g), V.value(fg))
-            blk = hom_precompose(chains_of_map(lam),
-                                 F.value(fg)).component(k)
-            c0 = sum(hom_complex(NV[gp], F.value(gp)).dim(k)
-                     for gp in range(fg))
-            blocks.append((r0, c0, blk))
-            r0 += blk.rows
-        big = block_matrix(E3.sum_complex.dim(k), E2.sum_complex.dim(k),
-                           blocks)
-        X = solve_matrix(E3.inclusion.component(k),
-                         big * E2.inclusion.component(k))
-        if X is None:
-            raise DiagramError("change-of-diagrams map does not restrict")
-        comps[k] = X
-    theta = make_chain_map(E2.complex, E3.complex, comps, check=True)
-    iso = all(theta.component(k).rows == theta.component(k).cols and
-              rank(theta.component(k)) == theta.component(k).rows
-              for k in set(E2.complex.degrees()) | set(E3.complex.degrees()))
+    for n in E2.degrees():
+        src, cols = _chain_offsets(F, basis, n)
+        tgt, rows = _chain_offsets(Frest, gens, n)
+        comps[n] = block_matrix(rows, cols, [
+            (tgt[i], src[j], RationalMatrix.identity(
+                Frest.value(gens[i][1]).dim(n + gens[i][0])))
+            for i, j in match.items()])
+    make_chain_map(E2, E3, comps, check=True)
     return ChangeOfDiagramsReport(
-        {k: E3.complex.dim(k) for k in E3.complex.degrees() if E3.complex.dim(k)},
-        {k: E2.complex.dim(k) for k in E2.complex.degrees() if E2.complex.dim(k)},
-        iso)
+        {k: E3.dim(k) for k in E3.degrees() if E3.dim(k)},
+        {k: E2.dim(k) for k in E2.degrees() if E2.dim(k)},
+        len(match) == len(basis) == len(gens))
 
 
 @dataclass

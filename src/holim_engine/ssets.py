@@ -403,28 +403,40 @@ def _same_weight(W: Weight, ref: Weight) -> bool:
     return True
 
 
-def _levelwise_free(W: Weight) -> bool:
-    """Is every W_n a free diagram of sets?  The generators in dimension
-    n are the n-cells outside the image of every non-identity action;
-    W_n is free on them exactly when, through the actions W(u) for
-    u: x -> y, they map bijectively onto every W(y)_n."""
+def _levelwise_free(W: Weight) -> Optional[tuple]:
+    """The free basis of W, or None when some W_n is not a free diagram
+    of sets.  The generators in dimension n are the n-cells outside the
+    image of every non-identity action; W_n is free on them exactly
+    when, through the actions W(u) for u: x -> y, they map bijectively
+    onto every W(y)_n.
+
+    The basis lists each generator as (n, x, cell, faces), where
+    faces[i] = (j, u) is the unique generator j and morphism u with
+    W(u)(generator j) = d_i cell."""
     C = W.base
     if any(u not in W.actions for u in C.morphisms()):
-        return False
+        return None
     top = max((len(W.value(x).cells) for x in C.objects()), default=0)
+    basis, preimage = [], {}
     for n in range(top):
         hit = {(C.tgt(u), W.actions[u].mapping.get((n, c)))
                for u in C.non_identities()
                for c in W.value(C.src(u)).n_cells(n)}
         gens = [(x, c) for x in C.objects() for c in W.value(x).n_cells(n)
                 if (x, c) not in hit]
+        first = len(basis)
         for y in C.objects():
-            images = [W.actions[u].mapping.get((n, c))
-                      for x, c in gens for u in C.hom(x, y)]
+            pairs = [(W.actions[u].mapping.get((n, c)), (first + j, u))
+                     for j, (x, c) in enumerate(gens) for u in C.hom(x, y)]
             cells = W.value(y).n_cells(n)
-            if len(images) != len(cells) or set(images) != set(cells):
-                return False
-    return True
+            preimage[(n, y)] = dict(pairs)
+            if len(pairs) != len(cells) or \
+                    set(preimage[(n, y)]) != set(cells):
+                return None
+        basis.extend((n, x, c, tuple(preimage[(n - 1, x)][d] for d in
+                                     W.value(x).faces[(n, c)]) if n else ())
+                     for x, c in gens)
+    return tuple(basis)
 
 
 def check_point_resolution(W: Weight) -> PointResolutionReport:
@@ -441,7 +453,7 @@ def check_point_resolution(W: Weight) -> PointResolutionReport:
         white = is_direct(W.base) is not None and \
             _same_weight(W, nerve_weight(W.base))
     elif W.provenance == "nerve_of_comma_under":
-        white = _levelwise_free(W)
+        white = _levelwise_free(W) is not None
     elif W.provenance == "constant_point":
         white = find_initial(W.base) is not None and \
             _same_weight(W, constant_point_weight(W.base))

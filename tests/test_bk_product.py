@@ -1,6 +1,7 @@
 """The products over generating cells that `bk_holim`, `fat_tot`,
-`holim_we_invariance` and `comparison_map` compute, against the
-equalizer end of their free weights (the oracle)."""
+`holim_we_invariance`, `comparison_map` and `change_of_diagrams_iso`
+compute, against the equalizer end of their free weights (the
+oracle)."""
 
 import random
 from dataclasses import replace
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import holim_engine.cli as cli_mod
+import holim_engine.endkan as endkan_mod
+import holim_engine.holim as holim_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   hom_postcompose, identity_map,
                                   induced_homology_maps, is_quasi_iso,
@@ -21,17 +24,19 @@ from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
 from holim_engine.fincat import (arrow_category, comma_over, find_initial,
                                  identity_functor, object_inclusion)
 from holim_engine.holim import (_simplex_inclusion, bk_holim,
+                                change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
                                 constant_cosimplicial,
                                 cosimplicial_replacement,
-                                delta_plus_vertices, fat_tot,
+                                delta_plus_vertices, fat_tot, free_end,
                                 holim_we_invariance, weighted_end)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import (Weight, check_point_resolution,
+from holim_engine.ssets import (Weight, _levelwise_free,
+                                check_point_resolution,
                                 constant_point_weight, nerve,
                                 nerve_of_comma_under, nerve_weight,
                                 normalized_chains, standard_simplex)
@@ -98,7 +103,6 @@ def _product_to_diagonal_sum(F, R, S):
 
 def _check_against_equalizer(F):
     res = bk_holim(F)
-    assert res.end is None
     R = res.complex
     E = weighted_end(F, nerve_weight(F.base))
     assert {k: v for k, v in R.dims.items() if v} == \
@@ -142,7 +146,6 @@ def test_chain_product_of_zero_diagram_is_zero():
     res = bk_holim(ChainDiagram(arrow_category(), [z, z],
                                 lambda m: identity_map(z)))
     assert res.complex.is_zero() and res.betti == {}
-    assert res.end is None
 
 
 def test_bk_holim_rejects_relabelled_constant_point_weight():
@@ -168,6 +171,81 @@ def _nonzero_dims(C):
     return {k: v for k, v in C.dims.items() if v}
 
 
+def _check_free_end_against_equalizer(F, W):
+    basis = _levelwise_free(W)
+    assert basis is not None
+    P = free_end(F, basis)
+    E = weighted_end(F, W).complex
+    assert _nonzero_dims(P) == _nonzero_dims(E)
+    assert betti_numbers(P) == betti_numbers(E)
+    if check_point_resolution(W).passed:
+        assert bk_holim(F, W).betti == bk_holim(F).betti
+        return True
+    with pytest.raises(WeightRejected):
+        bk_holim(F, W)
+    return False
+
+
+def test_free_end_matches_equalizer_end_on_every_weight_kind():
+    rng = random.Random(2029)
+    # the nerve weight, over posets, cospans and free categories
+    for _ in range(6):
+        P = random_poset(rng, 4)
+        assert _check_free_end_against_equalizer(
+            random_poset_chain_diagram(rng, P, 2, 2), nerve_weight(P))
+    for _ in range(4):
+        F = random_cospan_diagram(rng, 2, 2)
+        assert _check_free_end_against_equalizer(F, nerve_weight(F.base))
+    for _ in range(4):
+        f = random_functor_between_loopfree(rng)
+        F = restrict(f, random_poset_chain_diagram(rng, f.target, 2, 2))
+        assert _check_free_end_against_equalizer(F, nerve_weight(f.source))
+    # the constant point over a base with an initial object
+    for _ in range(6):
+        P = random_poset(rng, 4, with_bottom=True)
+        assert _check_free_end_against_equalizer(
+            random_poset_chain_diagram(rng, P, 2, 2),
+            constant_point_weight(P))
+    # N(f over -): a resolution of the point only when its values are
+    # contractible; along an initial-object inclusion they are points
+    verdicts = []
+    for _ in range(10):
+        f = random_functor_between_loopfree(rng)
+        verdicts.append(_check_free_end_against_equalizer(
+            random_poset_chain_diagram(rng, f.target, 2, 2),
+            nerve_of_comma_under(f)))
+    for _ in range(3):
+        P = random_poset(rng, 4, with_bottom=True)
+        assert _check_free_end_against_equalizer(
+            random_poset_chain_diagram(rng, P, 2, 2),
+            nerve_of_comma_under(object_inclusion(P, find_initial(P))))
+    assert True in verdicts and False in verdicts
+
+
+def test_free_weight_ends_never_take_the_equalizer(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("equalizer end on a free weight")
+
+    for mod, name in ((holim_mod, "weighted_end"), (holim_mod, "end_chain"),
+                      (endkan_mod, "end_chain"),
+                      (endkan_mod, "end_induced_map")):
+        monkeypatch.setattr(mod, name, refuse)
+    rng = random.Random(2030)
+    P = random_poset(rng, 4, with_bottom=True)
+    F = random_poset_chain_diagram(rng, P, 2, 2)
+    incl = object_inclusion(P, find_initial(P))
+    betti = bk_holim(F).betti
+    for W in (nerve_weight(P), constant_point_weight(P),
+              nerve_of_comma_under(incl)):
+        assert bk_holim(F, W).betti == betti
+    assert change_of_diagrams_iso(incl, F).passed
+    _, rep = comparison_map(incl, F)
+    assert rep.quasi_iso and rep.change_of_diagrams_ok
+    assert cli_mod.main([str(CORPUS / "arrow.hle"), "--cmd",
+                         "compare-holim ia D", "--json"]) == 0
+    assert '"change_of_diagrams_ok": true' in capsys.readouterr().out
+
+
 def _delta_weight(C):
     """[n] |-> Delta^n over delta_plus_category(N), acting by the simplex
     inclusion with the image vertices of each morphism."""
@@ -180,7 +258,6 @@ def _delta_weight(C):
 
 def _check_fat_tot_against_equalizer(X):
     res = fat_tot(X)
-    assert res.end is None
     E = weighted_end(X, _delta_weight(X.base))
     assert _nonzero_dims(res.complex) == _nonzero_dims(E.complex)
     assert res.betti == betti_numbers(E.complex)
