@@ -9,6 +9,7 @@ tgt(f) = src(g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import (AssociativityViolation, CompositionDomainError,
@@ -67,6 +68,11 @@ class FinCategory:
     def require_object(self, x: int) -> None:
         if not (0 <= x < self.n_objects):
             raise UnknownObject(f"no object with index {x}")
+
+    @cached_property
+    def _degrees(self) -> Optional["DegreeFunction"]:
+        # the fields are frozen, so `is_direct` sorts once per instance
+        return _longest_path_degrees(self)
 
 
 @dataclass(frozen=True)
@@ -319,6 +325,10 @@ def comma_from(f: FunctorData, g: int) -> Comma:
 
 def is_direct(C: FinCategory) -> Optional[DegreeFunction]:
     """Longest-path degree function if C is loop-free, else None."""
+    return C._degrees
+
+
+def _longest_path_degrees(C: FinCategory) -> Optional[DegreeFunction]:
     edges: set[tuple[int, int]] = set()
     for m in C.non_identities():
         x, y = C.mor_src[m], C.mor_tgt[m]
@@ -377,6 +387,19 @@ def find_terminal(C: FinCategory) -> Optional[int]:
         if all(len(C.hom(x, t)) == 1 for x in C.objects()):
             return t
     return None
+
+
+def identities_terminal_in_slices(C: FinCategory) -> bool:
+    """Whether id_g is terminal in the slice C over g for every object g,
+    read off the composition table: id_g is an endomorphism of g and, for
+    every arrow a: x -> g, the only h in C(x, g) with id_g o h = a is a
+    itself, since id_g o h = h for every arrow h into g.  Every category
+    passes; on any table whose slices can be built it is at least as
+    strict as asking for some terminal object in each `comma_over(C, g)`."""
+    table, ident = C.compose_table, C.identity
+    return all(C.mor_src[ident[g]] == C.mor_tgt[ident[g]] == g
+               for g in C.objects()) and \
+        all(table.get((ident[C.mor_tgt[h]], h)) == h for h in C.morphisms())
 
 
 def find_initial(C: FinCategory) -> Optional[int]:

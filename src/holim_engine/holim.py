@@ -39,13 +39,13 @@ from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
                      NotLoopFree, ShapeMismatch, TruncationTooShallow,
                      WeightRejected)
 from .exactalg import RationalMatrix, block_matrix, rank
-from .fincat import (FinCategory, FunctorData, comma_over,
-                     comma_under_functor, cospan_category, find_terminal,
+from .fincat import (FinCategory, FunctorData, comma_under_functor,
+                     cospan_category, identities_terminal_in_slices,
                      is_direct, validate_category)
-from .ssets import (SSetMap, Weight, _levelwise_free, boundary,
-                    chains_of_map, check_point_resolution,
-                    homology_contractible, nerve, nerve_of_comma_under,
-                    normalized_chains, standard_simplex)
+from .ssets import (SSetMap, Weight, _levelwise_free, _nerve_of_commas,
+                    boundary, chains_of_map, check_point_resolution,
+                    homology_contractible, nerve, normalized_chains,
+                    standard_simplex)
 
 
 @dataclass
@@ -176,17 +176,18 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     projectively cofibrant resolution of the point.
 
     With no weight the resolution is the nerve weight
-    g |-> N(G over g), free on the chains of G (`_chain_product`); each
-    G over g has the terminal object id_g, so its nerve is contractible.
-    An explicit weight must pass `check_point_resolution`, and is then
-    free on the basis `ssets._levelwise_free` reads off it."""
+    g |-> N(G over g), free on the chains of G (`_chain_generators`).  Its
+    values are contractible because id_g is terminal in each G over g,
+    which `fincat.identities_terminal_in_slices` reads off the
+    composition table without building the slices.  An explicit weight
+    must pass `check_point_resolution`, and is then free on the basis
+    `ssets._levelwise_free` reads off it."""
     G = F.base
     if is_direct(G) is None:
         raise NotLoopFree("bk_holim requires a loop-free base")
     if W is None:
         provenance = "nerve_weight"
-        passed = all(find_terminal(comma_over(G, g).cat) is not None
-                     for g in G.objects())
+        passed = identities_terminal_in_slices(G)
     else:
         if W.base != G:
             raise ShapeMismatch("weight and diagram have different bases")
@@ -196,7 +197,8 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
         raise WeightRejected(
             f"weight (provenance {provenance!r}) is not a certified "
             f"cofibrant resolution of the point")
-    cx = _chain_product(F) if W is None else free_end(F, _levelwise_free(W))
+    cx = free_end(F, _chain_generators(G)[1] if W is None
+                  else _levelwise_free(W))
     return HolimResult(cx, betti_numbers(cx),
                        f"bousfield-kan end, {provenance} weight")
 
@@ -209,39 +211,40 @@ def free_end(F: ChainDiagram, basis) -> ChainComplex:
     Total degree n is the sum of F(x)_{n+k}, in basis order.  Face i of
     a generator is W(u_i) of the generator g_i, where (g_i, u_i) =
     faces[i], so by naturality, for phi of degree n,
-      (delta phi)(gen) = d_F phi(gen) - (-1)^n sum_i (-1)^i F(u_i) phi(g_i)."""
+      (delta phi)(gen) = d_F phi(gen) - (-1)^n sum_i (-1)^i F(u_i) phi(g_i).
+    Each generator contributes only in the degrees where F(x) is
+    nonzero, and each signed face block is built once per call."""
     G = F.base
-    nonzero = [(k, F.value(x)) for k, x, _, _ in basis
-               if not F.value(x).is_zero()]
-    if not nonzero:
-        return chaincx.ZERO_COMPLEX
-    lo = min(V.lo - k for k, V in nonzero)
-    hi = max(V.hi - k for k, V in nonzero)
-    offsets, dims = {}, {}
-    for n in range(lo, hi + 1):
-        offsets[n], dims[n] = _chain_offsets(F, basis, n)
-    signed_identity = lru_cache(None)(
-        lambda d, s: RationalMatrix.identity(d).scale(s))
-    diff = {}
-    for n in range(lo + 1, hi + 1):
-        src, tgt = offsets[n], offsets[n - 1]
-        sign = -1 if n % 2 == 0 else 1          # -(-1)^n
-        blocks = []
-        for j, (k, x, _, faces) in enumerate(basis):
-            V = F.value(x)
-            q = n + k - 1
-            if not V.dim(q):
+    offsets, dims = _chain_offsets(F, basis)
+
+    @lru_cache(maxsize=None)
+    def face_block(u, q, s):
+        if G.is_identity(u):
+            return RationalMatrix.identity(F.value(G.src(u)).dim(q)).scale(s)
+        return F.action(u).component(q).scale(s)
+
+    blocks: dict[int, list] = {}
+    for j, (k, x, _, faces) in enumerate(basis):
+        V = F.value(x)
+        # the block F(x)_q in total degree n - 1 = q - k, hit by d_n
+        for q in V.degrees():
+            src = offsets.get(q - k + 1)
+            if not V.dim(q) or src is None:
                 continue
-            blocks.append((tgt[j], src[j], V.d(q + 1)))
+            n, row = q - k + 1, offsets[q - k][j]
+            sign = -1 if n % 2 == 0 else 1          # -(-1)^n
+            out = blocks.setdefault(n, [])
+            if j in src:
+                out.append((row, src[j], V.d(q + 1)))
             # the faces are (k-1)-generators, read in internal degree q
             for i, (g, u) in enumerate(faces):
-                s = sign if i % 2 == 0 else -sign
-                blk = signed_identity(V.dim(q), s) if G.is_identity(u) \
-                    else F.action(u).component(q).scale(s)
-                blocks.append((tgt[j], src[g], blk))
-        diff[n] = block_matrix(dims[n - 1], dims[n], blocks)
-    return chaincx.make_complex({n: dims[n] for n in range(lo, hi + 1)},
-                                diff)
+                if g in src:
+                    out.append((row, src[g],
+                                face_block(u, q, sign if i % 2 == 0
+                                           else -sign)))
+    return chaincx.make_complex(dims, {
+        n: block_matrix(dims.get(n - 1, 0), dims[n], b)
+        for n, b in blocks.items()})
 
 
 def _chain_generators(G: FinCategory):
@@ -261,47 +264,52 @@ def _chain_generators(G: FinCategory):
     return index, basis
 
 
-def _chain_offsets(F: ChainDiagram, basis, n: int):
-    """Offsets of the blocks F(x)_{n+k} of the generators (k, x, ...) in
-    total degree n of the product over them, and its dimension there."""
-    off, acc = [], 0
-    for k, x, _, _ in basis:
-        off.append(acc)
-        acc += F.value(x).dim(n + k)
-    return off, acc
-
-
-def _chain_product(F: ChainDiagram) -> ChainComplex:
-    """The end of F weighted by the nerve weight: the product over the
-    k-chains c of G of F(x_k) shifted down by k."""
-    return free_end(F, _chain_generators(F.base)[1])
+def _chain_offsets(F: ChainDiagram, basis):
+    """The layout of the product over the generators (k, x, ...) of F(x)
+    shifted down by k, in one pass over them: offsets[n][j] is where the
+    block F(x)_{n+k} of generator j starts in total degree n, for the
+    generators whose block there is nonzero, and dims[n] is the
+    dimension of degree n."""
+    offsets: dict[int, dict[int, int]] = {}
+    dims: dict[int, int] = {}
+    for j, (k, x, _, _) in enumerate(basis):
+        V = F.value(x)
+        for q in V.degrees():
+            if V.dim(q):
+                n = q - k
+                acc = dims.get(n, 0)
+                offsets.setdefault(n, {})[j] = acc
+                dims[n] = acc + V.dim(q)
+    return offsets, dims
 
 
 def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
                        alpha: Sequence[ChainMap], P: ChainComplex,
-                       Q: ChainComplex) -> ChainMap:
+                       Q: ChainComplex, src_chains, tgt_chains) -> ChainMap:
     """The map from the chain product P of Fp over the target of f to the
-    chain product Q of F over its source: the block of the chain c, with
+    chain product Q of F over its source, whose chains are src_chains and
+    tgt_chains (`_chain_generators`): the block of the chain c, with
     last object x, is alpha[x] : Fp(f(x)) -> F(x) in internal degree
     n + k applied to the block of the chain f(c), and zero when f sends
     an arrow of c to an identity (f(c) is degenerate)."""
     Gp = f.target
-    src_index, src_gens = _chain_generators(Gp)
-    _, tgt_gens = _chain_generators(f.source)
-    images = []
+    (src_index, src_gens), (_, tgt_gens) = src_chains, tgt_chains
+    src, _ = _chain_offsets(Fp, src_gens)
+    tgt, _ = _chain_offsets(F, tgt_gens)
+    blocks: dict[int, list] = {}
     for j, (k, x, c, _) in enumerate(tgt_gens):
         fc = f.object_map[c] if k == 0 else \
             tuple(f.morphism_map[m] for m in c)
-        if k == 0 or not any(Gp.is_identity(m) for m in fc):
-            images.append((j, k, x, src_index[(k, fc)]))
-    comps = {}
-    for n in P.degrees():
-        src, cols = _chain_offsets(Fp, src_gens, n)
-        tgt, nrows = _chain_offsets(F, tgt_gens, n)
-        comps[n] = block_matrix(nrows, cols, [
-            (tgt[j], src[i], alpha[x].component(n + k))
-            for j, k, x, i in images])
-    return make_chain_map(P, Q, comps, check=True)
+        if k and any(Gp.is_identity(m) for m in fc):
+            continue
+        i, V = src_index[(k, fc)], F.value(x)
+        for q in V.degrees():
+            if V.dim(q) and i in src.get(q - k, ()):
+                blocks.setdefault(q - k, []).append(
+                    (tgt[q - k][j], src[q - k][i], alpha[x].component(q)))
+    return make_chain_map(P, Q, {
+        n: block_matrix(Q.dim(n), P.dim(n), b) for n, b in blocks.items()},
+        check=True)
 
 
 # --- homotopy pullback ------------------------------------------------------------
@@ -604,12 +612,21 @@ def change_of_diagrams_iso(f: FunctorData, F: ChainDiagram) \
     G, Gp = f.source, f.target
     if is_direct(G) is None or is_direct(Gp) is None:
         raise NotLoopFree("change of diagrams needs loop-free categories")
-    basis = _levelwise_free(nerve_of_comma_under(f))
-    E2 = free_end(F, basis)
     Frest = restrict(f, F)
-    index, gens = _chain_generators(G)
-    E3 = free_end(Frest, gens)
-    commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
+    chains = _chain_generators(G)
+    return _change_of_diagrams(f, F, Frest, chains,
+                               free_end(Frest, chains[1]))
+
+
+def _change_of_diagrams(f: FunctorData, F: ChainDiagram,
+                        Frest: ChainDiagram, chains, E3: ChainComplex) \
+        -> ChangeOfDiagramsReport:
+    """`change_of_diagrams_iso` given f*F, the chains of G
+    (`_chain_generators`) and E3, the chain product over them."""
+    commas = [comma_under_functor(f, gp) for gp in f.target.objects()]
+    basis = _levelwise_free(_nerve_of_commas(f, commas))
+    E2 = free_end(F, basis)
+    index, gens = chains
     match = {}                                  # generator of E3 -> of E2
     for j, (k, gp, cell, _) in enumerate(basis):
         com = commas[gp]
@@ -618,17 +635,22 @@ def change_of_diagrams_iso(f: FunctorData, F: ChainDiagram) \
         else:
             c = tuple(com.mor_key(m)[2] for m in cell)
             last = com.mor_key(cell[-1])[1]
-        if Gp.is_identity(com.object_keys[last][1]):
+        if f.target.is_identity(com.object_keys[last][1]):
             match[index[(k, c)]] = j
-    comps = {}
-    for n in E2.degrees():
-        src, cols = _chain_offsets(F, basis, n)
-        tgt, rows = _chain_offsets(Frest, gens, n)
-        comps[n] = block_matrix(rows, cols, [
-            (tgt[i], src[j], RationalMatrix.identity(
-                Frest.value(gens[i][1]).dim(n + gens[i][0])))
-            for i, j in match.items()])
-    make_chain_map(E2, E3, comps, check=True)
+    src, _ = _chain_offsets(F, basis)
+    tgt, _ = _chain_offsets(Frest, gens)
+    blocks: dict[int, list] = {}
+    for i, j in match.items():
+        k, x = gens[i][:2]
+        V = Frest.value(x)
+        for q in V.degrees():
+            if V.dim(q):
+                blocks.setdefault(q - k, []).append(
+                    (tgt[q - k][i], src[q - k][j],
+                     RationalMatrix.identity(V.dim(q))))
+    make_chain_map(E2, E3, {
+        n: block_matrix(E3.dim(n), E2.dim(n), b) for n, b in blocks.items()},
+        check=True)
     return ChangeOfDiagramsReport(
         {k: E3.dim(k) for k in E3.degrees() if E3.dim(k)},
         {k: E2.dim(k) for k in E2.degrees() if E2.dim(k)},
@@ -655,11 +677,13 @@ def comparison_map(f: FunctorData, F: ChainDiagram):
     if F.base != Gp:
         raise ShapeMismatch("diagram must live over the target of f")
     Frest = restrict(f, F)
-    Pp, P = _chain_product(F), _chain_product(Frest)
+    chains_p, chains = _chain_generators(Gp), _chain_generators(G)
+    Pp, P = free_end(F, chains_p[1]), free_end(Frest, chains[1])
     R = _chain_product_map(f, F, Frest, [identity_map(Frest.value(x))
-                                         for x in G.objects()], Pp, P)
+                                         for x in G.objects()], Pp, P,
+                           chains_p, chains)
     report = ComparisonReport(
-        is_quasi_iso(R), change_of_diagrams_iso(f, F).passed,
+        is_quasi_iso(R), _change_of_diagrams(f, F, Frest, chains, P).passed,
         betti_numbers(Pp), betti_numbers(P))
     return R, report
 
@@ -682,8 +706,9 @@ def holim_we_invariance(alpha: ChainDiagramMap) -> InvarianceReport:
         if not is_quasi_iso(alpha.component(x)):
             raise NotComponentwiseWE(
                 f"component at object {x} is not a quasi-isomorphism")
-    P, Q = _chain_product(alpha.source), _chain_product(alpha.target)
+    chains = _chain_generators(G)
+    P, Q = free_end(alpha.source, chains[1]), free_end(alpha.target, chains[1])
     ok = is_quasi_iso(_chain_product_map(
         fincat.identity_functor(G), alpha.source, alpha.target,
-        [alpha.component(x) for x in G.objects()], P, Q))
+        [alpha.component(x) for x in G.objects()], P, Q, chains, chains))
     return InvarianceReport(ok, betti_numbers(P), betti_numbers(Q))

@@ -189,6 +189,9 @@ def nerve(C: FinCategory) -> SemiSimplicialSet:
     if C.n_objects == 0:
         return EMPTY_SSET
     nonid = C.non_identities()
+    out: dict[int, list[int]] = {x: [] for x in C.objects()}
+    for m in nonid:                     # in morphism order
+        out[C.src(m)].append(m)
     cells: list[tuple] = [tuple(C.objects())]
     faces: dict = {}
     prev = [(m,) for m in nonid]
@@ -197,12 +200,8 @@ def nerve(C: FinCategory) -> SemiSimplicialSet:
         for (m,) in prev:
             faces[(1, (m,))] = (C.tgt(m), C.src(m))
     while prev:
-        nxt = []
         k = len(prev[0]) + 1
-        for chain in prev:
-            for m in nonid:
-                if C.src(m) == C.tgt(chain[-1]):
-                    nxt.append(chain + (m,))
+        nxt = [chain + (m,) for chain in prev for m in out[C.tgt(chain[-1])]]
         if not nxt:
             break
         cells.append(tuple(nxt))
@@ -303,7 +302,14 @@ def nerve_of_comma_under(f: FunctorData) -> Weight:
     G, Gp = f.source, f.target
     if is_direct(G) is None or is_direct(Gp) is None:
         raise NotLoopFree("comma nerves require loop-free categories")
-    commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
+    return _nerve_of_commas(
+        f, [comma_under_functor(f, gp) for gp in Gp.objects()])
+
+
+def _nerve_of_commas(f: FunctorData, commas) -> Weight:
+    """`nerve_of_comma_under(f)` from its commas f over gamma', one per
+    object of the target of f, in object order."""
+    Gp = f.target
     values = [nerve(com.cat) for com in commas]
     actions = {}
     for u in Gp.morphisms():

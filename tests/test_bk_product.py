@@ -21,7 +21,9 @@ from holim_engine.dsl import parse
 from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
 from holim_engine.errors import WeightRejected
 from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
-from holim_engine.fincat import (arrow_category, comma_over, find_initial,
+from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
+                                 comma_over, cospan_category, find_initial,
+                                 find_terminal, identities_terminal_in_slices,
                                  identity_functor, object_inclusion)
 from holim_engine.holim import (_simplex_inclusion, bk_holim,
                                 change_of_diagrams_iso,
@@ -32,6 +34,7 @@ from holim_engine.holim import (_simplex_inclusion, bk_holim,
                                 holim_we_invariance, weighted_end)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
+                                  random_free_category,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
@@ -158,6 +161,70 @@ def test_bk_holim_rejects_relabelled_constant_point_weight():
         with pytest.raises(WeightRejected):
             bk_holim(D, W)
     assert bk_holim(D).betti == {-1: 1}
+
+
+def _slices_have_terminal_objects(C):
+    """The oracle: build every slice C over g and search it."""
+    return all(find_terminal(comma_over(C, g).cat) is not None
+               for g in C.objects())
+
+
+def test_slice_certificate_agrees_with_comma_oracle():
+    rng = random.Random(2031)
+    cats = [chain_poset(n) for n in range(6)] + [cospan_category()]
+    for _ in range(12):
+        cats += [random_loopfree_category(rng), random_free_category(rng)[0],
+                 random_poset(rng, 5)]
+    for C in cats:
+        assert identities_terminal_in_slices(C)
+        assert _slices_have_terminal_objects(C)
+
+
+def _parallel_arrows(id_b_after):
+    """a => b with arrows f = 2 and f' = 3, and id_b o f, id_b o f' as
+    given: a table that no category has unless they are (2, 3), built
+    without `validate_category`."""
+    table = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (3, 0): 3,
+             (1, 2): id_b_after[0], (1, 3): id_b_after[1]}
+    return FinCategory(2, ("a", "b"), (0, 1, 0, 0), (0, 1, 1, 1),
+                       ("id_a", "id_b", "f", "f'"), (0, 1), table)
+
+
+def test_bk_holim_rejects_a_table_where_identities_are_not_terminal():
+    c = random_chain_complex(random.Random(2032), max_dim=2, max_width=2)
+    good = _parallel_arrows((2, 3))
+    assert identities_terminal_in_slices(good)
+    bk_holim(ChainDiagram(good, [c, c], lambda m: identity_map(c)))
+    # id_b o f' = f: nothing in the slice over b is terminal
+    collapsed = _parallel_arrows((2, 2))
+    assert not _slices_have_terminal_objects(collapsed)
+    # id_b swaps f and f': each arrow into b still has exactly one map
+    # to id_b, but id_b o h != h
+    swapped = _parallel_arrows((3, 2))
+    for C in (collapsed, swapped):
+        assert not identities_terminal_in_slices(C)
+        with pytest.raises(WeightRejected):
+            bk_holim(ChainDiagram(C, [c, c], lambda m: identity_map(c)))
+
+
+def test_comparison_map_builds_each_product_once(monkeypatch):
+    counts = {"free_end": 0, "_chain_generators": 0}
+    for name in counts:
+        def counted(*args, _orig=getattr(holim_mod, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(holim_mod, name, counted)
+    rng = random.Random(2033)
+    for _ in range(3):
+        P = random_poset(rng, 5, with_bottom=True)
+        F = random_poset_chain_diagram(rng, P, 2, 2)
+        for k in counts:
+            counts[k] = 0
+        _, rep = comparison_map(object_inclusion(P, find_initial(P)), F)
+        assert rep.quasi_iso and rep.change_of_diagrams_ok
+        # P', P and E2; E3 is P
+        assert counts["free_end"] == 3
+        assert counts["_chain_generators"] <= 2
 
 
 def test_comma_under_weights_are_levelwise_free():

@@ -1,6 +1,9 @@
 import random
+from dataclasses import fields, replace
 
 import pytest
+
+import holim_engine.fincat as fincat_mod
 
 from holim_engine.errors import (CompositionDomainError, FunctorError,
                                  IdentityViolation)
@@ -210,6 +213,29 @@ def test_is_direct_matches_cycle_oracle():
         if d is not None:
             for m in C.non_identities():
                 assert d(C.tgt(m)) > d(C.src(m))
+
+
+def test_is_direct_sorts_once_per_instance(monkeypatch):
+    calls = []
+    sort = fincat_mod._longest_path_degrees
+    monkeypatch.setattr(fincat_mod, "_longest_path_degrees",
+                        lambda C: calls.append(C) or sort(C))
+    C, twin = chain_poset(3), chain_poset(3)
+    text = repr(C)
+    d = is_direct(C)
+    assert is_direct(C) is d and d.assignment == (0, 1, 2, 3)
+    assert len(calls) == 1
+    # the memo is no field: equality, repr and replace ignore it
+    assert C == twin and repr(C) == repr(twin) == text
+    assert [f.name for f in fields(C)] == [f.name for f in fields(twin)]
+    copy = replace(C, validated=False)
+    assert copy == C and repr(copy) == repr(C).replace(
+        "validated=True", "validated=False")
+    assert is_direct(copy) == d and len(calls) == 2
+    loop = FinCategory(1, ("x",), (0, 0), (0, 0), ("id_x", "e"), (0,),
+                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert is_direct(loop) is None and is_direct(loop) is None
+    assert len(calls) == 3
 
 
 def test_generating_morphisms_generate():

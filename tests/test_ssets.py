@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 from math import comb
 
 import pytest
@@ -10,7 +11,7 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category,
                                  identity_functor, object_inclusion,
                                  terminal_category, validate_category)
-from holim_engine.randgen import random_loopfree_category
+from holim_engine.randgen import random_free_category, random_loopfree_category
 from holim_engine.ssets import (EMPTY_SSET, Weight, augmentation, boundary,
                                 chains_of_map, check_point_resolution,
                                 constant_point_weight, euler_characteristic,
@@ -73,6 +74,42 @@ def test_nerve_simplicial_identities_randomized():
     for _ in range(15):
         C = random_loopfree_category(rng)
         validate_sset(nerve(C))
+
+
+def _nerve_by_enumeration(C):
+    """The nerve of C from every k-tuple of non-identity morphisms in
+    lexicographic order, kept when composable, with the faces of the
+    nerve conventions: d_0 drops the first arrow, d_k the last, inner
+    d_i composes at the i-th object; d(m) = (tgt m, src m)."""
+    nonid = [m for m in C.morphisms() if not C.is_identity(m)]
+    cells, faces = [tuple(C.objects())], {}
+    for k in range(1, C.n_objects):
+        chains = tuple(c for c in product(nonid, repeat=k)
+                       if all(C.mor_tgt[c[i]] == C.mor_src[c[i + 1]]
+                              for i in range(k - 1)))
+        if not chains:
+            break
+        cells.append(chains)
+        for c in chains:
+            if k == 1:
+                faces[(1, c)] = (C.mor_tgt[c[0]], C.mor_src[c[0]])
+                continue
+            inner = [c[:i - 1] + (C.compose_table[(c[i], c[i - 1])],) +
+                     c[i + 1:] for i in range(1, k)]
+            faces[(k, c)] = (c[1:], *inner, c[:-1])
+    return tuple(cells), faces
+
+
+def test_nerve_matches_enumeration_in_order_randomized():
+    rng = random.Random(101)
+    cats = [random_loopfree_category(rng) for _ in range(30)] + \
+        [random_free_category(rng)[0] for _ in range(15)] + \
+        [chain_poset(n) for n in range(5)]
+    for C in cats:
+        K = nerve(C)
+        cells, faces = _nerve_by_enumeration(C)
+        assert K.cells == cells
+        assert list(K.faces.items()) == list(faces.items())
 
 
 def test_normalized_chains_point():
