@@ -4,6 +4,14 @@ FinSet-valued diagrams are eager tables; chain-valued diagrams carry
 lazily memoized action maps because bifunctors over product categories
 grow quadratically in morphisms.
 
+On finite sets, a limit and an end are one staged search,
+`_equalizing_tuples`: a limit equalizes F(m) against the identity, an
+end pushes against pulls.  A colimit and a coend are one class
+collector, `_classes`, on `fincat.UnionFind`.  The end formula for Ran
+and the co-Yoneda check take the end of `hom_bifunctor` of a
+representable.  `nat_trans_bruteforce` keeps a search of its own: it is
+the independent oracle for ends of Hom bifunctors.
+
 Ends are computed by the equalizer formula: the equalizer of the two
 maps  prod_g H(g, g) => prod_f H(src f, tgt f)  given by pushing along
 f in the covariant slot and pulling along f in the contravariant slot.
@@ -14,6 +22,7 @@ its factors by the interchange law.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -21,7 +30,7 @@ from .chaincx import (ChainComplex, ChainMap, compose_maps, direct_sum,
                       subcomplex_from_kernels, validate_map)
 from .errors import DiagramError, ShapeMismatch
 from .exactalg import RationalMatrix, block_diag, block_matrix, rank_kernel
-from .fincat import (Comma, FinCategory, FunctorData, comma_from,
+from .fincat import (Comma, FinCategory, FunctorData, UnionFind, comma_from,
                      comma_under_functor, generating_morphisms, opposite,
                      product, product_mor, product_obj)
 
@@ -96,82 +105,76 @@ class LimitResult:
 
 @dataclass(frozen=True)
 class ColimitResult:
-    classes: tuple[tuple, ...]    # each class: sorted tuple of (obj, elem)
+    classes: tuple[tuple, ...]    # each class: (obj, elem) in item order
     injections: Mapping[tuple, int]
 
     def inject(self, obj: int, elem) -> int:
         return self.injections[(obj, elem)]
 
 
-def finset_limit(F: FinSetDiagram) -> LimitResult:
-    """Tuples in the product satisfying every action equation,
-    enumerated in lexicographic (object index, element index) order."""
-    C = F.base
-    gens = generating_morphisms(C)
-    by_stage: dict[int, list[int]] = {}
-    for m in gens:
-        by_stage.setdefault(max(C.src(m), C.tgt(m)), []).append(m)
+def _equalizing_tuples(candidates, equations) -> tuple[tuple, ...]:
+    """Tuples (c_0, ..., c_n-1), c_i in candidates[i], with a[c_s] == b[c_t]
+    for every equation (s, a, t, b), in lexicographic candidate order.  The
+    search is staged: an equation is checked once c_max(s, t) is placed."""
+    n = len(candidates)
+    by_stage: list[list] = [[] for _ in range(n)]
+    for eq in equations:
+        by_stage[max(eq[0], eq[2])].append(eq)
     out: list[tuple] = []
     partial: list = []
 
-    def ok(stage: int) -> bool:
-        for m in by_stage.get(stage, ()):
-            if F.actions[m][partial[C.src(m)]] != partial[C.tgt(m)]:
-                return False
-        return True
-
     def extend(stage: int):
-        if stage == C.n_objects:
+        if stage == n:
             out.append(tuple(partial))
             return
-        for e in F.values[stage]:
-            partial.append(e)
-            if ok(stage):
+        checks = by_stage[stage]
+        # a plain loop: a per-check lambda in all() made ends 2.3x slower
+        for c in candidates[stage]:
+            partial.append(c)
+            for s, a, t, b in checks:
+                if a[partial[s]] != b[partial[t]]:
+                    break
+            else:
                 extend(stage + 1)
             partial.pop()
 
     extend(0)
-    return LimitResult(tuple(out))
+    return tuple(out)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def finset_limit(F: FinSetDiagram) -> LimitResult:
+    """Tuples in the product satisfying every action equation,
+    enumerated in lexicographic (object index, element index) order."""
+    C = F.base
+    equations = [(C.src(m), F.actions[m], C.tgt(m),
+                  {e: e for e in F.values[C.tgt(m)]})
+                 for m in generating_morphisms(C)]
+    return LimitResult(_equalizing_tuples(F.values, equations))
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller representative for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _classes(items, pairs) -> ColimitResult:
+    """`items` quotiented by the equivalence that `pairs` of items
+    generate: each class in item order, classes by their first item."""
+    order = {it: i for i, it in enumerate(items)}
+    uf = UnionFind(range(len(items)))
+    for a, b in pairs:
+        uf.union(order[a], order[b])
+    roots: dict[int, list] = {}
+    for i, it in enumerate(items):
+        roots.setdefault(uf.find(i), []).append(it)
+    classes = tuple(tuple(mem) for mem in roots.values())
+    injections = {it: ci for ci, mem in enumerate(classes) for it in mem}
+    return ColimitResult(classes, injections)
 
 
 def finset_colimit(F: FinSetDiagram) -> ColimitResult:
     """Disjoint union quotiented by the congruence generated by the
-    action identifications (union-find)."""
+    action identifications."""
     C = F.base
-    items = [(x, e) for x in C.objects() for e in F.values[x]]
-    order = {it: i for i, it in enumerate(items)}
-    uf = _UnionFind(range(len(items)))
-    for m in generating_morphisms(C):
-        sx, tx = C.src(m), C.tgt(m)
-        for e in F.values[sx]:
-            uf.union(order[(sx, e)], order[(tx, F.actions[m][e])])
-    roots: dict[int, list] = {}
-    for it, i in order.items():
-        roots.setdefault(uf.find(i), []).append(it)
-    classes = tuple(tuple(sorted(mem, key=lambda it: order[it]))
-                    for _, mem in sorted(roots.items()))
-    injections = {it: ci for ci, mem in enumerate(classes) for it in mem}
-    return ColimitResult(classes, injections)
+    return _classes(
+        [(x, e) for x in C.objects() for e in F.values[x]],
+        [((C.src(m), e), (C.tgt(m), F.actions[m][e]))
+         for m in generating_morphisms(C) for e in F.values[C.src(m)]])
 
 
 # --- finite-set ends and coends -----------------------------------------------
@@ -194,35 +197,22 @@ def hom_bifunctor(F: FinSetDiagram, G: FinSetDiagram) -> FinSetDiagram:
         raise DiagramError("Hom bifunctor needs diagrams over one base")
     C = F.base
     P = product(opposite(C), C)
-
-    def functions(x, y):
-        fx, gy = F.values[x], G.values[y]
-        if not fx:
-            return ((),)
-        out = [()]
-        for _ in fx:
-            out = [t + (e,) for t in out for e in gy]
-        return tuple(out)
-
-    values = []
-    for x in C.objects():
-        for y in C.objects():
-            values.append(functions(x, y))
+    values = tuple(tuple(itertools.product(G.values[y],
+                                           repeat=len(F.values[x])))
+                   for x in C.objects() for y in C.objects())
     f_index = [{e: i for i, e in enumerate(F.values[x])}
                for x in C.objects()]
     actions = {}
     for m1 in C.morphisms():        # contravariant slot (morphism of op)
+        x_src, a1 = C.tgt(m1), F.actions[m1]
+        # t o F(m1) reads t at these positions
+        pos = [f_index[x_src][a1[e]] for e in F.values[C.src(m1)]]
         for m2 in C.morphisms():    # covariant slot
-            x_src, y_src = C.tgt(m1), C.src(m2)
-            x_tgt = C.src(m1)
-            a1, a2 = F.actions[m1], G.actions[m2]
-            act = {}
-            for t in functions(x_src, y_src):
-                img = tuple(a2[t[f_index[x_src][a1[e]]]]
-                            for e in F.values[x_tgt])
-                act[t] = img
-            actions[product_mor(P, m1, m2)] = act
-    return FinSetDiagram(P, tuple(values), actions)
+            a2 = G.actions[m2]
+            actions[product_mor(P, m1, m2)] = {
+                t: tuple(a2[t[i]] for i in pos)
+                for t in values[product_obj(P, x_src, C.src(m2))]}
+    return FinSetDiagram(P, values, actions)
 
 
 def end_finset(H: FinSetDiagram) -> tuple[tuple, ...]:
@@ -230,60 +220,28 @@ def end_finset(H: FinSetDiagram) -> tuple[tuple, ...]:
     (x_g) with f_*(x_g) = f^*(x_g') for every f: g -> g'."""
     P = H.base
     G = _split_product_base(P)
-    gens = generating_morphisms(G)
-    by_stage: dict[int, list[int]] = {}
-    for f in gens:
-        by_stage.setdefault(max(G.src(f), G.tgt(f)), []).append(f)
-    diag = [H.value(product_obj(P, g, g)) for g in G.objects()]
-    push = {f: H.action(product_mor(P, G.identity[G.src(f)], f))
-            for f in gens}
-    pull = {f: H.action(product_mor(P, f, G.identity[G.tgt(f)]))
-            for f in gens}
-    out: list[tuple] = []
-    partial: list = []
-
-    def ok(stage: int) -> bool:
-        for f in by_stage.get(stage, ()):
-            if push[f][partial[G.src(f)]] != pull[f][partial[G.tgt(f)]]:
-                return False
-        return True
-
-    def extend(stage: int):
-        if stage == G.n_objects:
-            out.append(tuple(partial))
-            return
-        for e in diag[stage]:
-            partial.append(e)
-            if ok(stage):
-                extend(stage + 1)
-            partial.pop()
-
-    extend(0)
-    return tuple(out)
+    equations = [
+        (G.src(f), H.action(product_mor(P, G.identity[G.src(f)], f)),
+         G.tgt(f), H.action(product_mor(P, f, G.identity[G.tgt(f)])))
+        for f in generating_morphisms(G)]
+    return _equalizing_tuples(
+        [H.value(product_obj(P, g, g)) for g in G.objects()], equations)
 
 
 def coend_finset(H: FinSetDiagram) -> ColimitResult:
     """Coequalizer of the dual pair, as classes of the diagonal union."""
     P = H.base
     G = _split_product_base(P)
-    items = [(g, e) for g in G.objects()
-             for e in H.value(product_obj(P, g, g))]
-    order = {it: i for i, it in enumerate(items)}
-    uf = _UnionFind(range(len(items)))
+    pairs = []
     for f in generating_morphisms(G):
         s, t = G.src(f), G.tgt(f)
         # for u in H(t, s): H(f, s)(u) ~ H(t, f)(u)
         pull = H.action(product_mor(P, f, G.identity[s]))
         push = H.action(product_mor(P, G.identity[t], f))
-        for u in H.value(product_obj(P, t, s)):
-            uf.union(order[(s, pull[u])], order[(t, push[u])])
-    roots: dict[int, list] = {}
-    for it, i in order.items():
-        roots.setdefault(uf.find(i), []).append(it)
-    classes = tuple(tuple(sorted(mem, key=lambda it: order[it]))
-                    for _, mem in sorted(roots.items()))
-    injections = {it: ci for ci, mem in enumerate(classes) for it in mem}
-    return ColimitResult(classes, injections)
+        pairs += [((s, pull[u]), (t, push[u]))
+                  for u in H.value(product_obj(P, t, s))]
+    return _classes([(g, e) for g in G.objects()
+                     for e in H.value(product_obj(P, g, g))], pairs)
 
 
 def nat_trans_bruteforce(F: FinSetDiagram, G: FinSetDiagram) -> tuple[tuple, ...]:
@@ -298,14 +256,6 @@ def nat_trans_bruteforce(F: FinSetDiagram, G: FinSetDiagram) -> tuple[tuple, ...
     for m in gens:
         by_stage.setdefault(max(C.src(m), C.tgt(m)), []).append(m)
     f_index = [{e: i for i, e in enumerate(F.values[x])} for x in C.objects()]
-
-    def candidates(x):
-        fx, gx = F.values[x], G.values[x]
-        out = [()]
-        for _ in fx:
-            out = [t + (e,) for t in out for e in gx]
-        return out
-
     out: list[tuple] = []
     partial: list = []
 
@@ -324,7 +274,8 @@ def nat_trans_bruteforce(F: FinSetDiagram, G: FinSetDiagram) -> tuple[tuple, ...
         if stage == C.n_objects:
             out.append(tuple(partial))
             return
-        for comp in candidates(stage):
+        for comp in itertools.product(G.values[stage],
+                                      repeat=len(F.values[stage])):
             partial.append(comp)
             if natural(stage):
                 extend(stage + 1)
@@ -424,7 +375,7 @@ def lan_via_coend(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     Lan_f F (g') = coend over g of Hom(f g, g') x F(g)."""
     G, Gp = f.source, f.target
     P = product(opposite(G), G)
-    coends, bifs = [], []
+    coends = []
     for gp in Gp.objects():
         values = []
         for x in G.objects():
@@ -442,9 +393,7 @@ def lan_via_coend(f: FunctorData, F: FinSetDiagram) -> KanExtension:
                 for (a, e) in values[product_obj(P, x_src, y_src)]:
                     act[(a, e)] = (Gp.comp(a, fm1), F.actions[m2][e])
                 actions[product_mor(P, m1, m2)] = act
-        H = FinSetDiagram(P, tuple(values), actions)
-        bifs.append(H)
-        coends.append(coend_finset(H))
+        coends.append(coend_finset(FinSetDiagram(P, tuple(values), actions)))
     values_out = tuple(tuple(range(len(col.classes))) for col in coends)
     actions_out = {}
     for u in Gp.morphisms():
@@ -462,38 +411,9 @@ def ran_via_end(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     """Right Kan extension by the end formula
     Ran_f F (g') = end over g of F(g)^(Hom(g', f g))."""
     G, Gp = f.source, f.target
-    P = product(opposite(G), G)
-    ends, homs_all = [], []
-    for gp in Gp.objects():
-        homs = [tuple(Gp.hom(gp, f.object_map[x])) for x in G.objects()]
-        homs_all.append(homs)
-
-        def functions(x, y):
-            out = [()]
-            for _ in homs[x]:
-                out = [t + (e,) for t in out for e in F.values[y]]
-            return tuple(out)
-
-        values = []
-        for x in G.objects():
-            for y in G.objects():
-                values.append(functions(x, y))
-        h_index = [{a: i for i, a in enumerate(homs[x])}
-                   for x in G.objects()]
-        actions = {}
-        for m1 in G.morphisms():
-            for m2 in G.morphisms():
-                x_src, x_tgt = G.tgt(m1), G.src(m1)
-                y_src = G.src(m2)
-                fm1 = f.morphism_map[m1]
-                a2 = F.actions[m2]
-                act = {}
-                for t in values[product_obj(P, x_src, y_src)]:
-                    act[t] = tuple(
-                        a2[t[h_index[x_src][Gp.comp(fm1, b)]]]
-                        for b in homs[x_tgt])
-                actions[product_mor(P, m1, m2)] = act
-        ends.append(end_finset(FinSetDiagram(P, tuple(values), actions)))
+    reps = [restrict(f, representable_finset_diagram(Gp, gp))
+            for gp in Gp.objects()]
+    ends = [end_finset(hom_bifunctor(R, F)) for R in reps]
     values_out = tuple(tuple(e) for e in ends)
     actions_out = {}
     for u in Gp.morphisms():
@@ -503,8 +423,8 @@ def ran_via_end(f: FunctorData, F: FinSetDiagram) -> KanExtension:
             img = []
             for x in G.objects():
                 img.append(tuple(
-                    fam[x][homs_all[s][x].index(Gp.comp(b, u))]
-                    for b in homs_all[t][x]))
+                    fam[x][reps[s].values[x].index(Gp.comp(b, u))]
+                    for b in reps[t].values[x]))
             act[fam] = tuple(img)
         actions_out[u] = act
     return KanExtension(FinSetDiagram(Gp, values_out, actions_out), (),
@@ -526,38 +446,14 @@ def co_yoneda_check(G_diag: FinSetDiagram, f: FunctorData,
     if f.target != Gp:
         raise DiagramError("functor target must be the diagram base")
     o = f.object_map[gamma]
-    P = product(opposite(Gp), Gp)
-    homs = [tuple(Gp.hom(o, x)) for x in Gp.objects()]
-    h_index = [{a: i for i, a in enumerate(homs[x])} for x in Gp.objects()]
-
-    def functions(x, y):
-        out = [()]
-        for _ in homs[x]:
-            out = [t + (e,) for t in out for e in G_diag.values[y]]
-        return tuple(out)
-
-    values = []
-    for x in Gp.objects():
-        for y in Gp.objects():
-            values.append(functions(x, y))
-    actions = {}
-    for m1 in Gp.morphisms():
-        for m2 in Gp.morphisms():
-            x_src, x_tgt = Gp.tgt(m1), Gp.src(m1)
-            y_src = Gp.src(m2)
-            a2 = G_diag.actions[m2]
-            act = {}
-            for t in values[product_obj(P, x_src, y_src)]:
-                act[t] = tuple(a2[t[h_index[x_src][Gp.comp(m1, b)]]]
-                               for b in homs[x_tgt])
-            actions[product_mor(P, m1, m2)] = act
-    end = end_finset(FinSetDiagram(P, tuple(values), actions))
+    homs = representable_finset_diagram(Gp, o)
+    end = end_finset(hom_bifunctor(homs, G_diag))
     end_set = set(end)
     # canonical map: g |-> (beta |-> G(beta)(g)) per object
     images = []
     ok = True
     for g in G_diag.values[o]:
-        fam = tuple(tuple(G_diag.actions[b][g] for b in homs[x])
+        fam = tuple(tuple(G_diag.actions[b][g] for b in homs.values[x])
                     for x in Gp.objects())
         if fam not in end_set:
             ok = False

@@ -253,7 +253,15 @@ def _comma_from_records(C_amb: FinCategory, object_keys: list,
     for j2, (b2, c2, m2) in enumerate(records):
         for j1, (b1, c1, m1) in enumerate(records):
             if c1 == b2:
-                table[(j2, j1)] = index[(b1, c2, C_amb.compose_table[(m2, m1)])]
+                h = C_amb.compose_table[(m2, m1)]
+                k = index.get((b1, c2, h))
+                if k is None:
+                    lab = C_amb.mor_labels
+                    raise CompositionDomainError(
+                        f"composite {lab[h]!r} = {lab[m2]!r} o {lab[m1]!r} is "
+                        f"not an arrow {obj_labels[b1]!r} -> "
+                        f"{obj_labels[c2]!r} of the comma category")
+                table[(j2, j1)] = k
     cat = FinCategory(len(object_keys), tuple(obj_labels), mor_src, mor_tgt,
                       labels, identity, table, validated=True)
     proj = FunctorData(cat, C_amb, tuple(proj_obj),
@@ -409,6 +417,31 @@ def find_initial(C: FinCategory) -> Optional[int]:
     return None
 
 
+class UnionFind:
+    """Disjoint sets over hashable, mutually comparable items, with path
+    halving; each root is the least item of its set."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; whether they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
 # --- small builders ---------------------------------------------------------
 
 def from_poset(labels: list[str], leq: set[tuple[int, int]]) -> FinCategory:
@@ -510,34 +543,20 @@ def category_from_presentation(
         frontier = nxt
     ends = {p: (s, t) for p, s, t in all_paths}
 
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {p: p for p in ends}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-            return True
-        return False
-
+    uf = UnionFind(ends)
     for lhs, rhs in relations:
         if lhs not in ends or rhs not in ends:
             raise CompositionDomainError("relation names an unknown path")
         if ends[lhs] != ends[rhs]:
             raise CompositionDomainError(
                 "relation equates paths with different endpoints")
-        union(lhs, rhs)
+        uf.union(lhs, rhs)
     changed = bool(relations)
     while changed:
         changed = False
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for p in ends:
-            classes.setdefault(find(p), []).append(p)
+            classes.setdefault(uf.find(p), []).append(p)
         for members in classes.values():
             if len(members) < 2:
                 continue
@@ -547,14 +566,14 @@ def category_from_presentation(
                         continue
                     for i, (_, s2, t2) in enumerate(arrows):
                         if s2 == ends[p][1]:
-                            if union(p + (i,), q + (i,)):
+                            if uf.union(p + (i,), q + (i,)):
                                 changed = True
                         if t2 == ends[p][0]:
-                            if union((i,) + p, (i,) + q):
+                            if uf.union((i,) + p, (i,) + q):
                                 changed = True
     classes = {}
     for p in sorted(ends, key=lambda p: (len(p), p)):
-        classes.setdefault(find(p), []).append(p)
+        classes.setdefault(uf.find(p), []).append(p)
     reps = sorted((min((len(p), p) for p in mem)[1] for mem in classes.values()),
                   key=lambda p: (len(p), p))
     rep_of = {}

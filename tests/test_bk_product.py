@@ -19,7 +19,7 @@ from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   make_chain_map)
 from holim_engine.dsl import parse
 from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
-from holim_engine.errors import WeightRejected
+from holim_engine.errors import CompositionDomainError, WeightRejected
 from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
 from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category, find_initial,
@@ -205,6 +205,16 @@ def test_bk_holim_rejects_a_table_where_identities_are_not_terminal():
         assert not identities_terminal_in_slices(C)
         with pytest.raises(WeightRejected):
             bk_holim(ChainDiagram(C, [c, c], lambda m: identity_map(c)))
+
+
+def test_comma_over_a_non_category_table_names_the_missing_composite():
+    # id_b swaps f and f': in the slice over b, f' is an arrow f -> id_b
+    # and id_b an arrow id_b -> id_b, but their composite f is not
+    swapped = _parallel_arrows((3, 2))
+    with pytest.raises(CompositionDomainError,
+                       match=r"composite 'f' = 'id_b' o \"f'\" is not an "
+                             r"arrow 'f' -> 'id_b' of the comma category"):
+        comma_over(swapped, 1)
 
 
 def test_comparison_map_builds_each_product_once(monkeypatch):

@@ -452,3 +452,65 @@ def test_end_generator_pruning_vs_all_morphisms():
         C, F, G = random_finset_pair(rng, cap=2000)
         H = hom_bifunctor(F, G)
         assert sorted(end_finset(H)) == sorted(_end_bruteforce(H))
+
+
+def test_end_of_hom_equals_bruteforce_tuple_for_tuple():
+    # same natural transformations in the same order, not only as many
+    nonempty = 0
+    for seed in range(400):
+        C, F, G = random_finset_pair(random.Random(seed), cap=3000)
+        end = end_finset(hom_bifunctor(F, G))
+        assert end == nat_trans_bruteforce(F, G)
+        nonempty += bool(end)
+    assert nonempty >= 200
+
+
+def _components(nodes, edges):
+    """Connected components by breadth-first search, each in node order."""
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, comps = set(), []
+    for v in nodes:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, queue = {v}, [v]
+        while queue:
+            for w in adj[queue.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(tuple(u for u in nodes if u in comp))
+    return tuple(comps)
+
+
+def _check_classes(res, nodes, edges):
+    assert res.classes == _components(nodes, edges)
+    assert res.injections == {it: ci for ci, mem in enumerate(res.classes)
+                              for it in mem}
+
+
+def test_colimit_and_coend_classes_are_components_over_all_morphisms():
+    rng = random.Random(73)
+    for _ in range(60):
+        C, F, G = random_finset_pair(rng, cap=3000)
+        _check_classes(
+            finset_colimit(F),
+            [(x, e) for x in C.objects() for e in F.values[x]],
+            [((C.src(m), e), (C.tgt(m), F.actions[m][e]))
+             for m in C.morphisms() for e in F.values[C.src(m)]])
+        H = hom_bifunctor(F, G)
+        P = H.base
+        edges = []
+        for f in C.morphisms():
+            s, t = C.src(f), C.tgt(f)
+            pull = H.action(product_mor(P, f, C.identity[s]))
+            push = H.action(product_mor(P, C.identity[t], f))
+            edges += [((s, pull[u]), (t, push[u]))
+                      for u in H.value(product_obj(P, t, s))]
+        _check_classes(coend_finset(H),
+                       [(g, e) for g in C.objects()
+                        for e in H.value(product_obj(P, g, g))], edges)

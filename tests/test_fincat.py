@@ -7,11 +7,11 @@ import holim_engine.fincat as fincat_mod
 
 from holim_engine.errors import (CompositionDomainError, FunctorError,
                                  IdentityViolation)
-from holim_engine.fincat import (FinCategory, FunctorData, arrow_category,
-                                 chain_poset, comma_from, comma_over,
-                                 comma_under_functor, cospan_category,
-                                 discrete_category, find_initial,
-                                 find_terminal, from_poset,
+from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
+                                 arrow_category, chain_poset, comma_from,
+                                 comma_over, comma_under_functor,
+                                 cospan_category, discrete_category,
+                                 find_initial, find_terminal, from_poset,
                                  generating_morphisms, identity_functor,
                                  is_direct, object_inclusion, opposite,
                                  product, terminal_category,
@@ -306,3 +306,10 @@ def test_omitted_composable_pair_rejected():
                       C.mor_labels, C.identity, table)
     with pytest.raises(CompositionDomainError):
         validate_category(bad)
+
+
+def test_union_find_keeps_the_least_root_and_reports_merges():
+    uf = UnionFind(range(6))
+    assert uf.union(4, 2) and uf.union(5, 4) and uf.union(1, 3)
+    assert not uf.union(2, 5)
+    assert [uf.find(x) for x in range(6)] == [0, 1, 2, 1, 2, 2]
