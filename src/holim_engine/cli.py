@@ -15,14 +15,17 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import chaincx, dsl, endkan, fincat, holim, randgen, ssets
+from . import chaincx, dsl, endkan, fincat
 from .chaincx import betti_numbers
 from .endkan import (coend_finset, end_chain, end_finset, finset_colimit,
                      finset_limit, lan, lan_agreement, nat_trans_bruteforce,
                      ran, ran_agreement, co_yoneda_check, hom_bifunctor)
 from .errors import EngineError, TypeMismatch, UnknownBinding
 from .fincat import comma_over, find_terminal, is_direct, opposite
-from .ssets import check_point_resolution, nerve, nerve_weight
+
+# `holim`, `ssets` and `randgen` are imported inside the handlers and
+# verify suites that call them, so that a command loads only the engine
+# modules it runs; without cached bytecode every import is a compile.
 
 USAGE_COMMANDS = ("end", "coend", "lim", "colim", "lan", "ran", "nerve",
                   "homology", "holim", "hopullback", "fattot", "hoinitial",
@@ -159,6 +162,7 @@ def _cmd_ran(ws, args, **kw):
 def _cmd_nerve(ws, args, **kw):
     name = _one_arg(args, "nerve")
     C = ws.get(name, "category").value
+    from .ssets import nerve
     K = nerve(C)
     counts = {str(n): len(cs) for n, cs in enumerate(K.cells)}
     human = "\n".join(f"  dimension {n}: {len(cs)} cells"
@@ -177,6 +181,7 @@ def _cmd_homology(ws, args, **kw):
 def _cmd_holim(ws, args, **kw):
     name = _one_arg(args, "holim")
     D = ws.get(name, "diagram_ch").value
+    from . import holim
     res = holim.bk_holim(D)
     return Report("holim",
                   f"betti: {res.betti}\nprovenance: {res.provenance}",
@@ -199,6 +204,7 @@ def _cmd_hopullback(ws, args, **kw):
     name = _one_arg(args, "hopullback")
     D = ws.get(name, "diagram_ch").value
     p, q = _cospan_legs(D)
+    from . import holim
     res, rep = holim.homotopy_pullback(p, q)
     verdict = "pass" if rep.passed else "fail"
     return Report(
@@ -214,6 +220,7 @@ def _cmd_hopullback(ws, args, **kw):
 def _cmd_fattot(ws, args, depth=4, **kw):
     name = _one_arg(args, "fattot")
     D = ws.get(name, "diagram_ch").value
+    from . import holim
     X = holim.cosimplicial_replacement(D, depth)
     res = holim.fat_tot(X)
     # degrees below the stable range are truncation artifacts; report
@@ -231,6 +238,7 @@ def _cmd_fattot(ws, args, depth=4, **kw):
 def _cmd_hoinitial(ws, args, **kw):
     name = _one_arg(args, "hoinitial")
     f = ws.get(name, "functor").value
+    from . import holim
     rep = holim.check_homotopy_initial(f)
     verdict = "pass" if rep.passed else "fail"
     lines = [f"  at {f.target.obj_labels[x]}: "
@@ -249,6 +257,7 @@ def _cmd_compare_holim(ws, args, **kw):
                            "DIAGRAM")
     f = ws.get(args[0], "functor").value
     D = ws.get(args[1], "diagram_ch").value
+    from . import holim
     cmap, rep = holim.comparison_map(f, D)
     verdict = "pass" if rep.quasi_iso else "fail"
     return Report(
@@ -286,6 +295,7 @@ def _suite_bindings(ws, rng):
 
 
 def _suite_categories(ws, rng):
+    from . import ssets
     for name in ws.order:
         b = ws.bindings[name]
         if b.kind != "category":
@@ -304,7 +314,7 @@ def _suite_categories(ws, rng):
                     if find_terminal(com.cat) is None:
                         return False, f"comma over {C.obj_labels[g]} " \
                             f"has no terminal object"
-                    K = nerve(com.cat)
+                    K = ssets.nerve(com.cat)
                     if not ssets.homology_contractible(K):
                         return False, f"comma nerve at {C.obj_labels[g]} " \
                             f"not contractible"
@@ -314,6 +324,7 @@ def _suite_categories(ws, rng):
 
 
 def _suite_weights(ws, rng):
+    from .ssets import check_point_resolution, nerve_weight
     for name in ws.order:
         b = ws.bindings[name]
         if b.kind != "category" or is_direct(b.value) is None:
@@ -327,6 +338,8 @@ def _suite_weights(ws, rng):
 
 
 def _suite_holim(ws, rng):
+    from . import holim
+    from .ssets import nerve_weight
     for name in ws.order:
         b = ws.bindings[name]
         if b.kind != "diagram_ch" or is_direct(b.value.base) is None:
@@ -357,6 +370,8 @@ def _suite_holim(ws, rng):
 
 
 def _suite_random(ws, rng):
+    from . import holim, randgen
+
     def end_vs_bruteforce(i):
         def check():
             r = random.Random(rng.randrange(2 ** 32))

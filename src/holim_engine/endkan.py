@@ -196,7 +196,7 @@ def hom_bifunctor(F: FinSetDiagram, G: FinSetDiagram) -> FinSetDiagram:
     if F.base != G.base:
         raise DiagramError("Hom bifunctor needs diagrams over one base")
     C = F.base
-    P = product(opposite(C), C)
+    P = C.bifunctor_base
     values = tuple(tuple(itertools.product(G.values[y],
                                            repeat=len(F.values[x])))
                    for x in C.objects() for y in C.objects())
@@ -374,7 +374,7 @@ def lan_via_coend(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     """Left Kan extension by the coend formula
     Lan_f F (g') = coend over g of Hom(f g, g') x F(g)."""
     G, Gp = f.source, f.target
-    P = product(opposite(G), G)
+    P = G.bifunctor_base
     coends = []
     for gp in Gp.objects():
         values = []
@@ -601,7 +601,7 @@ def bifunctor_diagram(G: FinCategory, value_at: Callable[[int, int], ChainComple
                       action_at: Callable[[int, int], ChainMap]) -> ChainDiagram:
     """Assemble a lazy ChainDiagram over product(opposite(G), G) from a
     value callback (x, y) and an action callback on morphism pairs."""
-    P = product(opposite(G), G)
+    P = G.bifunctor_base
     nG = G.n_objects
 
     def value(i):
@@ -636,7 +636,7 @@ def end_induced_map(src: EndChain, tgt: EndChain,
 
 def hom_set_bifunctor(C: FinCategory) -> FinSetDiagram:
     """Hom(-, -) over product(opposite(C), C); elements are morphism ids."""
-    P = product(opposite(C), C)
+    P = C.bifunctor_base
     values = tuple(tuple(C.hom(x, y)) for x in C.objects()
                    for y in C.objects())
     actions = {}
@@ -782,7 +782,7 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
     joint = end_chain(H)
 
     def inner_over_second(gm, gp):
-        P2 = product(opposite(G2), G2)
+        P2 = G2.bifunctor_base
         values = [H.value(product_obj(P, pp_obj(gm, i // n2),
                                       pp_obj(gp, i % n2)))
                   for i in range(P2.n_objects)]
@@ -795,7 +795,7 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
         return end_chain(ChainDiagram(P2, values, action))
 
     def inner_over_first(dm, dp):
-        P1 = product(opposite(G1), G1)
+        P1 = G1.bifunctor_base
         values = [H.value(product_obj(P, pp_obj(i // n1, dm),
                                       pp_obj(i % n1, dp)))
                   for i in range(P1.n_objects)]
@@ -810,7 +810,7 @@ def fubini_check(H: ChainDiagram, G1: FinCategory,
     def outer_end(Gout, Gin, inner, cross_action):
         """inner[(a, b)] for objects of Gout; returns the outer EndChain
         plus the per-object inner results on the diagonal."""
-        Pout = product(opposite(Gout), Gout)
+        Pout = Gout.bifunctor_base
         inner_all = {}
         for a in Gout.objects():
             for b in Gout.objects():

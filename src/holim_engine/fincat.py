@@ -74,6 +74,12 @@ class FinCategory:
         # the fields are frozen, so `is_direct` sorts once per instance
         return _longest_path_degrees(self)
 
+    @cached_property
+    def bifunctor_base(self) -> "FinCategory":
+        """product(opposite(self), self), the base of a bifunctor such as
+        Hom; built once per instance, since the fields are frozen."""
+        return product(opposite(self), self)
+
 
 @dataclass(frozen=True)
 class FunctorData:

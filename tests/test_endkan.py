@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from holim_engine import chaincx, endkan
+from holim_engine import chaincx, endkan, fincat
 from holim_engine.chaincx import (betti_numbers, identity_map, make_complex,
                                   single, zero_map)
-from holim_engine.endkan import (ChainDiagram, FinSetDiagram, coend_finset,
+from holim_engine.endkan import (ChainDiagram, FinSetDiagram,
+                                 bifunctor_diagram, coend_finset,
                                  co_yoneda_check, constant_finset_diagram,
                                  end_chain, end_finset, finset_colimit,
                                  finset_limit, fubini_check, hom_bifunctor,
@@ -289,6 +290,34 @@ def test_co_yoneda_fixed_examples():
     G2 = FinSetDiagram(C, ((), ()), {m: {} for m in C.morphisms()})
     rep2 = co_yoneda_check(G2, identity_functor(C), 0)
     assert rep2.passed and rep2.end_size == 0
+
+
+def test_bifunctor_base_is_built_once_per_category(monkeypatch):
+    calls = []
+    build = fincat.product
+    monkeypatch.setattr(fincat, "product",
+                        lambda C, D: calls.append(D) or build(C, D))
+    C, F, G = random_finset_pair(random.Random(5), cap=3000)
+    H1, H2 = hom_bifunctor(F, G), hom_bifunctor(G, F)
+    assert calls == [C] and H1.base is H2.base is C.bifunctor_base
+    assert C.bifunctor_base.product_of == (opposite(C), C)
+    assert hom_set_bifunctor(C).base is C.bifunctor_base
+    D = bifunctor_diagram(C, lambda x, y: single(0),
+                          lambda m1, m2: identity_map(single(0)))
+    assert D.base is C.bifunctor_base and calls == [C]
+    # the memo is no field: equality and repr ignore it
+    twin = random_finset_pair(random.Random(5), cap=3000)[0]
+    assert C == twin and repr(C) == repr(twin)
+    # Ran takes one end per target object, all over the source's base,
+    # and Lan's coend diagrams use the same base
+    from holim_engine.randgen import random_functor_between_loopfree
+    rng = random.Random(68)
+    for _ in range(6):
+        f = random_functor_between_loopfree(rng)
+        F = random_finset_diagram(rng, f.source, max_size=2)
+        calls.clear()
+        assert lan_agreement(f, F) and ran_agreement(f, F)
+        assert len(calls) == 1 and calls[0] is f.source
 
 
 # --- chain-valued ----------------------------------------------------------------

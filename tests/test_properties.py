@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holim_engine.cli as cli_mod
-from holim_engine.chaincx import (betti_numbers, homology, identity_map,
-                                  induced_homology_maps, is_quasi_iso,
-                                  zero_map)
-from holim_engine.dsl import parse
+from holim_engine.chaincx import (betti_numbers, hom_complex, homology,
+                                  identity_map, induced_homology_maps,
+                                  is_quasi_iso, zero_map)
+from holim_engine.dsl import Binding, Workspace, parse, pretty_print
+from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
 from holim_engine.exactalg import RationalMatrix, block_matrix, rank
-from holim_engine.randgen import random_chain_complex, random_chain_map
+from holim_engine.holim import cosimplicial_replacement, fat_tot
+from holim_engine.randgen import (random_chain_complex, random_chain_map,
+                                  random_cospan_diagram, random_finset_pair,
+                                  random_functor_between_loopfree)
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,3 +258,84 @@ def test_dsl_edits_of_the_corpus_raise_only_engine_errors(which, edits):
         parse(_edited(_TEXTS[which], edits))
     except EngineError:
         pass
+
+
+# --- pretty_print round trip on generated workspaces -----------------------------
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+
+
+def _spelled(C):
+    """C with labels the workspace grammar can spell: labels are
+    identifiers and an identity is `id_<object>`.  `from_poset` names an
+    arrow `a<c` and an identity by its object, and `terminal_category`
+    names its object `*`; those are renamed, the rest kept."""
+    objs = tuple(lab if _IDENT.fullmatch(lab) else f"o{x}"
+                 for x, lab in enumerate(C.obj_labels))
+    mors = tuple(f"id_{objs[C.src(m)]}" if C.is_identity(m) else
+                 lab if _IDENT.fullmatch(lab) else f"m{m}"
+                 for m, lab in enumerate(C.mor_labels))
+    return replace(C, obj_labels=objs, mor_labels=mors)
+
+
+def _random_workspace(rng):
+    """Categories, FinSet diagrams, complexes, a chain diagram and a
+    functor, all from randgen, bound as the parser would bind them."""
+    ws = Workspace()
+    C, F, G = random_finset_pair(rng, cap=3000)
+    C = _spelled(C)
+    ws.add(Binding("C", "category", C))
+    for name, X in (("F", F), ("G", G)):
+        ws.add(Binding(name, "diagram_finset",
+                       FinSetDiagram(C, X.values, X.actions),
+                       meta={"base_expr": "C"}))
+    D = random_cospan_diagram(rng, max_dim=2, max_width=3)
+    S = _spelled(D.base)
+    ws.add(Binding("S", "category", S))
+    refs = {}
+    for name, x in zip(("A", "B", "Z"), S.objects()):
+        ws.add(Binding(name, "complex", D.value(x)))
+        refs[S.obj_labels[x]] = name
+    ws.add(Binding("D", "diagram_ch",
+                   ChainDiagram(S, [D.value(x) for x in S.objects()],
+                                {m: D.action(m) for m in S.morphisms()}),
+                   meta={"base_expr": "S", "at_refs": refs}))
+    f = random_functor_between_loopfree(rng)
+    f = replace(f, source=_spelled(f.source), target=_spelled(f.target))
+    ws.add(Binding("Src", "category", f.source))
+    ws.add(Binding("Tgt", "category", f.target))
+    ws.add(Binding("f", "functor", f,
+                   meta={"source": "Src", "target": "Tgt"}))
+    return ws
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pretty_print_round_trips_generated_workspaces(seed):
+    printed = pretty_print(_random_workspace(random.Random(seed)))
+    assert pretty_print(parse(printed)) == printed
+
+
+# --- d o d = 0, read off the differentials ---------------------------------------
+
+def _assert_d_squared_zero(X):
+    for k in range(X.lo + 2, X.hi + 1):
+        d_k, d_below = X.d(k), X.d(k - 1)
+        assert (d_k.rows, d_below.cols) == (X.dim(k - 1), X.dim(k - 1))
+        assert (d_below * d_k).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_hom_complex_differential_squares_to_zero(seed):
+    rng = random.Random(seed)
+    A = random_chain_complex(rng, max_dim=3, max_width=3)
+    B = random_chain_complex(rng, max_dim=3, max_width=3)
+    _assert_d_squared_zero(hom_complex(A, B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fat_totalization_differential_squares_to_zero(seed):
+    D = random_cospan_diagram(random.Random(seed), max_dim=2, max_width=2)
+    _assert_d_squared_zero(fat_tot(cosimplicial_replacement(D, 3)).complex)
