@@ -13,7 +13,6 @@ surjections (everything is fibrant over Q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -22,9 +21,10 @@ from .errors import ChainRuleViolation, DSquareNonzero, ShapeMismatch, \
     TotalDSquareNonzero
 from .exactalg import (RationalMatrix, block_diag, block_matrix,
                        quotient_basis, rank, rank_kernel, solve_matrix)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainComplex:
     lo: int
     hi: int                       # lo > hi encodes the zero complex
@@ -99,7 +99,7 @@ def single(k: int = 0, dim: int = 1) -> ChainComplex:
     return make_complex({k: dim})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainMap:
     source: ChainComplex
     target: ChainComplex

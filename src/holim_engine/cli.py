@@ -12,7 +12,6 @@ import json
 import random
 import shlex
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import chaincx, dsl, endkan, fincat
@@ -22,6 +21,7 @@ from .endkan import (coend_finset, end_chain, end_finset, finset_colimit,
                      ran, ran_agreement, co_yoneda_check, hom_bifunctor)
 from .errors import EngineError, TypeMismatch, UnknownBinding
 from .fincat import comma_over, find_terminal, is_direct, opposite
+from .records import record
 
 # `holim`, `ssets` and `randgen` are imported inside the handlers and
 # verify suites that call them, so that a command loads only the engine
@@ -32,7 +32,7 @@ USAGE_COMMANDS = ("end", "coend", "lim", "colim", "lan", "ran", "nerve",
                   "compare-holim", "verify")
 
 
-@dataclass
+@record
 class Report:
     command: str
     human: str

@@ -43,7 +43,6 @@ are auto-named `g.f`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -56,9 +55,10 @@ from .errors import (DiagramError, EngineError, ParseError, ShapeMismatch,
 from .exactalg import RationalMatrix
 from .fincat import (FinCategory, FunctorData, category_from_presentation,
                      opposite, product, validate_category, validate_functor)
+from .records import field, record
 
 
-@dataclass
+@record
 class Binding:
     name: str
     kind: str        # category | complex | diagram_ch | diagram_finset | functor
@@ -66,7 +66,7 @@ class Binding:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
+@record
 class Workspace:
     bindings: dict[str, Binding] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
@@ -107,7 +107,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str
     text: str

@@ -23,7 +23,6 @@ its factors by the interchange law.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .chaincx import (ChainComplex, ChainMap, compose_maps, direct_sum,
@@ -33,11 +32,12 @@ from .exactalg import RationalMatrix, block_diag, block_matrix, rank_kernel
 from .fincat import (Comma, FinCategory, FunctorData, UnionFind, comma_from,
                      comma_under_functor, generating_morphisms, opposite,
                      product, product_mor, product_obj)
+from .records import record
 
 
 # --- finite-set diagrams ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinSetDiagram:
     base: FinCategory
     values: tuple[tuple, ...]
@@ -95,7 +95,7 @@ def representable_finset_diagram(C: FinCategory, o: int) -> FinSetDiagram:
     return FinSetDiagram(C, values, actions)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LimitResult:
     elements: tuple[tuple, ...]   # tuples indexed by object order
 
@@ -103,7 +103,7 @@ class LimitResult:
         return element[obj]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ColimitResult:
     classes: tuple[tuple, ...]    # each class: (obj, elem) in item order
     injections: Mapping[tuple, int]
@@ -183,7 +183,9 @@ def _split_product_base(P: FinCategory) -> FinCategory:
     if P.product_of is None:
         raise DiagramError("end requires a diagram over a product category")
     left, right = P.product_of
-    if opposite(right) != left:
+    # the cached `right.bifunctor_base` is that product by construction;
+    # any other base is compared with a fresh opposite
+    if vars(right).get("bifunctor_base") is not P and opposite(right) != left:
         raise DiagramError(
             "end requires the base product(opposite(G), G)")
     return right
@@ -287,7 +289,7 @@ def nat_trans_bruteforce(F: FinSetDiagram, G: FinSetDiagram) -> tuple[tuple, ...
 
 # --- Kan extensions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KanExtension:
     diagram: FinSetDiagram
     commas: tuple[Comma, ...]
@@ -431,7 +433,7 @@ def ran_via_end(f: FunctorData, F: FinSetDiagram) -> KanExtension:
                         tuple(ends))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoYonedaReport:
     passed: bool
     end_size: int
@@ -517,7 +519,7 @@ def validate_chain_diagram(D: ChainDiagram) -> ChainDiagram:
     return D
 
 
-@dataclass
+@record
 class ChainDiagramMap:
     """A natural transformation of chain diagrams."""
     source: ChainDiagram
@@ -543,7 +545,7 @@ def validate_chain_diagram_map(a: ChainDiagramMap) -> ChainDiagramMap:
 
 # --- chain ends ---------------------------------------------------------------
 
-@dataclass
+@record
 class EndChain:
     complex: ChainComplex
     inclusion: ChainMap            # into the sum of diagonal values
@@ -719,7 +721,7 @@ def ran_agreement(f: FunctorData, F: FinSetDiagram) -> bool:
 
 # --- Fubini ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FubiniReport:
     dims_joint: dict
     dims_first_inner: dict

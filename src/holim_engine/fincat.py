@@ -8,15 +8,15 @@ tgt(f) = src(g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 from .errors import (AssociativityViolation, CompositionDomainError,
                      FunctorError, IdentityViolation, UnknownObject)
+from .records import field, record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinCategory:
     n_objects: int
     obj_labels: tuple[str, ...]
@@ -81,7 +81,7 @@ class FinCategory:
         return product(opposite(self), self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctorData:
     source: FinCategory
     target: FinCategory
@@ -96,7 +96,7 @@ class FunctorData:
         return self.morphism_map[m]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DegreeFunction:
     assignment: tuple[int, ...]
 
@@ -104,7 +104,7 @@ class DegreeFunction:
         return self.assignment[x]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Comma:
     """A comma category together with its projection functor.
 

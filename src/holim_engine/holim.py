@@ -22,7 +22,6 @@ never as quasi-isomorphic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
@@ -42,13 +41,14 @@ from .exactalg import RationalMatrix, block_matrix, rank
 from .fincat import (FinCategory, FunctorData, comma_under_functor,
                      cospan_category, identities_terminal_in_slices,
                      is_direct, validate_category)
+from .records import record
 from .ssets import (SSetMap, Weight, _levelwise_free, _nerve_of_commas,
                     boundary, chains_of_map, check_point_resolution,
                     homology_contractible, nerve, normalized_chains,
                     standard_simplex)
 
 
-@dataclass
+@record
 class HolimResult:
     complex: ChainComplex
     betti: dict[int, int]
@@ -120,7 +120,7 @@ def matching_object(frame: SimplicialFrame, n: int):
     return M, mmap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReedyReport:
     per_level: tuple[bool, ...]
     passed: bool
@@ -351,7 +351,7 @@ def mapping_path_complex(p: ChainMap, q: ChainMap) -> ChainComplex:
     return chaincx.make_complex(dims, diff)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PullbackReport:
     betti_bk: dict[int, int]
     betti_oracle: dict[int, int]
@@ -514,7 +514,7 @@ def cosimplicial_replacement(F: ChainDiagram, N: int) -> ChainDiagram:
     return cosimplicial_from_cofaces(levels, cofaces)
 
 
-@dataclass
+@record
 class FatTotResult(HolimResult):
     truncation: int = 0
     stable_from: int = 0
@@ -565,7 +565,7 @@ def fat_tot(X: ChainDiagram) -> FatTotResult:
 
 # --- homotopy-initial functors -----------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialReport:
     per_object: tuple[bool, ...]
     passed: bool
@@ -586,7 +586,7 @@ def check_homotopy_initial(f: FunctorData) -> InitialReport:
     return InitialReport(tuple(verdicts), all(verdicts))
 
 
-@dataclass
+@record
 class ChangeOfDiagramsReport:
     dims_over_source: dict[int, int]
     dims_over_target: dict[int, int]
@@ -657,7 +657,7 @@ def _change_of_diagrams(f: FunctorData, F: ChainDiagram,
         len(match) == len(basis) == len(gens))
 
 
-@dataclass
+@record
 class ComparisonReport:
     quasi_iso: bool
     change_of_diagrams_ok: bool
@@ -690,7 +690,7 @@ def comparison_map(f: FunctorData, F: ChainDiagram):
 
 # --- homotopy invariance -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvarianceReport:
     quasi_iso: bool
     betti_source: dict[int, int]

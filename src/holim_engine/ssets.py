@@ -13,7 +13,6 @@ at the i-th object.  On 1-cells this gives d(f) = tgt(f) - src(f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Optional
@@ -24,9 +23,10 @@ from .errors import EmptyComplex, NotLoopFree, SimplicialError
 from .exactalg import RationalMatrix, block_matrix
 from .fincat import (Comma, FinCategory, FunctorData, comma_over,
                      comma_under_functor, find_initial, is_direct)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemiSimplicialSet:
     cells: tuple[tuple, ...]                 # cells[n] = ordered n-cells
     faces: Mapping[tuple[int, object], tuple]  # (n, cell) -> (d_0, ..., d_n)
@@ -97,7 +97,7 @@ def validate_sset(K: SemiSimplicialSet) -> SemiSimplicialSet:
     return K
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SSetMap:
     source: SemiSimplicialSet
     target: SemiSimplicialSet
@@ -216,7 +216,7 @@ def nerve(C: FinCategory) -> SemiSimplicialSet:
     return SemiSimplicialSet(tuple(cells), faces)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Weight:
     """A diagram of semisimplicial sets over a finite category, used as
     the exponent of the Bousfield-Kan end."""
@@ -384,7 +384,7 @@ def euler_characteristic(K: SemiSimplicialSet) -> int:
 
 # --- point-resolution checking -------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointResolutionReport:
     per_object: tuple[bool, ...]
     whitelisted: bool

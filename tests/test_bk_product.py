@@ -4,7 +4,7 @@ compute, against the equalizer end of their free weights (the
 oracle)."""
 
 import random
-from dataclasses import replace
+from holim_engine.records import replace
 from fractions import Fraction
 from pathlib import Path
 

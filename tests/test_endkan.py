@@ -17,6 +17,7 @@ from holim_engine.endkan import (ChainDiagram, FinSetDiagram,
                                  representable_finset_diagram, restrict,
                                  validate_chain_diagram,
                                  validate_finset_diagram)
+from holim_engine.errors import DiagramError
 from holim_engine.exactalg import RationalMatrix
 from holim_engine.fincat import (arrow_category, chain_poset,
                                  cospan_category, discrete_category,
@@ -318,6 +319,32 @@ def test_bifunctor_base_is_built_once_per_category(monkeypatch):
         calls.clear()
         assert lan_agreement(f, F) and ran_agreement(f, F)
         assert len(calls) == 1 and calls[0] is f.source
+
+
+def test_end_over_the_cached_hom_base_builds_no_opposite(monkeypatch):
+    C, F, G = random_finset_pair(random.Random(5), cap=3000)
+    H = hom_bifunctor(F, G)
+    calls = []
+    build = fincat.opposite
+    for mod in (endkan, fincat):
+        monkeypatch.setattr(mod, "opposite",
+                            lambda D: calls.append(D) or build(D))
+    end, coend = end_finset(H), coend_finset(H)
+    assert calls == []
+    # an equal base built afresh is still checked against opposite(G)
+    twin = FinSetDiagram(product(build(C), C), H.values, H.actions)
+    assert twin.base == H.base and twin.base is not H.base
+    assert end_finset(twin) == end and coend_finset(twin) == coend
+    assert calls == [C, C]
+
+
+def test_end_rejects_a_base_that_is_not_opposite_times_itself():
+    A = arrow_category()
+    for P in (A, product(A, A), product(opposite(A), chain_poset(2))):
+        H = constant_finset_diagram(P, ("z",))
+        for take in (end_finset, coend_finset):
+            with pytest.raises(DiagramError):
+                take(H)
 
 
 # --- chain-valued ----------------------------------------------------------------

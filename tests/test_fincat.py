@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields, replace
+from holim_engine.records import fields, replace
 
 import pytest
 

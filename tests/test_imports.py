@@ -2,8 +2,9 @@
 
 `import holim_engine` loads no submodule; each exported name is
 imported from its submodule on first access, and a CLI command loads
-only the engine modules it runs.  Every case runs in a fresh
-interpreter, since `sys.modules` is shared by all tests in this one.
+only the engine modules it runs, and neither `dataclasses` nor
+`inspect`.  Every case runs in a fresh interpreter, since
+`sys.modules` is shared by all tests in this one.
 """
 
 import json
@@ -22,7 +23,7 @@ SRC = Path(holim_engine.__file__).resolve().parents[1]
 CORPUS = SRC / "holim_engine" / "corpus"
 
 SUBMODULES = ("chaincx", "cli", "dsl", "endkan", "errors", "exactalg",
-              "fincat", "holim", "randgen", "ssets")
+              "fincat", "holim", "randgen", "records", "ssets")
 
 # every name the package exported when it imported all its submodules
 EXPORTED = {
@@ -100,18 +101,28 @@ def test_submodule_attribute_appears_only_on_import():
     ("hom_end.hle", "end H", ("holim", "ssets", "randgen")),
     ("hom_end.hle", "coend H", ("holim", "ssets", "randgen")),
     ("arrow.hle", "nerve C", ("holim", "randgen")),
+    ("cospan.hle", "holim Loop", ("randgen",)),
+    ("cospan.hle", "fattot Loop --depth 4", ("randgen",)),
+    ("arrow.hle", "verify all", ()),
 ])
 def test_cli_command_loads_only_what_it_runs(fname, cmd, absent):
+    # a command's own flags follow its first " --"
+    name, _, flags = cmd.partition(" --")
+    argv = [str(CORPUS / fname), "--cmd", name] + \
+        (("--" + flags).split() if flags else [])
     out = json.loads(_run(
         "import contextlib, io, json, sys\n"
         "from holim_engine import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main([{str(CORPUS / fname)!r}, '--cmd', {cmd!r}])\n"
-        f"print(json.dumps([code, {LOADED}]))\n"))
-    code, loaded = out
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED},\n"
+        "                  [m for m in ('dataclasses', 'inspect')\n"
+        "                   if m in sys.modules]]))\n"))
+    code, loaded, stdlib = out
     assert code == 0
     assert not set(absent) & set(loaded), loaded
     assert {"cli", "dsl", "endkan", "fincat"} <= set(loaded)
+    assert stdlib == []
 
 
 def test_every_exported_name_resolves_to_its_submodule_object():

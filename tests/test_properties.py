@@ -2,7 +2,7 @@
 
 import random
 import re
-from dataclasses import replace
+from holim_engine.records import replace
 from fractions import Fraction
 from pathlib import Path
 

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from holim_engine.records import replace
 from itertools import product
 from math import comb
 
