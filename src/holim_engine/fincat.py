@@ -238,11 +238,6 @@ def product_mor(P: FinCategory, f: int, g: int) -> int:
     return f * P.product_of[1].n_morphisms + g
 
 
-def product_mor_parts(P: FinCategory, m: int) -> tuple[int, int]:
-    nm = P.product_of[1].n_morphisms
-    return divmod(m, nm)
-
-
 def _comma_from_records(C_amb: FinCategory, object_keys: list,
                         obj_labels: list[str], records: list[tuple[int, int, int]],
                         proj_obj: list[int],
@@ -628,12 +623,3 @@ def object_inclusion(C: FinCategory, x: int) -> FunctorData:
     C.require_object(x)
     return validate_functor(FunctorData(
         terminal_category(), C, (x,), (C.identity[x],)))
-
-
-def compose_functors(g: FunctorData, f: FunctorData) -> FunctorData:
-    if f.target is not g.source and f.target != g.source:
-        raise FunctorError("functors not composable")
-    return FunctorData(f.source, g.target,
-                       tuple(g.object_map[x] for x in f.object_map),
-                       tuple(g.morphism_map[m] for m in f.morphism_map),
-                       validated=True)

@@ -12,7 +12,11 @@ along the chains (`_chain_product_map`).  `bk_holim`,
 `holim_we_invariance`, `comparison_map` and `change_of_diagrams_iso`
 all take their ends this way.  With the truncated injective-simplex
 weight [n] |-> Delta^n the end is the fat totalization, which `fat_tot`
-computes as the double complex of the levels.  The equalizer end
+computes as the double complex of the levels.  Its input X is a
+`Cosimplicial`: the levels X^0, ..., X^N and the cofaces, checked
+against the coface identities that present the truncated category.
+The category itself (`delta_plus_category`) is built only for the
+oracle's view of X as a diagram over it.  The equalizer end
 (`weighted_end`) is kept as the independent oracle for these products.
 
 Quasi-isomorphism is only ever asserted along an explicitly constructed
@@ -22,7 +26,7 @@ never as quasi-isomorphic.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
@@ -369,7 +373,7 @@ def homotopy_pullback(p: ChainMap, q: ChainMap):
     return res, rep
 
 
-# --- truncated injective-simplex category and fat totalization ---------------------
+# --- cosimplicial objects and fat totalization -----------------------------------
 
 @lru_cache(maxsize=None)
 def _delta_plus_records(N: int) -> tuple[tuple[int, int, tuple], ...]:
@@ -384,7 +388,9 @@ def _delta_plus_records(N: int) -> tuple[tuple[int, int, tuple], ...]:
 @lru_cache(maxsize=None)
 def delta_plus_category(N: int) -> FinCategory:
     """Injective monotone maps between [0], ..., [N]; a morphism is
-    interned by its image vertex tuple."""
+    interned by its image vertex tuple.  Its table grows about 4x per
+    level, so only the oracle's view of a `Cosimplicial` as a diagram
+    (`Cosimplicial.base`) builds it; `fat_tot` does not."""
     objs = [f"[{n}]" for n in range(N + 1)]
     records = _delta_plus_records(N)
     index = {r: i for i, r in enumerate(records)}
@@ -409,12 +415,58 @@ def delta_plus_vertices(C: FinCategory, m: int) -> tuple[int, ...]:
     return _delta_plus_records(C.n_objects - 1)[m][2]
 
 
+@record(frozen=True)
+class Cosimplicial:
+    """A cosimplicial complex truncated at N = len(levels) - 1: the
+    levels X^0, ..., X^N and the cofaces cofaces[(n, i)] : X^{n-1} -> X^n
+    for 0 <= i <= n.  The truncated injective-simplex category is
+    presented by the cofaces subject to d^j d^i = d^i d^{j-1} for i < j,
+    so these data are the whole functor; build one with
+    `cosimplicial_from_cofaces`, which checks them.  `base`, `value` and
+    `action` view it as a diagram over delta_plus_category(N)."""
+    levels: tuple[ChainComplex, ...]
+    cofaces: dict[tuple[int, int], ChainMap]
+
+    @cached_property
+    def base(self) -> FinCategory:
+        return delta_plus_category(len(self.levels) - 1)
+
+    def value(self, n: int) -> ChainComplex:
+        return self.levels[n]
+
+    def action(self, m: int) -> ChainMap:
+        """The composite of cofaces along the morphism m of `base`."""
+        C = self.base
+        a, b = C.src(m), C.tgt(m)
+        if a == b:
+            return identity_map(self.levels[a])
+        t = delta_plus_vertices(C, m)
+        missing = sorted(set(range(b + 1)) - set(t))
+        # delta^{i_1} o ... o delta^{i_r} with i_1 > ... > i_r
+        out = self.cofaces[(a + 1, missing[0])]
+        for n, i in enumerate(missing[1:], a + 2):
+            out = compose_maps(self.cofaces[(n, i)], out)
+        return out
+
+
 def cosimplicial_from_cofaces(levels: Sequence[ChainComplex],
                               cofaces: Mapping[tuple[int, int], ChainMap]) \
-        -> ChainDiagram:
-    """Build the diagram over delta_plus_category from coface maps
-    cofaces[(n, i)] : X^{n-1} -> X^n, verifying the coface identities."""
+        -> Cosimplicial:
+    """The cosimplicial complex with the given levels and cofaces, after
+    checking that every coface is present, maps X^{n-1} to X^n and
+    satisfies the coface identities."""
     N = len(levels) - 1
+    if N < 0:
+        raise DiagramError("a cosimplicial complex needs level 0")
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            f = cofaces.get((n, i))
+            if f is None:
+                raise DiagramError(f"coface ({n}, {i}) is missing")
+            if f.source != levels[n - 1] or f.target != levels[n]:
+                raise DiagramError(
+                    f"coface ({n}, {i}) does not map level {n - 1} "
+                    f"to level {n}")
     for n in range(1, N):
         for j in range(n + 2):
             for i in range(j):
@@ -424,61 +476,34 @@ def cosimplicial_from_cofaces(levels: Sequence[ChainComplex],
                     if lhs.component(k) != rhs.component(k):
                         raise DiagramError(
                             f"coface identity fails at (n={n}, i={i}, j={j})")
-    C = delta_plus_category(N)
-
-    def action(m):
-        a, b = C.src(m), C.tgt(m)
-        if a == b:
-            return identity_map(levels[a])
-        t = delta_plus_vertices(C, m)
-        missing = sorted(set(range(b + 1)) - set(t), reverse=True)
-        # delta^{i_1} o ... o delta^{i_r} with i_1 > ... > i_r
-        out = None
-        dim = a
-        for i in reversed(missing):
-            step = cofaces[(dim + 1, i)]
-            out = step if out is None else compose_maps(step, out)
-            dim += 1
-        return out
-
-    return ChainDiagram(C, list(levels), action)
+    return Cosimplicial(tuple(levels), dict(cofaces))
 
 
-def constant_cosimplicial(c: ChainComplex, N: int) -> ChainDiagram:
+def constant_cosimplicial(c: ChainComplex, N: int) -> Cosimplicial:
     ident = identity_map(c)
     return cosimplicial_from_cofaces(
         [c] * (N + 1), {(n, i): ident for n in range(1, N + 1)
                         for i in range(n + 1)})
 
 
-def cosimplicial_replacement(F: ChainDiagram, N: int) -> ChainDiagram:
+def cosimplicial_replacement(F: ChainDiagram, N: int) -> Cosimplicial:
     """X^n = product over chains [n] -> G (identities allowed) of the
     value at the last object, with the usual cofaces."""
     G = F.base
-    chains: list[list[tuple]] = [[(x,) for x in G.objects()]]
-    for n in range(1, N + 1):
-        nxt = []
-        for c in chains[-1]:
-            last = c[0] if n == 1 else G.tgt(c[-1])
-            if n == 1:
-                for m in G.morphisms():
-                    if G.src(m) == c[0]:
-                        nxt.append((c[0], m))
-            else:
-                for m in G.morphisms():
-                    if G.src(m) == last:
-                        nxt.append(c + (m,))
-        chains.append(nxt)
 
     def last_obj(c):
         return c[0] if len(c) == 1 else G.tgt(c[-1])
+
+    # a chain [n] -> G is (x_0, m_1, ..., m_n)
+    chains: list[list[tuple]] = [[(x,) for x in G.objects()]]
+    for n in range(1, N + 1):
+        chains.append([c + (m,) for c in chains[-1] for m in G.morphisms()
+                       if G.src(m) == last_obj(c)])
 
     def face_chain(c, i):
         """c o delta^i for a chain of length n >= 1."""
         n = len(c) - 1
         if i == 0:
-            if n == 1:
-                return (G.tgt(c[1]),)
             return (G.tgt(c[1]),) + c[2:]
         if i == n:
             return c[:-1]
@@ -525,7 +550,7 @@ class FatTotResult(HolimResult):
         return self.betti.get(k, 0)
 
 
-def fat_tot(X: ChainDiagram) -> FatTotResult:
+def fat_tot(X: Cosimplicial) -> FatTotResult:
     """Fat totalization: the end over the truncated injective-simplex
     category of power(Delta^n, X^n).  The weight n |-> Delta^n is free
     on the top cells, so the end is the double complex with columns
@@ -534,16 +559,10 @@ def fat_tot(X: ChainDiagram) -> FatTotResult:
 
     Homology is final in degrees >= max_n hi(X^n) - N + 1: level n only
     reaches total degree k when lo(X^n) - n <= k <= hi(X^n) - n."""
-    C = X.base
-    N = C.n_objects - 1
-    if C != delta_plus_category(N):
-        raise ShapeMismatch(
-            "fat_tot expects a diagram over delta_plus_category(N)")
-    columns = [X.value(n) for n in range(N + 1)]
-    index = {r: m for m, r in enumerate(_delta_plus_records(N))}
-    cofaces = {(n, i): X.action(index[(n - 1, n, tuple(
-                   v for v in range(n + 1) if v != i))])
-               for n in range(1, N + 1) for i in range(n + 1)}
+    if not isinstance(X, Cosimplicial):
+        raise ShapeMismatch("fat_tot expects a Cosimplicial complex")
+    columns, cofaces = X.levels, X.cofaces
+    N = len(columns) - 1
 
     def horizontal(n, q):
         # product_total asks only for n < N

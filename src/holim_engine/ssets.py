@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
@@ -62,14 +62,6 @@ class SemiSimplicialSet:
 
 
 EMPTY_SSET = SemiSimplicialSet((), {})
-
-
-def make_sset(cells, faces) -> SemiSimplicialSet:
-    cells = tuple(tuple(cs) for cs in cells)
-    while cells and not cells[-1]:
-        cells = cells[:-1]
-    K = SemiSimplicialSet(cells, dict(faces))
-    return validate_sset(K)
 
 
 def validate_sset(K: SemiSimplicialSet) -> SemiSimplicialSet:
@@ -169,14 +161,6 @@ def boundary(n: int) -> tuple[SemiSimplicialSet, SSetMap]:
 
 def point() -> SemiSimplicialSet:
     return standard_simplex(0)
-
-
-def sset_point_map(K: SemiSimplicialSet) -> Optional[SSetMap]:
-    """The collapse K -> Delta^0 exists as a cell map only when K has no
-    higher cells; the chain-level collapse is `augmentation`."""
-    if K.top_dim <= 0:
-        return SSetMap(K, point(), {(0, c): (0,) for c in K.n_cells(0)})
-    return None
 
 
 # --- nerves -------------------------------------------------------------------

@@ -1,17 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from holim_engine import chaincx, holim
-from holim_engine.chaincx import (ZERO_COMPLEX, betti_numbers, hom_precompose,
-                                  identity_map, is_quasi_iso, make_chain_map,
-                                  make_complex, single, zero_map)
+from holim_engine.chaincx import (ZERO_COMPLEX, betti_numbers, direct_sum,
+                                  hom_precompose, identity_map, is_quasi_iso,
+                                  make_chain_map, make_complex, single,
+                                  zero_map)
 from holim_engine.endkan import (ChainDiagram, ChainDiagramMap,
                                  end_induced_map, restrict)
-from holim_engine.errors import (DepthExceeded, NotComponentwiseWE,
-                                 NotLoopFree, TruncationTooShallow,
-                                 WeightRejected)
+from holim_engine.errors import (DepthExceeded, DiagramError,
+                                 NotComponentwiseWE, NotLoopFree,
+                                 TruncationTooShallow, WeightRejected)
 from holim_engine.exactalg import RationalMatrix
 from holim_engine.fincat import (arrow_category, chain_poset,
                                  cospan_category, identity_functor,
@@ -288,6 +293,77 @@ def test_cosimplicial_replacement_levels_for_cospan():
     assert X.value(0).dim(0) == 3
     assert X.value(1).dim(0) == 5
     assert X.value(2).dim(0) == 7
+
+
+def test_cosimplicial_from_cofaces_rejects_a_missing_coface():
+    c = single(0)
+    cofaces = {(n, i): identity_map(c) for n in (1, 2) for i in range(n + 1)}
+    del cofaces[(1, 1)]
+    with pytest.raises(DiagramError, match=r"coface \(1, 1\) is missing"):
+        cosimplicial_from_cofaces([c] * 3, cofaces)
+    with pytest.raises(DiagramError, match="needs level 0"):
+        cosimplicial_from_cofaces([], {})
+
+
+def test_cosimplicial_from_cofaces_rejects_a_misshapen_coface():
+    # at N = 1 there is no coface identity to check; the shapes still are
+    c = single(0)
+    cc, _, _ = direct_sum([c, c])
+    with pytest.raises(DiagramError,
+                       match=r"coface \(1, 0\) does not map level 0 to "
+                             r"level 1"):
+        cosimplicial_from_cofaces([c, cc], {(1, 0): identity_map(c),
+                                            (1, 1): zero_map(c, cc)})
+
+
+def test_cosimplicial_from_cofaces_rejects_a_broken_coface_identity():
+    c = single(0)
+    cofaces = {(n, i): identity_map(c) for n in (1, 2) for i in range(n + 1)}
+    cofaces[(2, 0)] = make_chain_map(c, c, {0: M([[2]])})
+    # d^1 d^0 = id but d^0 d^0 = 2
+    with pytest.raises(DiagramError,
+                       match=r"coface identity fails at \(n=1, i=0, j=1\)"):
+        cosimplicial_from_cofaces([c] * 3, cofaces)
+    X = cosimplicial_from_cofaces([c] * 3, {
+        (n, i): identity_map(c) for n in (1, 2) for i in range(n + 1)})
+    assert X == constant_cosimplicial(c, 2)
+
+
+def test_fat_tot_builds_no_delta_plus_category():
+    """In a fresh interpreter, since the category is cached per process:
+    neither the CLI `fattot` nor the library `fat_tot` builds the
+    truncated injective-simplex category, and a diagram that is not a
+    `Cosimplicial` is refused."""
+    src = Path(holim.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, os\n"
+        "from holim_engine import cli, dsl, holim\n"
+        "from holim_engine.errors import ShapeMismatch\n"
+        "def built():\n"
+        "    return holim.delta_plus_category.cache_info().currsize\n"
+        "corpus = os.path.join(os.path.dirname(holim.__file__), 'corpus',\n"
+        "                      'cospan.hle')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main([corpus, '--cmd', 'fattot Loop', '--depth', '4',\n"
+        "                     '--json']) == 0\n"
+        "assert built() == 0, 'cli'\n"
+        "with open(corpus, encoding='utf-8') as fh:\n"
+        "    D = dsl.parse(fh.read()).get('Glue', 'diagram_ch').value\n"
+        "holim.fat_tot(holim.cosimplicial_replacement(D, 10))\n"
+        "assert built() == 0, 'library'\n"
+        "try:\n"
+        "    holim.fat_tot(D)\n"
+        "except ShapeMismatch:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a ChainDiagram was accepted')\n"
+        "assert built() == 0, 'refusal'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 # --- homotopy-initial functors --------------------------------------------------------
