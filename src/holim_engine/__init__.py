@@ -12,7 +12,8 @@ The main entry points:
     chaincx   -- chain complexes, hom complexes, powering
     ssets     -- semisimplicial sets, nerves, weights
     endkan    -- (co)limits, (co)ends, Kan extensions
-    holim     -- frames, bk_holim, fat_tot, comparison maps
+    holim     -- bk_holim, fat_tot, comparison maps
+    oracle    -- checks no command runs: frames, Fubini, invariance
     dsl, cli  -- the workspace text format and `holim-engine`
 
 Importing the package loads no submodule: each name below is imported
@@ -27,24 +28,23 @@ from importlib import import_module
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "chaincx": ("ChainComplex", "ChainMap", "betti_numbers",
-                "equalizer_kernel", "hom_complex", "homology",
-                "is_quasi_iso", "make_chain_map", "make_complex", "power",
-                "product_total"),
+    "chaincx": ("ChainComplex", "ChainMap", "betti_numbers", "hom_complex",
+                "homology", "is_quasi_iso", "make_chain_map", "make_complex",
+                "power", "product_total"),
     "endkan": ("ChainDiagram", "FinSetDiagram", "coend_finset",
                "co_yoneda_check", "end_chain", "end_finset",
-               "finset_colimit", "finset_limit", "fubini_check", "lan",
-               "lan_via_coend", "nat_trans_bruteforce", "ran", "ran_via_end",
-               "restrict"),
+               "finset_colimit", "finset_limit", "lan", "lan_via_coend",
+               "nat_trans_bruteforce", "ran", "ran_via_end", "restrict"),
     "exactalg": ("RationalMatrix", "quotient_basis", "rank_kernel", "solve"),
     "fincat": ("DegreeFunction", "FinCategory", "FunctorData", "comma_over",
                "comma_under_functor", "is_direct", "opposite", "product",
                "validate_category", "validate_functor"),
-    "holim": ("SimplicialFrame", "bk_holim", "change_of_diagrams_iso",
-              "check_homotopy_initial", "check_reedy_fibrant",
-              "comparison_map", "fat_tot", "fibrant_frame",
-              "holim_we_invariance", "homotopy_pullback", "matching_object"),
-    "ssets": ("SemiSimplicialSet", "SSetMap", "Weight", "boundary",
+    "holim": ("bk_holim", "change_of_diagrams_iso", "check_homotopy_initial",
+              "comparison_map", "fat_tot", "homotopy_pullback"),
+    "oracle": ("SimplicialFrame", "boundary", "check_reedy_fibrant",
+               "equalizer_kernel", "fibrant_frame", "fubini_check",
+               "holim_we_invariance", "matching_object"),
+    "ssets": ("SemiSimplicialSet", "SSetMap", "Weight",
               "check_point_resolution", "homology_contractible", "nerve",
               "nerve_of_comma_under", "nerve_weight", "normalized_chains",
               "standard_simplex"),

@@ -441,7 +441,7 @@ def power_map_sset(m, c: ChainComplex, check: bool = False) -> ChainMap:
     return hom_precompose(chains_of_map(m), c, check=check)
 
 
-# --- totalization and equalizers ---------------------------------------------
+# --- totalization and subcomplexes -------------------------------------------
 
 def product_total(columns: Sequence[ChainComplex], horizontal) -> ChainComplex:
     """Total complex of finitely many columns with horizontal maps.
@@ -529,15 +529,3 @@ def subcomplex_from_kernels(C: ChainComplex,
     E = make_complex(dims, diff)
     incl = make_chain_map(E, C, {k: kernels[k] for k in dims}, check=False)
     return E, incl
-
-
-def equalizer_kernel(f: ChainMap, g: ChainMap):
-    """Degreewise kernel of f - g with the restricted differential."""
-    h = map_sub(f, g)
-    kernels = {}
-    for k in h.source.degrees():
-        if not h.source.dim(k):
-            continue
-        _, basis = rank_kernel(h.component(k))
-        kernels[k] = RationalMatrix.from_columns(basis, h.source.dim(k))
-    return subcomplex_from_kernels(h.source, kernels)

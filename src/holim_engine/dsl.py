@@ -31,8 +31,10 @@ newlines or `;`:
 
 Entries `on`/`=>` are needed on generating morphisms only; composites
 are derived through the composition table and the result is fully
-validated.  Base expressions allow `op(NAME)` and `*`-products.
-Both ASCII `-` and U+2212 are accepted as minus; output is ASCII.
+validated.  Base expressions allow `op(NAME)` and `*`-products.  A
+label that is not an identifier or a pair `(a,b)` is a JSON string, as
+in `"a<b"`.  Both ASCII `-` and U+2212 are accepted as minus; output is
+ASCII.
 
 The parser compiles arrow presentations by enumerating all generator
 paths (the graph must be loop-free unless `compose:` gives the table)
@@ -42,6 +44,7 @@ are auto-named `g.f`.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from typing import Optional
@@ -103,6 +106,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<arrow>->)
   | (?P<fatarrow>=>)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<quoted>"(?:[^"\\\n]|\\.)*")
   | (?P<punct>[{}\[\]():;,=*])
 """, re.VERBOSE)
 
@@ -163,11 +167,6 @@ class _Parser:
                              t.line, t.col)
         return t
 
-    def at_statement_end(self) -> bool:
-        t = self.toks[self.pos] if self.pos < len(self.toks) else None
-        return t is None or t.kind in ("newline", "eof") or \
-            (t.kind == "punct" and t.text in (";", "}"))
-
     def skip_statement_seps(self):
         while True:
             t = self.toks[self.pos]
@@ -176,12 +175,42 @@ class _Parser:
             else:
                 return
 
-    def parse_label(self) -> str:
-        """An object/morphism label: IDENT or a tuple (l1,l2)."""
+    def entry(self) -> Optional[Token]:
+        """The first token of the next entry of a `{ ... }` body, or None
+        once its closing brace is consumed."""
+        self.skip_statement_seps()
         t = self.peek()
-        if t.kind == "ident":
+        if t.kind == "punct" and t.text == "}":
             self.next()
-            return t.text
+            return None
+        return t
+
+    def comma_list(self, item) -> list:
+        """One or more items, each read by `item()`, separated by commas."""
+        items = [item()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item())
+        return items
+
+    def parse_name(self) -> str:
+        """An arrow name in a category body: IDENT or a quoted label."""
+        t = self.peek()
+        if t.kind != "quoted":
+            return self.expect("ident").text
+        self.next()
+        try:
+            return json.loads(t.text)
+        except ValueError:
+            raise ParseError(f"bad quoted label {t.text}", t.line, t.col) \
+                from None
+
+    def parse_label(self) -> str:
+        """An object/morphism label: IDENT, a quoted label or a tuple
+        (l1,l2)."""
+        t = self.peek()
+        if t.kind in ("ident", "quoted"):
+            return self.parse_name()
         if t.kind == "punct" and t.text == "(":
             self.next()
             a = self.parse_label()
@@ -277,78 +306,54 @@ def _parse_category(p: _Parser, ws: Workspace):
     arrows: list[tuple[str, str, str]] = []   # label, src, tgt
     relations: list[tuple[str, str]] = []
     compose_entries: list[tuple[str, str, str]] = []
-    while True:
-        p.skip_statement_seps()
-        t = p.peek()
-        if t.kind == "punct" and t.text == "}":
-            p.next()
-            break
+
+    def arrow():
+        lab = p.parse_name()
+        p.expect("punct", ":")
+        src = p.parse_label()
+        p.expect("arrow")
+        return lab, src, p.parse_label()
+
+    def relation():
+        lhs = p.expect("ident").text
+        p.expect("punct", "=")
+        return lhs, p.expect("ident").text
+
+    def compose_entry():
+        g = p.parse_name()
+        p.expect("punct", "*")
+        f = p.parse_name()
+        p.expect("punct", "=")
+        return g, f, p.parse_name()
+
+    fields = {"objects": (objects, p.parse_label), "arrows": (arrows, arrow),
+              "relations": (relations, relation),
+              "compose": (compose_entries, compose_entry)}
+    while (t := p.entry()) is not None:
         key = p.expect("ident").text
         p.expect("punct", ":")
-        if key == "objects":
-            while True:
-                objects.append(p.parse_label())
-                if p.peek().text == ",":
-                    p.next()
-                else:
-                    break
-        elif key == "arrows":
-            while True:
-                lab = p.expect("ident").text
-                p.expect("punct", ":")
-                src = p.parse_label()
-                p.expect("arrow")
-                tgt = p.parse_label()
-                arrows.append((lab, src, tgt))
-                if p.peek().text == ",":
-                    p.next()
-                else:
-                    break
-        elif key == "relations":
-            while True:
-                lhs = p.expect("ident").text
-                p.expect("punct", "=")
-                rhs = p.expect("ident").text
-                relations.append((lhs, rhs))
-                if p.peek().text == ",":
-                    p.next()
-                else:
-                    break
-        elif key == "compose":
-            while True:
-                g = p.expect("ident").text
-                p.expect("punct", "*")
-                f = p.expect("ident").text
-                p.expect("punct", "=")
-                h = p.expect("ident").text
-                compose_entries.append((g, f, h))
-                if p.peek().text == ",":
-                    p.next()
-                else:
-                    break
-        else:
+        if key not in fields:
             raise ParseError(f"unknown category field {key!r}",
                              t.line, t.col)
+        out, item = fields[key]
+        out += p.comma_list(item)
     if compose_entries and relations:
         raise ParseError(f"category {name!r}: give either relations "
                          f"(presentation mode) or compose (table mode)")
     try:
+        obj_index = {o: i for i, o in enumerate(objects)}
+        arr = []
+        for lab, src, tgt in arrows:
+            if src not in obj_index or tgt not in obj_index:
+                raise ParseError(f"arrow {lab!r} references an unknown object")
+            arr.append((lab, obj_index[src], obj_index[tgt]))
         if compose_entries:
-            C = _category_from_table(objects, arrows, compose_entries)
+            C = _category_from_table(objects, arr, compose_entries)
         else:
-            obj_index = {o: i for i, o in enumerate(objects)}
-            arr = []
-            for lab, src, tgt in arrows:
-                if src not in obj_index or tgt not in obj_index:
-                    raise ParseError(
-                        f"arrow {lab!r} references an unknown object")
-                arr.append((lab, obj_index[src], obj_index[tgt]))
             arrow_index = {lab: i for i, (lab, _, _) in enumerate(arr)}
-            rels = []
-            for lhs, rhs in relations:
-                rels.append((_path_of(lhs, arrow_index),
-                             _path_of(rhs, arrow_index)))
-            C = category_from_presentation(objects, arr, rels)
+            C = category_from_presentation(objects, arr, [
+                (_path_of(lhs, arrow_index), _path_of(rhs, arrow_index))
+                for lhs, rhs in relations])
     except EngineError as e:
         raise _named_error(name, e, decl_line)
     ws.add(Binding(name, "category", C, meta={"line": decl_line}))
@@ -364,17 +369,11 @@ def _path_of(text: str, arrow_index: dict[str, int]) -> tuple[int, ...]:
 
 
 def _category_from_table(objects, arrows, compose_entries) -> FinCategory:
+    """`arrows` are (label, source index, target index)."""
     n = len(objects)
-    obj_index = {o: i for i, o in enumerate(objects)}
-    labels = [f"id_{o}" for o in objects]
-    src = list(range(n))
-    tgt = list(range(n))
-    for lab, s, t in arrows:
-        if s not in obj_index or t not in obj_index:
-            raise ParseError(f"arrow {lab!r} references an unknown object")
-        labels.append(lab)
-        src.append(obj_index[s])
-        tgt.append(obj_index[t])
+    labels = [f"id_{o}" for o in objects] + [lab for lab, _, _ in arrows]
+    src = list(range(n)) + [s for _, s, _ in arrows]
+    tgt = list(range(n)) + [t for _, _, t in arrows]
     mor_index = {lab: i for i, lab in enumerate(labels)}
     if len(mor_index) != len(labels):
         raise ParseError("duplicate morphism label")
@@ -401,12 +400,7 @@ def _parse_complex(p: _Parser, ws: Workspace):
     lo = hi = None
     dims: dict[int, int] = {}
     diffs: dict[int, list[list[Fraction]]] = {}
-    while True:
-        p.skip_statement_seps()
-        t = p.peek()
-        if t.kind == "punct" and t.text == "}":
-            p.next()
-            break
+    while (t := p.entry()) is not None:
         key = p.expect("ident").text
         if key == "degrees":
             p.expect("punct", ":")
@@ -489,12 +483,19 @@ def _parse_diagram(p: _Parser, ws: Workspace):
     p.expect("punct", "{")
     at_entries: dict[str, object] = {}
     on_entries: dict[str, object] = {}
-    while True:
-        p.skip_statement_seps()
-        t = p.peek()
-        if t.kind == "punct" and t.text == "}":
-            p.next()
-            break
+
+    def deg():
+        p.expect("ident", "deg")
+        k = p.parse_int()
+        p.expect("punct", ":")
+        return k, p.parse_matrix()
+
+    def pair():
+        e1 = p.next()
+        p.expect("arrow")
+        return e1.text, p.next().text
+
+    while (t := p.entry()) is not None:
         key = p.expect("ident").text
         if key == "at":
             lab = p.parse_label()
@@ -516,33 +517,12 @@ def _parse_diagram(p: _Parser, ws: Workspace):
         elif key == "on":
             lab = p.parse_label()
             p.expect("punct", ":")
-            if target == "Ch":
-                comps: dict[int, list[list[Fraction]]] = {}
-                if p.peek().text == "deg":
-                    while True:
-                        p.expect("ident", "deg")
-                        k = p.parse_int()
-                        p.expect("punct", ":")
-                        comps[k] = p.parse_matrix()
-                        if p.peek().text == ",":
-                            p.next()
-                        else:
-                            break
-                else:
-                    comps[None] = p.parse_matrix()
-                on_entries[lab] = comps
+            if target == "Ch" and p.peek().text == "deg":
+                on_entries[lab] = dict(p.comma_list(deg))
+            elif target == "Ch":
+                on_entries[lab] = {None: p.parse_matrix()}
             else:
-                pairs = []
-                while True:
-                    e1 = p.next()
-                    p.expect("arrow")
-                    e2 = p.next()
-                    pairs.append((e1.text, e2.text))
-                    if p.peek().text == ",":
-                        p.next()
-                    else:
-                        break
-                on_entries[lab] = pairs
+                on_entries[lab] = p.comma_list(pair)
         else:
             raise ParseError(f"unknown diagram field {key!r}", t.line, t.col)
     try:
@@ -677,12 +657,7 @@ def _parse_functor(p: _Parser, ws: Workspace):
     tgt_name = p.expect("ident").text
     p.expect("punct", "{")
     entries = []
-    while True:
-        p.skip_statement_seps()
-        t = p.peek()
-        if t.kind == "punct" and t.text == "}":
-            p.next()
-            break
+    while (t := p.entry()) is not None:
         a = p.parse_label()
         p.expect("fatarrow")
         b = p.parse_label()
@@ -731,21 +706,50 @@ def _fmt_matrix(m: RationalMatrix) -> str:
         for i in range(m.rows)) + "]"
 
 
+def _spell(label: str, read=_Parser.parse_label) -> str:
+    """`label` as `read` reads it back: bare when it reads back whole,
+    else quoted."""
+    try:
+        p = _Parser(_tokenize(label))
+        if read(p) == label and p.next().kind == "eof":
+            return label
+    except ParseError:
+        pass
+    return json.dumps(label)
+
+
+def _mor_name(C: FinCategory, m: int) -> str:
+    """The label `parse` gives morphism m: `id_<object>` for an identity,
+    whatever C calls it, and a pair of such names over a product."""
+    if C.product_of is not None:
+        A, B = C.product_of
+        a, b = divmod(m, B.n_morphisms)
+        return f"({_mor_name(A, a)},{_mor_name(B, b)})"
+    return f"id_{C.obj_labels[C.src(m)]}" if C.is_identity(m) \
+        else C.mor_labels[m]
+
+
 def _print_category(b: Binding) -> str:
     C: FinCategory = b.value
+
+    def name(m):
+        return _spell(_mor_name(C, m), _Parser.parse_name)
+
+    def obj(x):
+        return _spell(C.obj_labels[x])
+
     lines = [f"category {b.name} {{"]
-    lines.append("  objects: " + ", ".join(C.obj_labels))
+    lines.append("  objects: " + ", ".join(map(obj, C.objects())))
     nonid = C.non_identities()
     if nonid:
         lines.append("  arrows: " + ", ".join(
-            f"{C.mor_labels[m]}: {C.obj_labels[C.src(m)]} -> "
-            f"{C.obj_labels[C.tgt(m)]}" for m in nonid))
+            f"{name(m)}: {obj(C.src(m))} -> {obj(C.tgt(m))}" for m in nonid))
         entries = []
         for g in nonid:
             for f in nonid:
                 if C.mor_tgt[f] == C.mor_src[g]:
-                    entries.append(f"{C.mor_labels[g]} * {C.mor_labels[f]} "
-                                   f"= {C.mor_labels[C.comp(g, f)]}")
+                    entries.append(
+                        f"{name(g)} * {name(f)} = {name(C.comp(g, f))}")
         if entries:
             lines.append("  compose: " + ", ".join(entries))
     lines.append("}")
@@ -775,7 +779,7 @@ def _print_diagram(b: Binding) -> str:
     lines = [f"diagram {b.name} over {b.meta['base_expr']} into {kind} {{"]
     if kind == "Ch":
         for x in C.objects():
-            lines.append(f"  at {C.obj_labels[x]}: "
+            lines.append(f"  at {_spell(C.obj_labels[x])}: "
                          f"{b.meta['at_refs'][C.obj_labels[x]]}")
         for m in C.non_identities():
             a = D.action(m)
@@ -783,15 +787,16 @@ def _print_diagram(b: Binding) -> str:
                      for k in a.source.degrees()
                      if a.source.dim(k) and a.target.dim(k)]
             if parts:
-                lines.append(f"  on {C.mor_labels[m]}: " + ", ".join(parts))
+                lines.append(f"  on {_spell(_mor_name(C, m))}: " +
+                             ", ".join(parts))
     else:
         for x in C.objects():
-            lines.append(f"  at {C.obj_labels[x]}: "
+            lines.append(f"  at {_spell(C.obj_labels[x])}: "
                          "{" + ", ".join(D.values[x]) + "}")
         for m in C.non_identities():
             act = D.actions[m]
             if act:
-                lines.append(f"  on {C.mor_labels[m]}: " + ", ".join(
+                lines.append(f"  on {_spell(_mor_name(C, m))}: " + ", ".join(
                     f"{e} -> {v}" for e, v in act.items()))
     lines.append("}")
     return "\n".join(lines)
@@ -803,17 +808,19 @@ def _print_functor(b: Binding) -> str:
     lines = [f"functor {b.name} : {b.meta['source']} -> "
              f"{b.meta['target']} {{"]
     for x in S.objects():
-        lines.append(f"  {S.obj_labels[x]} => {T.obj_labels[F.object_map[x]]}")
+        lines.append(f"  {_spell(S.obj_labels[x])} => "
+                     f"{_spell(T.obj_labels[F.object_map[x]])}")
     for m in S.non_identities():
-        lines.append(f"  {S.mor_labels[m]} => "
-                     f"{T.mor_labels[F.morphism_map[m]]}")
+        lines.append(f"  {_spell(_mor_name(S, m))} => "
+                     f"{_spell(_mor_name(T, F.morphism_map[m]))}")
     lines.append("}")
     return "\n".join(lines)
 
 
 def pretty_print(ws: Workspace) -> str:
     """Canonical text form; parse(pretty_print(ws)) rebuilds identical
-    validated structures."""
+    validated structures, except that `parse` names every identity
+    `id_<object>`.  A label the grammar cannot read bare is quoted."""
     printers = {"category": _print_category, "complex": _print_complex,
                 "diagram_ch": _print_diagram, "diagram_finset": _print_diagram,
                 "functor": _print_functor}

@@ -31,7 +31,7 @@ from .errors import DiagramError, ShapeMismatch
 from .exactalg import RationalMatrix, block_diag, block_matrix, rank_kernel
 from .fincat import (Comma, FinCategory, FunctorData, UnionFind, comma_from,
                      comma_under_functor, generating_morphisms, opposite,
-                     product, product_mor, product_obj)
+                     product_mor, product_obj)
 from .records import record
 
 
@@ -530,19 +530,6 @@ class ChainDiagramMap:
         return self.components[x]
 
 
-def validate_chain_diagram_map(a: ChainDiagramMap) -> ChainDiagramMap:
-    C = a.source.base
-    if a.target.base != C:
-        raise DiagramError("natural transformation needs one base")
-    for m in C.morphisms():
-        lhs = compose_maps(a.component(C.tgt(m)), a.source.action(m))
-        rhs = compose_maps(a.target.action(m), a.component(C.src(m)))
-        for k in a.source.value(C.src(m)).degrees():
-            if lhs.component(k) != rhs.component(k):
-                raise DiagramError(f"naturality fails at morphism {m}")
-    return a
-
-
 # --- chain ends ---------------------------------------------------------------
 
 @record
@@ -636,20 +623,6 @@ def end_induced_map(src: EndChain, tgt: EndChain,
     return ChainMap(src.complex, tgt.complex, components)
 
 
-def hom_set_bifunctor(C: FinCategory) -> FinSetDiagram:
-    """Hom(-, -) over product(opposite(C), C); elements are morphism ids."""
-    P = C.bifunctor_base
-    values = tuple(tuple(C.hom(x, y)) for x in C.objects()
-                   for y in C.objects())
-    actions = {}
-    for m1 in C.morphisms():
-        for m2 in C.morphisms():
-            act = {a: C.comp(C.comp(m2, a), m1)
-                   for a in C.hom(C.tgt(m1), C.src(m2))}
-            actions[product_mor(P, m1, m2)] = act
-    return FinSetDiagram(P, values, actions)
-
-
 # --- agreement of the two Kan extension formulas --------------------------------
 
 def lan_agreement(f: FunctorData, F: FinSetDiagram) -> bool:
@@ -717,172 +690,3 @@ def ran_agreement(f: FunctorData, F: FinSetDiagram) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-# --- Fubini ---------------------------------------------------------------------
-
-@record(frozen=True)
-class FubiniReport:
-    dims_joint: dict
-    dims_first_inner: dict
-    dims_second_inner: dict
-    subspaces_equal: bool
-    differentials_equal: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.dims_joint == self.dims_first_inner ==
-                self.dims_second_inner and self.subspaces_equal and
-                self.differentials_equal)
-
-
-def _canonical_subcomplex(ambient: ChainComplex, incl: ChainMap):
-    """Canonical (RREF) basis of the embedded subcomplex and the
-    differential rewritten in that basis."""
-    from .exactalg import canonical_row_basis, solve_matrix
-    bases, dims = {}, {}
-    for k in ambient.degrees():
-        m = incl.component(k)
-        if not m.cols:
-            continue
-        rows = canonical_row_basis([m.column(j) for j in range(m.cols)],
-                                   ambient.dim(k))
-        if rows:
-            bases[k] = RationalMatrix.from_columns(rows, ambient.dim(k))
-            dims[k] = len(rows)
-    diffs = {}
-    for k in sorted(bases):
-        if (k - 1) in bases:
-            X = solve_matrix(bases[k - 1], ambient.d(k) * bases[k])
-            if X is None:
-                raise DiagramError("canonical basis is not a subcomplex")
-            diffs[k] = X
-        elif not (ambient.d(k) * bases[k]).is_zero():
-            raise DiagramError("canonical basis is not a subcomplex")
-    return dims, bases, diffs
-
-
-def fubini_check(H: ChainDiagram, G1: FinCategory,
-                 G2: FinCategory) -> FubiniReport:
-    """Ends over a product base in both iterated orders and jointly;
-    all three must be the identical subcomplex of the diagonal sum, with
-    identical differentials in the canonical basis."""
-    PP = product(G1, G2)
-    P = H.base
-    if P.product_of is None or P.product_of[1] != PP:
-        raise DiagramError("fubini_check needs a diagram over "
-                           "product(opposite(G1 x G2), G1 x G2)")
-    n1, n2 = G1.n_objects, G2.n_objects
-    nm1, nm2 = G1.n_morphisms, G2.n_morphisms
-
-    def pp_obj(g, d):
-        return g * n2 + d
-
-    def pp_mor(u, v):
-        return u * nm2 + v
-
-    joint = end_chain(H)
-
-    def inner_over_second(gm, gp):
-        P2 = G2.bifunctor_base
-        values = [H.value(product_obj(P, pp_obj(gm, i // n2),
-                                      pp_obj(gp, i % n2)))
-                  for i in range(P2.n_objects)]
-
-        def action(m):
-            m2m, m2p = divmod(m, nm2)
-            return H.action(product_mor(
-                P, pp_mor(G1.identity[gm], m2m), pp_mor(G1.identity[gp], m2p)))
-
-        return end_chain(ChainDiagram(P2, values, action))
-
-    def inner_over_first(dm, dp):
-        P1 = G1.bifunctor_base
-        values = [H.value(product_obj(P, pp_obj(i // n1, dm),
-                                      pp_obj(i % n1, dp)))
-                  for i in range(P1.n_objects)]
-
-        def action(m):
-            m1m, m1p = divmod(m, nm1)
-            return H.action(product_mor(
-                P, pp_mor(m1m, G2.identity[dm]), pp_mor(m1p, G2.identity[dp])))
-
-        return end_chain(ChainDiagram(P1, values, action))
-
-    def outer_end(Gout, Gin, inner, cross_action):
-        """inner[(a, b)] for objects of Gout; returns the outer EndChain
-        plus the per-object inner results on the diagonal."""
-        Pout = Gout.bifunctor_base
-        inner_all = {}
-        for a in Gout.objects():
-            for b in Gout.objects():
-                inner_all[(a, b)] = inner(a, b)
-        values = [inner_all[(i // Gout.n_objects,
-                             i % Gout.n_objects)].complex
-                  for i in range(Pout.n_objects)]
-
-        def action(m):
-            mm, mp = divmod(m, Gout.n_morphisms)
-            srcpair = (Gout.tgt(mm), Gout.src(mp))
-            tgtpair = (Gout.src(mm), Gout.tgt(mp))
-            comps = [cross_action(mm, mp, d) for d in Gin.objects()]
-            return end_induced_map(inner_all[srcpair], inner_all[tgtpair],
-                                   comps)
-
-        E = end_chain(ChainDiagram(Pout, values, action))
-        return E, [inner_all[(g, g)] for g in Gout.objects()]
-
-    E_a, inners_a = outer_end(
-        G1, G2, inner_over_second,
-        lambda mm, mp, d: H.action(product_mor(
-            P, pp_mor(mm, G2.identity[d]), pp_mor(mp, G2.identity[d]))))
-    E_b, inners_b = outer_end(
-        G2, G1, inner_over_first,
-        lambda mm, mp, g: H.action(product_mor(
-            P, pp_mor(G1.identity[g], mm), pp_mor(G1.identity[g], mp))))
-
-    ambient = joint.sum_complex
-    # embed both iterated ends into the joint diagonal sum
-    def total_inclusion(outer: EndChain, inners, major_first: bool):
-        comps = {}
-        for k in outer.complex.degrees():
-            if not outer.complex.dim(k):
-                continue
-            n_rows = ambient.dim(k)
-            out_m = outer.inclusion.component(k)
-            # row offset of the (g, d) diagonal block in the joint sum
-            def joint_off(g, d):
-                off = 0
-                for gg in range(n1):
-                    for dd in range(n2):
-                        if (gg, dd) == (g, d):
-                            return off
-                        off += H.value(product_obj(
-                            P, pp_obj(gg, dd), pp_obj(gg, dd))).dim(k)
-                raise AssertionError
-
-            blocks, col_off = [], 0
-            for pos, inn in enumerate(inners):
-                m = inn.inclusion.component(k)
-                # rows of m are blocks over the inner base objects
-                inner_off = 0
-                for d2 in range(len(inn.projections)):
-                    blk_dim = inn.projections[d2].target.dim(k)
-                    g, d = (pos, d2) if major_first else (d2, pos)
-                    blocks.append((joint_off(g, d), col_off, m.row_block(
-                        inner_off, inner_off + blk_dim)))
-                    inner_off += blk_dim
-                col_off += m.cols
-            # compose: outer coords -> inner coords -> joint ambient
-            big = block_matrix(n_rows, out_m.rows, blocks)
-            comps[k] = big * out_m
-        return ChainMap(outer.complex, ambient, comps)
-
-    incl_a = total_inclusion(E_a, inners_a, major_first=True)
-    incl_b = total_inclusion(E_b, inners_b, major_first=False)
-    dims_j, bas_j, dif_j = _canonical_subcomplex(ambient, joint.inclusion)
-    dims_a, bas_a, dif_a = _canonical_subcomplex(ambient, incl_a)
-    dims_b, bas_b, dif_b = _canonical_subcomplex(ambient, incl_b)
-    sub_eq = bas_j == bas_a == bas_b
-    dif_eq = dif_j == dif_a == dif_b
-    return FubiniReport(dims_j, dims_a, dims_b, sub_eq, dif_eq)

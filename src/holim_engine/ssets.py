@@ -1,7 +1,7 @@
 """Finite semisimplicial sets (nondegenerate cells and face maps only).
 
-Nerves of loop-free categories, standard simplices and their
-boundaries, normalized chains, and homology-level contractibility.
+Nerves of loop-free categories, standard simplices, normalized chains,
+and homology-level contractibility.
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -20,7 +20,7 @@ from typing import Mapping
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
 from .errors import EmptyComplex, NotLoopFree, SimplicialError
-from .exactalg import RationalMatrix, block_matrix
+from .exactalg import block_matrix
 from .fincat import (Comma, FinCategory, FunctorData, comma_over,
                      comma_under_functor, find_initial, is_direct)
 from .records import record
@@ -64,31 +64,6 @@ class SemiSimplicialSet:
 EMPTY_SSET = SemiSimplicialSet((), {})
 
 
-def validate_sset(K: SemiSimplicialSet) -> SemiSimplicialSet:
-    for n in range(1, len(K.cells)):
-        lower = set(K.n_cells(n - 1))
-        for c in K.n_cells(n):
-            fs = K.faces.get((n, c))
-            if fs is None or len(fs) != n + 1:
-                raise SimplicialError(
-                    f"cell {c!r} in dimension {n} lacks its {n + 1} faces")
-            for f in fs:
-                if f not in lower:
-                    raise SimplicialError(
-                        f"face of {c!r} is not a cell of dimension {n - 1}")
-    for n in range(2, len(K.cells)):
-        for c in K.n_cells(n):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    # d_i d_j = d_{j-1} d_i for i < j
-                    a = K.face(n - 1, K.face(n, c, j), i)
-                    b = K.face(n - 1, K.face(n, c, i), j - 1)
-                    if a != b:
-                        raise SimplicialError(
-                            f"simplicial identity fails on {c!r} (i={i}, j={j})")
-    return K
-
-
 @record(frozen=True)
 class SSetMap:
     source: SemiSimplicialSet
@@ -99,35 +74,9 @@ class SSetMap:
         return self.mapping[(n, cell)]
 
 
-def make_sset_map(source: SemiSimplicialSet, target: SemiSimplicialSet,
-                  mapping) -> SSetMap:
-    m = SSetMap(source, target, dict(mapping))
-    for n, cs in enumerate(source.cells):
-        tset = set(target.n_cells(n))
-        for c in cs:
-            if (n, c) not in m.mapping:
-                raise SimplicialError(f"cell {c!r} (dim {n}) has no image")
-            if m.mapping[(n, c)] not in tset:
-                raise SimplicialError(
-                    f"image of {c!r} is not a target cell of dimension {n}")
-            if n:
-                for i in range(n + 1):
-                    if target.face(n, m.mapping[(n, c)], i) != \
-                            m.mapping[(n - 1, source.face(n, c, i))]:
-                        raise SimplicialError(
-                            f"map does not commute with d_{i} on {c!r}")
-    return m
-
-
 def identity_sset_map(K: SemiSimplicialSet) -> SSetMap:
     return SSetMap(K, K, {(n, c): c for n, cs in enumerate(K.cells)
                           for c in cs})
-
-
-def compose_sset_maps(g: SSetMap, f: SSetMap) -> SSetMap:
-    return SSetMap(f.source, g.target,
-                   {(n, c): g.mapping[(n, v)]
-                    for (n, c), v in f.mapping.items()})
 
 
 # --- standard simplices -------------------------------------------------------
@@ -143,20 +92,6 @@ def standard_simplex(n: int) -> SemiSimplicialSet:
         for c in cells[k]:
             faces[(k, c)] = tuple(c[:i] + c[i + 1:] for i in range(k + 1))
     return SemiSimplicialSet(tuple(cells), faces)
-
-
-def boundary(n: int) -> tuple[SemiSimplicialSet, SSetMap]:
-    """The boundary of Delta^n with its inclusion."""
-    full = standard_simplex(n)
-    cells = list(full.cells[:-1])
-    if n == 0:
-        B = EMPTY_SSET
-    else:
-        faces = {key: v for key, v in full.faces.items() if key[0] < n}
-        B = SemiSimplicialSet(tuple(cells), faces)
-    incl = SSetMap(B, full, {(k, c): c for k, cs in enumerate(B.cells)
-                             for c in cs})
-    return B, incl
 
 
 def point() -> SemiSimplicialSet:
@@ -214,31 +149,6 @@ class Weight:
 
     def action(self, mor: int) -> SSetMap:
         return self.actions[mor]
-
-
-def validate_weight(W: Weight) -> Weight:
-    C = W.base
-    for m in C.morphisms():
-        a = W.actions.get(m)
-        if a is None:
-            raise SimplicialError(f"weight lacks an action for morphism {m}")
-        if a.source is not W.values[C.src(m)] and \
-                a.source != W.values[C.src(m)]:
-            raise SimplicialError(f"action source mismatch at morphism {m}")
-        if a.target is not W.values[C.tgt(m)] and \
-                a.target != W.values[C.tgt(m)]:
-            raise SimplicialError(f"action target mismatch at morphism {m}")
-        make_sset_map(a.source, a.target, a.mapping)
-    for x in C.objects():
-        if W.actions[C.identity[x]].mapping != \
-                identity_sset_map(W.values[x]).mapping:
-            raise SimplicialError(f"identity action at object {x} is not id")
-    for (g, f), h in C.compose_table.items():
-        comp = compose_sset_maps(W.actions[g], W.actions[f])
-        if comp.mapping != W.actions[h].mapping:
-            raise SimplicialError(
-                f"weight action not functorial on ({g}, {f})")
-    return W
 
 
 def _comma_mor_lookup(com: Comma) -> dict:
@@ -343,27 +253,11 @@ def chains_of_map(m: SSetMap) -> ChainMap:
     return make_chain_map(A, B, comps, check=False)
 
 
-def augmentation(K: SemiSimplicialSet) -> ChainMap:
-    """Chains of K -> Q[0], each vertex to 1; the chain-level collapse
-    K -> point."""
-    N = normalized_chains(K)
-    pt = chaincx.single(0, 1)
-    if K.is_empty():
-        return chaincx.zero_map(N, pt)
-    row = RationalMatrix.from_rows([[1] * len(K.n_cells(0))])
-    return make_chain_map(N, pt, {0: row}, check=True)
-
-
 def homology_contractible(K: SemiSimplicialSet) -> bool:
     """True iff H_0 = Q and H_k = 0 for k > 0."""
     if K.is_empty():
         raise EmptyComplex("the empty semisimplicial set is never contractible")
     return chaincx.betti_numbers(normalized_chains(K)) == {0: 1}
-
-
-def euler_characteristic(K: SemiSimplicialSet) -> int:
-    return sum((-1 if n % 2 else 1) * len(cs)
-               for n, cs in enumerate(K.cells))
 
 
 # --- point-resolution checking -------------------------------------------------

@@ -21,10 +21,9 @@ from holim_engine import chaincx, endkan, holim, randgen, ssets
 from holim_engine.chaincx import (betti_numbers, identity_map, make_chain_map,
                                   single, zero_map)
 from holim_engine.endkan import (ChainDiagram, FinSetDiagram, co_yoneda_check,
-                                 end_finset, finset_limit, fubini_check,
-                                 hom_bifunctor, lan, lan_agreement,
-                                 nat_trans_bruteforce, ran_agreement,
-                                 restrict, bifunctor_diagram)
+                                 end_finset, finset_limit, hom_bifunctor, lan,
+                                 lan_agreement, nat_trans_bruteforce,
+                                 ran_agreement, restrict, bifunctor_diagram)
 from holim_engine.exactalg import RationalMatrix
 from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, comma_under_functor,
@@ -34,11 +33,12 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  product_mor, product_obj, terminal_category,
                                  validate_functor, FunctorData)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
-                                check_homotopy_initial, check_reedy_fibrant,
-                                comparison_map, constant_cosimplicial,
+                                check_homotopy_initial, comparison_map,
                                 cosimplicial_replacement, fat_tot,
-                                fibrant_frame, holim_we_invariance,
                                 homotopy_pullback, weighted_end)
+from holim_engine.oracle import (check_reedy_fibrant, constant_cosimplicial,
+                                 fibrant_frame, fubini_check,
+                                 holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_cospan_diagram, random_finset_diagram,
                                   random_finset_pair,

@@ -25,13 +25,12 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category, find_initial,
                                  find_terminal, identities_terminal_in_slices,
                                  identity_functor, object_inclusion)
-from holim_engine.holim import (_simplex_inclusion, bk_holim,
-                                change_of_diagrams_iso,
+from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
-                                constant_cosimplicial,
-                                cosimplicial_replacement,
-                                delta_plus_vertices, fat_tot, free_end,
-                                holim_we_invariance, weighted_end)
+                                cosimplicial_replacement, delta_plus_vertices,
+                                fat_tot, free_end, weighted_end)
+from holim_engine.oracle import (_simplex_inclusion, constant_cosimplicial,
+                                 holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
                                   random_free_category,

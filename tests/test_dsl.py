@@ -265,3 +265,14 @@ functor G : C -> C { f => f; b => b }
 """
     with pytest.raises(ParseError):
         parse(src)
+
+
+def test_quoted_labels_parse_and_a_bad_escape_is_located():
+    ws = parse('category P { objects: "0", "*"; arrows: "0<*": "0" -> "*" }\n'
+               'functor F : P -> P { "0" => "*"; "*" => "*"; "0<*" => "id_*" }')
+    P = ws.get("P", "category").value
+    assert P.obj_labels == ("0", "*") and "0<*" in P.mor_labels
+    assert ws.get("F", "functor").value.object_map == (1, 1)
+    with pytest.raises(ParseError) as exc:
+        parse('category Q { objects: "a\\q" }')
+    assert (exc.value.line, exc.value.col) == (1, 23)

@@ -10,12 +10,11 @@ from holim_engine.endkan import (ChainDiagram, FinSetDiagram,
                                  bifunctor_diagram, coend_finset,
                                  co_yoneda_check, constant_finset_diagram,
                                  end_chain, end_finset, finset_colimit,
-                                 finset_limit, fubini_check, hom_bifunctor,
-                                 hom_set_bifunctor, lan, lan_agreement,
-                                 lan_via_coend, nat_trans_bruteforce, ran,
-                                 ran_agreement, ran_via_end,
-                                 representable_finset_diagram, restrict,
-                                 validate_chain_diagram,
+                                 finset_limit, hom_bifunctor, lan,
+                                 lan_agreement, lan_via_coend,
+                                 nat_trans_bruteforce, ran, ran_agreement,
+                                 ran_via_end, representable_finset_diagram,
+                                 restrict, validate_chain_diagram,
                                  validate_finset_diagram)
 from holim_engine.errors import DiagramError
 from holim_engine.exactalg import RationalMatrix
@@ -25,6 +24,7 @@ from holim_engine.fincat import (arrow_category, chain_poset,
                                  object_inclusion, opposite, product,
                                  product_mor, product_obj, terminal_category,
                                  FunctorData, validate_functor)
+from holim_engine.oracle import fubini_check, hom_set_bifunctor
 from holim_engine.randgen import (random_chain_complex, random_finset_diagram,
                                   random_finset_pair, random_free_category,
                                   random_loopfree_category, random_poset,

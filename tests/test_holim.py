@@ -23,19 +23,20 @@ from holim_engine.fincat import (arrow_category, chain_poset,
                                  object_inclusion, terminal_category,
                                  validate_functor, FunctorData, find_initial)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
-                                check_homotopy_initial, check_reedy_fibrant,
-                                comparison_map, constant_cosimplicial,
+                                check_homotopy_initial, comparison_map,
                                 cosimplicial_from_cofaces,
                                 cosimplicial_replacement, cospan_diagram,
-                                delta_plus_category, fat_tot, fibrant_frame,
-                                holim_we_invariance, homotopy_pullback,
-                                mapping_path_complex, matching_object,
+                                delta_plus_category, fat_tot,
+                                homotopy_pullback, mapping_path_complex,
                                 weighted_end)
+from holim_engine.oracle import (augmentation, check_reedy_fibrant,
+                                 constant_cosimplicial, fibrant_frame,
+                                 holim_we_invariance, matching_object)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
                                   random_poset, random_poset_chain_diagram)
 from holim_engine.ssets import (constant_point_weight, nerve_weight,
-                                normalized_chains, augmentation)
+                                normalized_chains)
 
 M = RationalMatrix.from_rows
 
@@ -121,7 +122,8 @@ def test_bk_holim_arrow_identity():
 
 
 def test_bk_holim_rejects_bad_weight():
-    from holim_engine.ssets import Weight, boundary, identity_sset_map
+    from holim_engine.ssets import Weight, identity_sset_map
+    from holim_engine.oracle import boundary
     B, _ = boundary(2)
     C = terminal_category()
     W = Weight(C, (B,), {0: identity_sset_map(B)})

@@ -3,10 +3,12 @@
 `import holim_engine` loads no submodule; each exported name is
 imported from its submodule on first access, and a CLI command loads
 only the engine modules it runs, and neither `dataclasses` nor
-`inspect`.  Every case runs in a fresh interpreter, since
+`inspect`.  No command loads `oracle`, and no other engine module
+imports it.  Every case that imports runs in a fresh interpreter, since
 `sys.modules` is shared by all tests in this one.
 """
 
+import ast
 import json
 import os
 import re
@@ -23,28 +25,27 @@ SRC = Path(holim_engine.__file__).resolve().parents[1]
 CORPUS = SRC / "holim_engine" / "corpus"
 
 SUBMODULES = ("chaincx", "cli", "dsl", "endkan", "errors", "exactalg",
-              "fincat", "holim", "randgen", "records", "ssets")
+              "fincat", "holim", "oracle", "randgen", "records", "ssets")
 
 # every name the package exported when it imported all its submodules
 EXPORTED = {
-    "chaincx": ("ChainComplex", "ChainMap", "betti_numbers",
-                "equalizer_kernel", "hom_complex", "homology",
-                "is_quasi_iso", "make_chain_map", "make_complex", "power",
-                "product_total"),
+    "chaincx": ("ChainComplex", "ChainMap", "betti_numbers", "hom_complex",
+                "homology", "is_quasi_iso", "make_chain_map", "make_complex",
+                "power", "product_total"),
     "endkan": ("ChainDiagram", "FinSetDiagram", "coend_finset",
                "co_yoneda_check", "end_chain", "end_finset",
-               "finset_colimit", "finset_limit", "fubini_check", "lan",
-               "lan_via_coend", "nat_trans_bruteforce", "ran", "ran_via_end",
-               "restrict"),
+               "finset_colimit", "finset_limit", "lan", "lan_via_coend",
+               "nat_trans_bruteforce", "ran", "ran_via_end", "restrict"),
     "exactalg": ("RationalMatrix", "quotient_basis", "rank_kernel", "solve"),
     "fincat": ("DegreeFunction", "FinCategory", "FunctorData", "comma_over",
                "comma_under_functor", "is_direct", "opposite", "product",
                "validate_category", "validate_functor"),
-    "holim": ("SimplicialFrame", "bk_holim", "change_of_diagrams_iso",
-              "check_homotopy_initial", "check_reedy_fibrant",
-              "comparison_map", "fat_tot", "fibrant_frame",
-              "holim_we_invariance", "homotopy_pullback", "matching_object"),
-    "ssets": ("SemiSimplicialSet", "SSetMap", "Weight", "boundary",
+    "holim": ("bk_holim", "change_of_diagrams_iso", "check_homotopy_initial",
+              "comparison_map", "fat_tot", "homotopy_pullback"),
+    "oracle": ("SimplicialFrame", "boundary", "check_reedy_fibrant",
+               "equalizer_kernel", "fibrant_frame", "fubini_check",
+               "holim_we_invariance", "matching_object"),
+    "ssets": ("SemiSimplicialSet", "SSetMap", "Weight",
               "check_point_resolution", "homology_contractible", "nerve",
               "nerve_of_comma_under", "nerve_weight", "normalized_chains",
               "standard_simplex"),
@@ -93,17 +94,17 @@ def test_submodule_attribute_appears_only_on_import():
 
 
 @pytest.mark.parametrize("fname,cmd,absent", [
-    ("arrow.hle", "lim S", ("holim", "ssets", "randgen")),
-    ("arrow.hle", "colim S", ("holim", "ssets", "randgen")),
-    ("arrow.hle", "lan ia P", ("holim", "ssets", "randgen")),
-    ("arrow.hle", "ran ia P", ("holim", "ssets", "randgen")),
-    ("arrow.hle", "homology Cone", ("holim", "ssets", "randgen")),
-    ("hom_end.hle", "end H", ("holim", "ssets", "randgen")),
-    ("hom_end.hle", "coend H", ("holim", "ssets", "randgen")),
-    ("arrow.hle", "nerve C", ("holim", "randgen")),
-    ("cospan.hle", "holim Loop", ("randgen",)),
-    ("cospan.hle", "fattot Loop --depth 4", ("randgen",)),
-    ("arrow.hle", "verify all", ()),
+    ("arrow.hle", "lim S", ("holim", "ssets", "randgen", "oracle")),
+    ("arrow.hle", "colim S", ("holim", "ssets", "randgen", "oracle")),
+    ("arrow.hle", "lan ia P", ("holim", "ssets", "randgen", "oracle")),
+    ("arrow.hle", "ran ia P", ("holim", "ssets", "randgen", "oracle")),
+    ("arrow.hle", "homology Cone", ("holim", "ssets", "randgen", "oracle")),
+    ("hom_end.hle", "end H", ("holim", "ssets", "randgen", "oracle")),
+    ("hom_end.hle", "coend H", ("holim", "ssets", "randgen", "oracle")),
+    ("arrow.hle", "nerve C", ("holim", "randgen", "oracle")),
+    ("cospan.hle", "holim Loop", ("randgen", "oracle")),
+    ("cospan.hle", "fattot Loop --depth 4", ("randgen", "oracle")),
+    ("arrow.hle", "verify all", ("oracle",)),
 ])
 def test_cli_command_loads_only_what_it_runs(fname, cmd, absent):
     # a command's own flags follow its first " --"
@@ -153,3 +154,40 @@ def test_readme_library_snippet_runs():
     section = readme.split("## Library", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert _run(code) == "{0: 1}\n"
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {n.id for tgt in targets for n in ast.walk(tgt)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def _imports_oracle(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            mods = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "oracle" for m in mods):
+            return True
+    return False
+
+
+def test_oracle_is_imported_by_no_engine_module_and_shadows_none():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (SRC / "holim_engine").glob("*.py")}
+    oracle = trees.pop("oracle")
+    assert sorted(m for m, tree in trees.items() if _imports_oracle(tree)) \
+        == []
+    production = set().union(*map(_top_level_names, trees.values()))
+    assert _top_level_names(oracle) & production == set()

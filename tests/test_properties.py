@@ -2,7 +2,6 @@
 
 import random
 import re
-from holim_engine.records import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,35 +261,18 @@ def test_dsl_edits_of_the_corpus_raise_only_engine_errors(which, edits):
 
 # --- pretty_print round trip on generated workspaces -----------------------------
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-
-
-def _spelled(C):
-    """C with labels the workspace grammar can spell: labels are
-    identifiers and an identity is `id_<object>`.  `from_poset` names an
-    arrow `a<c` and an identity by its object, and `terminal_category`
-    names its object `*`; those are renamed, the rest kept."""
-    objs = tuple(lab if _IDENT.fullmatch(lab) else f"o{x}"
-                 for x, lab in enumerate(C.obj_labels))
-    mors = tuple(f"id_{objs[C.src(m)]}" if C.is_identity(m) else
-                 lab if _IDENT.fullmatch(lab) else f"m{m}"
-                 for m, lab in enumerate(C.mor_labels))
-    return replace(C, obj_labels=objs, mor_labels=mors)
-
-
 def _random_workspace(rng):
     """Categories, FinSet diagrams, complexes, a chain diagram and a
     functor, all from randgen, bound as the parser would bind them."""
     ws = Workspace()
     C, F, G = random_finset_pair(rng, cap=3000)
-    C = _spelled(C)
     ws.add(Binding("C", "category", C))
     for name, X in (("F", F), ("G", G)):
         ws.add(Binding(name, "diagram_finset",
                        FinSetDiagram(C, X.values, X.actions),
                        meta={"base_expr": "C"}))
     D = random_cospan_diagram(rng, max_dim=2, max_width=3)
-    S = _spelled(D.base)
+    S = D.base
     ws.add(Binding("S", "category", S))
     refs = {}
     for name, x in zip(("A", "B", "Z"), S.objects()):
@@ -301,7 +283,6 @@ def _random_workspace(rng):
                                 {m: D.action(m) for m in S.morphisms()}),
                    meta={"base_expr": "S", "at_refs": refs}))
     f = random_functor_between_loopfree(rng)
-    f = replace(f, source=_spelled(f.source), target=_spelled(f.target))
     ws.add(Binding("Src", "category", f.source))
     ws.add(Binding("Tgt", "category", f.target))
     ws.add(Binding("f", "functor", f,

@@ -21,11 +21,10 @@ import holim_engine
 from holim_engine import cli, records
 from holim_engine.chaincx import ZERO_COMPLEX, identity_map, single, zero_map
 from holim_engine.dsl import Binding, Workspace
-from holim_engine.endkan import (ChainDiagram, bifunctor_diagram, end_chain,
-                                 fubini_check)
+from holim_engine.endkan import ChainDiagram, bifunctor_diagram, end_chain
 from holim_engine.fincat import arrow_category, opposite, product
-from holim_engine.holim import (check_reedy_fibrant, fibrant_frame,
-                                holim_we_invariance)
+from holim_engine.oracle import (check_reedy_fibrant, fibrant_frame,
+                                 fubini_check, holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_poset, random_poset_chain_diagram)
 from holim_engine.records import MISSING, fields, replace
@@ -40,14 +39,16 @@ RECORDS = {
     "endkan": {"FinSetDiagram": True, "LimitResult": True,
                "ColimitResult": True, "KanExtension": True,
                "CoYonedaReport": True, "ChainDiagramMap": False,
-               "EndChain": False, "FubiniReport": True},
+               "EndChain": False},
     "fincat": {"FinCategory": True, "FunctorData": True,
                "DegreeFunction": True, "Comma": True},
-    "holim": {"HolimResult": False, "ReedyReport": True,
+    "holim": {"HolimResult": False,
               "PullbackReport": True, "Cosimplicial": True,
               "FatTotResult": False,
               "InitialReport": True, "ChangeOfDiagramsReport": False,
-              "ComparisonReport": False, "InvarianceReport": True},
+              "ComparisonReport": False},
+    "oracle": {"ReedyReport": True, "FubiniReport": True,
+               "InvarianceReport": True},
     "ssets": {"SemiSimplicialSet": True, "SSetMap": True, "Weight": True,
               "PointResolutionReport": True},
 }

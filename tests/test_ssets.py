@@ -11,14 +11,14 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category,
                                  identity_functor, object_inclusion,
                                  terminal_category, validate_category)
+from holim_engine.oracle import (augmentation, boundary, euler_characteristic,
+                                 validate_sset, validate_weight)
 from holim_engine.randgen import random_free_category, random_loopfree_category
-from holim_engine.ssets import (EMPTY_SSET, Weight, augmentation, boundary,
-                                chains_of_map, check_point_resolution,
-                                constant_point_weight, euler_characteristic,
+from holim_engine.ssets import (EMPTY_SSET, Weight, chains_of_map,
+                                check_point_resolution, constant_point_weight,
                                 homology_contractible, identity_sset_map,
                                 nerve, nerve_of_comma_under, nerve_weight,
-                                normalized_chains, point, standard_simplex,
-                                validate_sset, validate_weight)
+                                normalized_chains, point, standard_simplex)
 
 
 def test_standard_simplex_cell_counts():
