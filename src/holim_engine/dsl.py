@@ -791,8 +791,9 @@ def _print_diagram(b: Binding) -> str:
                              ", ".join(parts))
     else:
         for x in C.objects():
-            lines.append(f"  at {_spell(C.obj_labels[x])}: "
-                         "{" + ", ".join(D.values[x]) + "}")
+            lab = C.obj_labels[x]
+            lines.append(f"  at {_spell(lab)}: {{" + ", ".join(
+                _element(b, lab, e) for e in D.values[x]) + "}")
         for m in C.non_identities():
             act = D.actions[m]
             if act:
@@ -800,6 +801,23 @@ def _print_diagram(b: Binding) -> str:
                     f"{e} -> {v}" for e, v in act.items()))
     lines.append("}")
     return "\n".join(lines)
+
+
+def _element(b: Binding, lab: str, e) -> str:
+    """Element e of the set at object `lab`, printed bare: the grammar
+    reads an element as one identifier or number, and has no quoted
+    form for any other element."""
+    if isinstance(e, str):
+        try:
+            toks = _tokenize(e)
+        except ParseError:
+            toks = ()
+        if len(toks) == 2 and toks[0].kind in ("ident", "number") \
+                and toks[0].text == e:
+            return e
+    raise _named_error(b.name, DiagramError(
+        f"element {e!r} of the set at {lab!r} has no printed form (an "
+        f"element is one identifier or number)"), b.meta.get("line"))
 
 
 def _print_functor(b: Binding) -> str:

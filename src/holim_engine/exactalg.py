@@ -456,9 +456,18 @@ def _kernel_from_echelon(pivots, cols: int) -> list[Vector]:
     return basis
 
 
+def rank_pivots(A: RationalMatrix, skip_rows=frozenset()) \
+        -> tuple[int, frozenset]:
+    """Rank and pivot columns of the rows of A whose index is not in
+    `skip_rows`.  That rank is the rank of A when every skipped row is a
+    combination of the others; the caller vouches for it."""
+    pivots, _ = _echelon([row for i, (_, row) in A._r.items()
+                          if i not in skip_rows], A.cols)
+    return len(pivots), frozenset(c for c, _ in pivots)
+
+
 def rank(A: RationalMatrix) -> int:
-    pivots, _ = _echelon(_int_rows(A), A.cols)
-    return len(pivots)
+    return rank_pivots(A)[0]
 
 
 def rank_kernel(A: RationalMatrix) -> tuple[int, list[Vector]]:

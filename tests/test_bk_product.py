@@ -12,11 +12,12 @@ import pytest
 
 import holim_engine.cli as cli_mod
 import holim_engine.endkan as endkan_mod
+import holim_engine.exactalg as exactalg_mod
 import holim_engine.holim as holim_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   hom_postcompose, identity_map,
                                   induced_homology_maps, is_quasi_iso,
-                                  make_chain_map)
+                                  make_chain_map, validate_complex)
 from holim_engine.dsl import parse
 from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
 from holim_engine.errors import CompositionDomainError, WeightRejected
@@ -234,6 +235,27 @@ def test_comparison_map_builds_each_product_once(monkeypatch):
         # P', P and E2; E3 is P
         assert counts["free_end"] == 3
         assert counts["_chain_generators"] <= 2
+
+
+def test_betti_numbers_eliminate_only_the_uncleared_rows(monkeypatch):
+    """The product over chain_poset(6) is acyclic.  By clearing, degree k
+    hands elimination only the rows of d_k outside the pivot columns of
+    d_{k-1}: dim C_{k-1} - rk d_{k-1} = rk d_k rows, 240 in all, where
+    eliminating every nonzero row takes 472."""
+    F = random_poset_chain_diagram(random.Random(1), chain_poset(6), 2, 2, 3)
+    C = validate_complex(bk_holim(F).complex)     # a fresh rank cache
+    handed = []
+
+    def counted(rows, cols, _orig=exactalg_mod._echelon):
+        handed.append(len(rows))
+        return _orig(rows, cols)
+    monkeypatch.setattr(exactalg_mod, "_echelon", counted)
+    assert betti_numbers(C) == {}
+    monkeypatch.undo()
+    degrees = range(C.lo + 1, C.hi + 1)
+    assert handed == [rank(C.d(k)) for k in degrees]
+    assert sum(handed) == 240 == C.total_dim() // 2
+    assert sum(len(C.d(k)._r) for k in degrees) == 472
 
 
 def test_comma_under_weights_are_levelwise_free():

@@ -4,9 +4,10 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import betti_numbers
-from holim_engine.dsl import parse, pretty_print
-from holim_engine.errors import (DSquareNonzero, EngineError, NotLoopFree,
-                                 ParseError, UnknownBinding)
+from holim_engine.dsl import Binding, parse, pretty_print
+from holim_engine.endkan import FinSetDiagram, hom_bifunctor
+from holim_engine.errors import (DiagramError, DSquareNonzero, EngineError,
+                                 NotLoopFree, ParseError, UnknownBinding)
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -276,3 +277,42 @@ def test_quoted_labels_parse_and_a_bad_escape_is_located():
     with pytest.raises(ParseError) as exc:
         parse('category Q { objects: "a\\q" }')
     assert (exc.value.line, exc.value.col) == (1, 23)
+
+
+def _arrow_S():
+    return parse((CORPUS / "arrow.hle").read_text()).get(
+        "S", "diagram_finset").value
+
+
+def _renamed(S, ren):
+    """S with its elements renamed by the dict `ren`."""
+    return FinSetDiagram(
+        S.base, tuple(tuple(ren.get(e, e) for e in v) for v in S.values),
+        {m: {ren.get(e, e): ren.get(v, v) for e, v in act.items()}
+         for m, act in S.actions.items()})
+
+
+def _print_with(name, D, base_expr):
+    """pretty_print of the arrow.hle workspace with D bound as `name`."""
+    ws = parse((CORPUS / "arrow.hle").read_text())
+    ws.add(Binding(name, "diagram_finset", D, meta={"base_expr": base_expr}))
+    return pretty_print(ws)
+
+
+def test_pretty_print_names_an_element_that_is_not_a_string():
+    S = _arrow_S()
+    with pytest.raises(DiagramError) as exc:
+        _print_with("H", hom_bifunctor(S, S), "op(C) * C")
+    msg = str(exc.value)
+    assert "binding 'H'" in msg and "element ('x',)" in msg
+
+
+def test_pretty_print_names_an_element_the_grammar_cannot_read():
+    with pytest.raises(DiagramError) as exc:
+        _print_with("R", _renamed(_arrow_S(), {"x": "x<u"}), "C")
+    msg = str(exc.value)
+    assert "binding 'R'" in msg and "element 'x<u'" in msg
+    # numbers and identifiers print bare and read back
+    N = _renamed(_arrow_S(), {"x": "-1", "u": "u_2.b"})
+    assert parse(_print_with("N", N, "C")).get(
+        "N", "diagram_finset").value == N

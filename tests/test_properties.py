@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import (betti_numbers, hom_complex, homology,
                                   identity_map, induced_homology_maps,
-                                  is_quasi_iso, zero_map)
+                                  is_quasi_iso, mapping_cone,
+                                  validate_complex, zero_map)
 from holim_engine.dsl import Binding, Workspace, parse, pretty_print
 from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
 from holim_engine.exactalg import RationalMatrix, block_matrix, rank
-from holim_engine.holim import cosimplicial_replacement, fat_tot
+from holim_engine.holim import bk_holim, cosimplicial_replacement, fat_tot
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
-                                  random_functor_between_loopfree)
+                                  random_functor_between_loopfree,
+                                  random_loopfree_category, random_poset,
+                                  random_poset_chain_diagram)
+from holim_engine.ssets import nerve_weight
 
 
 @settings(max_examples=150, deadline=None)
@@ -34,6 +38,41 @@ def test_rank_betti_numbers_match_homology(seed, max_dim, max_width):
         if b:
             from_reps[k] = b
     assert betti_numbers(C) == from_reps
+
+
+def _betti_from_full_ranks(C):
+    """b_k = dim C_k - rk d_k - rk d_{k+1}, each rank from all rows of
+    d_k: the independent formula that clearing must reproduce."""
+    ranks = {k: rank(C.d(k)) for k in range(C.lo, C.hi + 2)}
+    return {k: b for k in C.degrees()
+            if (b := C.dim(k) - ranks[k] - ranks[k + 1])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["complex", "bk_holim", "cone", "fat_tot",
+                        "mixed_cache"]))
+def test_betti_numbers_by_clearing_match_full_ranks(seed, source):
+    """`betti_numbers` on a complex whose rank cache is empty, or (mixed
+    cache) partly filled by `homology`."""
+    rng = random.Random(seed)
+    if source == "bk_holim":
+        F = random_poset_chain_diagram(rng, random_poset(rng, 4), 2, 2)
+        C = validate_complex(bk_holim(F).complex)
+    elif source == "cone":
+        A = random_chain_complex(rng, max_dim=3, max_width=3)
+        B = random_chain_complex(rng, max_dim=3, max_width=3)
+        C = mapping_cone(random_chain_map(rng, A, B))
+    elif source == "fat_tot":
+        D = random_cospan_diagram(rng, max_dim=2, max_width=2)
+        C = validate_complex(fat_tot(cosimplicial_replacement(D, 3)).complex)
+    else:
+        C = random_chain_complex(rng, max_dim=4, max_width=6, hi_max=4)
+        if source == "mixed_cache":
+            for k in C.degrees():
+                if rng.random() < 0.5:
+                    homology(C, k)
+    assert betti_numbers(C) == _betti_from_full_ranks(C)
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,3 +359,26 @@ def test_hom_complex_differential_squares_to_zero(seed):
 def test_fat_totalization_differential_squares_to_zero(seed):
     D = random_cospan_diagram(random.Random(seed), max_dim=2, max_width=2)
     _assert_d_squared_zero(fat_tot(cosimplicial_replacement(D, 3)).complex)
+
+
+# --- functoriality of the nerve weight ----------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_nerve_weight_is_a_functor(seed):
+    """Cell by cell, the action of `nerve_weight(G)` sends each identity
+    to the identity map and each composite g o f to the composite of the
+    actions of g and f."""
+    G = random_loopfree_category(random.Random(seed))
+    W = nerve_weight(G)
+    for x in G.objects():
+        act = W.action(G.identity[x])
+        for n, cells in enumerate(W.value(x).cells):
+            assert all(act(n, c) == c for c in cells)
+    for f in G.morphisms():
+        for g in G.morphisms():
+            if G.tgt(f) != G.src(g):
+                continue
+            af, ag, agf = W.action(f), W.action(g), W.action(G.comp(g, f))
+            for n, cells in enumerate(W.value(G.src(f)).cells):
+                assert all(agf(n, c) == ag(n, af(n, c)) for c in cells)
