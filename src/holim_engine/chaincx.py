@@ -10,9 +10,12 @@ Conventions fixed project-wide:
 Weak equivalences are quasi-isomorphisms; fibrations are degreewise
 surjections (everything is fibrant over Q).
 
-`make_complex` checks d o d = 0 exactly, and `betti_numbers` relies on
-it: it finds ranks by clearing, skipping the rows of d_{k+1} that the
-pivot columns of d_k make redundant.
+`make_complex` checks d o d = 0 exactly: every entry of each
+d_{k-1} d_k is computed in integers over the row's lcm denominator
+(`exactalg.product_is_zero`, the kernel of `RationalMatrix.__mul__`),
+without building the product, and the check stops at the first nonzero
+row.  `betti_numbers` relies on it: it finds ranks by clearing, skipping
+the rows of d_{k+1} that the pivot columns of d_k make redundant.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Mapping, Sequence
 from .errors import ChainRuleViolation, DSquareNonzero, ShapeMismatch, \
     TotalDSquareNonzero
 from .exactalg import (RationalMatrix, block_diag, block_matrix,
-                       quotient_basis, rank_kernel, rank_pivots,
-                       solve_matrix)
+                       product_is_zero, quotient_basis, rank_kernel,
+                       rank_pivots, solve_matrix)
 from .records import record
 
 
@@ -90,7 +93,7 @@ def make_complex(dims: Mapping[int, int],
             raise ShapeMismatch(f"nonzero d_{k} outside the declared support")
     C = ChainComplex(lo, hi, cdims, cdiff)
     for k in range(lo + 2, hi + 1):
-        if not (C.d(k - 1) * C.d(k)).is_zero():
+        if not product_is_zero(C.d(k - 1), C.d(k)):
             raise DSquareNonzero(k - 1)
     return C
 

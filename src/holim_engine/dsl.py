@@ -729,6 +729,22 @@ def _mor_name(C: FinCategory, m: int) -> str:
         else C.mor_labels[m]
 
 
+def _mor_order(C: FinCategory, m: int) -> tuple:
+    """A sort key for the morphisms of C that `parse` keeps: identities
+    first, in object order, then the other morphisms in their order in
+    C, componentwise over a product.  A parsed category is numbered in
+    this order; `from_poset` numbers each identity among the arrows."""
+    if C.product_of is not None:
+        A, B = C.product_of
+        a, b = divmod(m, B.n_morphisms)
+        return _mor_order(A, a) + _mor_order(B, b)
+    return (0, C.src(m)) if C.is_identity(m) else (1, m)
+
+
+def _printed_non_identities(C: FinCategory) -> list[int]:
+    return sorted(C.non_identities(), key=lambda m: _mor_order(C, m))
+
+
 def _print_category(b: Binding) -> str:
     C: FinCategory = b.value
 
@@ -781,7 +797,7 @@ def _print_diagram(b: Binding) -> str:
         for x in C.objects():
             lines.append(f"  at {_spell(C.obj_labels[x])}: "
                          f"{b.meta['at_refs'][C.obj_labels[x]]}")
-        for m in C.non_identities():
+        for m in _printed_non_identities(C):
             a = D.action(m)
             parts = [f"deg {k}: {_fmt_matrix(a.component(k))}"
                      for k in a.source.degrees()
@@ -794,7 +810,7 @@ def _print_diagram(b: Binding) -> str:
             lab = C.obj_labels[x]
             lines.append(f"  at {_spell(lab)}: {{" + ", ".join(
                 _element(b, lab, e) for e in D.values[x]) + "}")
-        for m in C.non_identities():
+        for m in _printed_non_identities(C):
             act = D.actions[m]
             if act:
                 lines.append(f"  on {_spell(_mor_name(C, m))}: " + ", ".join(
@@ -828,7 +844,7 @@ def _print_functor(b: Binding) -> str:
     for x in S.objects():
         lines.append(f"  {_spell(S.obj_labels[x])} => "
                      f"{_spell(T.obj_labels[F.object_map[x]])}")
-    for m in S.non_identities():
+    for m in _printed_non_identities(S):
         lines.append(f"  {_spell(_mor_name(S, m))} => "
                      f"{_spell(_mor_name(T, F.morphism_map[m]))}")
     lines.append("}")

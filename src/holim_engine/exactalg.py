@@ -80,6 +80,50 @@ def _merge(parts) -> Optional[tuple[int, dict[int, int]]]:
     return _normal(L, acc) if acc else None
 
 
+def _products(A: "RationalMatrix", B: "RationalMatrix"):
+    """The nonzero rows of A * B, in the stored order of A's rows, as
+    (i, den, numerators) with den > 0 but not yet normalized.  Row i
+    is summed exactly over the lcm of the denominators of the rows of
+    B that it reads; a row whose entries all cancel is skipped."""
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch in *: {A.rows}x{A.cols} "
+                         f"by {B.rows}x{B.cols}")
+    brows = B._r
+    if not brows:
+        return
+    b_int = B._integral()
+    for i, (da, ra) in A._r.items():
+        L = 1
+        if not b_int:
+            for k in ra:
+                got = brows.get(k)
+                if got is not None and got[0] != 1:
+                    L = L * got[0] // gcd(L, got[0])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, a in ra.items():
+            got = brows.get(k)
+            if got is None:
+                continue
+            db, rb = got
+            if db != L:
+                a *= L // db
+            for j, b in rb.items():
+                acc[j] = get(j, 0) + a * b
+        if not any(acc.values()):
+            continue
+        if 0 in acc.values():
+            acc = {j: v for j, v in acc.items() if v}
+        yield i, da * L, acc
+
+
+def product_is_zero(A: "RationalMatrix", B: "RationalMatrix") -> bool:
+    """Whether A * B is the zero matrix.  Every entry is computed
+    exactly, as `A * B` computes it, but no product is built: the
+    answer is False at the first nonzero row."""
+    return next(_products(A, B), None) is None
+
+
 class RationalMatrix:
     """An immutable rows x cols matrix over Q, stored as sparse rows.
 
@@ -267,37 +311,8 @@ class RationalMatrix:
             for i, (den, row) in self._r.items()})
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch in *: {self.rows}x{self.cols} "
-                             f"by {other.rows}x{other.cols}")
-        brows = other._r
-        stored = {}
-        if not brows:
-            return RationalMatrix._of(self.rows, other.cols, stored)
-        b_int = other._integral()
-        for i, (da, ra) in self._r.items():
-            L = 1
-            if not b_int:
-                for k in ra:
-                    got = brows.get(k)
-                    if got is not None and got[0] != 1:
-                        L = L * got[0] // gcd(L, got[0])
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, a in ra.items():
-                got = brows.get(k)
-                if got is None:
-                    continue
-                db, rb = got
-                if db != L:
-                    a *= L // db
-                for j, b in rb.items():
-                    acc[j] = get(j, 0) + a * b
-            if 0 in acc.values():
-                acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                stored[i] = _normal(da * L, acc)
-        return RationalMatrix._of(self.rows, other.cols, stored)
+        return RationalMatrix._of(self.rows, other.cols, {
+            i: _normal(den, acc) for i, den, acc in _products(self, other)})
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:

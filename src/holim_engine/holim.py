@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from . import chaincx
@@ -40,7 +41,7 @@ from .endkan import (ChainDiagram, EndChain, bifunctor_diagram, end_chain,
                      restrict)
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, WeightRejected)
-from .exactalg import RationalMatrix, block_matrix
+from .exactalg import RationalMatrix, _normal, block_matrix
 from .fincat import (FinCategory, FunctorData, comma_under_functor,
                      cospan_category, identities_terminal_in_slices,
                      is_direct, validate_category)
@@ -130,38 +131,60 @@ def free_end(F: ChainDiagram, basis) -> ChainComplex:
     faces[i], so by naturality, for phi of degree n,
       (delta phi)(gen) = d_F phi(gen) - (-1)^n sum_i (-1)^i F(u_i) phi(g_i).
     Each generator contributes only in the degrees where F(x) is
-    nonzero, and each signed face block is built once per call."""
+    nonzero.  Each stored row of d_n is written once: the generator's
+    own row of d_F, then per face a signed 1 for an identity u_i or the
+    signed row of F(u_i), summed over the lcm of their denominators."""
     G = F.base
     offsets, dims = _chain_offsets(F, basis)
-
-    @lru_cache(maxsize=None)
-    def face_block(u, q, s):
-        if G.is_identity(u):
-            return RationalMatrix.identity(F.value(G.src(u)).dim(q)).scale(s)
-        return F.action(u).component(q).scale(s)
-
-    blocks: dict[int, list] = {}
+    diff: dict[int, dict] = {}
     for j, (k, x, _, faces) in enumerate(basis):
         V = F.value(x)
+        # (g_i, F(u_i) or None for an identity, (-1)^i)
+        acts = [(g, None if G.is_identity(u) else F.action(u),
+                 -1 if i % 2 else 1) for i, (g, u) in enumerate(faces)]
         # the block F(x)_q in total degree n - 1 = q - k, hit by d_n
         for q in V.degrees():
+            dq = V.dim(q)
             src = offsets.get(q - k + 1)
-            if not V.dim(q) or src is None:
+            if not dq or src is None:
                 continue
-            n, row = q - k + 1, offsets[q - k][j]
+            n, r0 = q - k + 1, offsets[q - k][j]
             sign = -1 if n % 2 == 0 else 1          # -(-1)^n
-            out = blocks.setdefault(n, [])
-            if j in src:
-                out.append((row, src[j], V.d(q + 1)))
+            # (stored rows or None for an identity, column, sign)
+            parts = [(V.d(q + 1)._r, src[j], 1)] if j in src else []
             # the faces are (k-1)-generators, read in internal degree q
-            for i, (g, u) in enumerate(faces):
-                if g in src:
-                    out.append((row, src[g],
-                                face_block(u, q, sign if i % 2 == 0
-                                           else -sign)))
+            for g, a, s in acts:
+                c0 = src.get(g)
+                if c0 is not None:
+                    parts.append((None if a is None else a.component(q)._r,
+                                  c0, s * sign))
+            out = diff.setdefault(n, {})
+            for r in range(dq):
+                L, acc = 1, {}
+                get = acc.get
+                for rows, c0, s in parts:
+                    if rows is None:
+                        acc[c0 + r] = get(c0 + r, 0) + s * L
+                        continue
+                    got = rows.get(r)
+                    if got is None:
+                        continue
+                    den, row = got
+                    if L % den:             # widen the sum to lcm(L, den)
+                        m = den // gcd(L, den)
+                        L *= m
+                        acc = {c: v * m for c, v in acc.items()}
+                        get = acc.get
+                    f = s * (L // den)
+                    for c, v in row.items():
+                        acc[c0 + c] = get(c0 + c, 0) + f * v
+                if 0 in acc.values():
+                    acc = {c: v for c, v in acc.items() if v}
+                if acc:
+                    out[r0 + r] = _normal(L, acc)
     return chaincx.make_complex(dims, {
-        n: block_matrix(dims.get(n - 1, 0), dims[n], b)
-        for n, b in blocks.items()})
+        n: RationalMatrix._of(dims.get(n - 1, 0), dims[n], rows)
+        for n, rows in diff.items()})
 
 
 def _chain_generators(G: FinCategory):

@@ -1,9 +1,10 @@
 """Independent checks of the paper's results that no command runs.
 
 Validators of semisimplicial sets, weights and natural transformations,
-simplicial frames with their Reedy check, homotopy invariance of
-`bk_holim`, Fubini for ends and the equalizer of two chain maps.  Tests
-import this module; no CLI command, `verify` suite or engine module does.
+the block-by-block assembly of a free end, simplicial frames with their
+Reedy check, homotopy invariance of `bk_holim`, Fubini for ends and the
+equalizer of two chain maps.  Tests import this module; no CLI command,
+`verify` suite or engine module does.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
 from .exactalg import (RationalMatrix, block_matrix, canonical_row_basis,
                        rank, rank_kernel, solve_matrix)
 from .fincat import FinCategory, product, product_mor, product_obj
-from .holim import (Cosimplicial, _chain_generators, _chain_product_map,
-                    cosimplicial_from_cofaces, free_end)
+from .holim import (Cosimplicial, _chain_generators, _chain_offsets,
+                    _chain_product_map, cosimplicial_from_cofaces, free_end)
 from .records import record
 from .ssets import (EMPTY_SSET, SemiSimplicialSet, SSetMap, Weight,
                     chains_of_map, identity_sset_map, normalized_chains,
@@ -261,6 +262,42 @@ def check_reedy_fibrant(frame: SimplicialFrame, depth: int) -> ReedyReport:
                 ok = False
         verdicts.append(ok)
     return ReedyReport(tuple(verdicts), all(verdicts))
+
+
+# --- free ends -----------------------------------------------------------------
+
+def free_end_by_blocks(F: ChainDiagram, basis) -> ChainComplex:
+    """`holim.free_end` assembled block by block: d_n is one
+    `block_matrix` of the generators' own differentials and their
+    signed face blocks, an identity face as a scaled identity matrix."""
+    G = F.base
+    offsets, dims = _chain_offsets(F, basis)
+
+    def face_block(u, q, s):
+        if G.is_identity(u):
+            return RationalMatrix.identity(F.value(G.src(u)).dim(q)).scale(s)
+        return F.action(u).component(q).scale(s)
+
+    blocks: dict[int, list] = {}
+    for j, (k, x, _, faces) in enumerate(basis):
+        V = F.value(x)
+        for q in V.degrees():
+            src = offsets.get(q - k + 1)
+            if not V.dim(q) or src is None:
+                continue
+            n, row = q - k + 1, offsets[q - k][j]
+            sign = -1 if n % 2 == 0 else 1          # -(-1)^n
+            out = blocks.setdefault(n, [])
+            if j in src:
+                out.append((row, src[j], V.d(q + 1)))
+            for i, (g, u) in enumerate(faces):
+                if g in src:
+                    out.append((row, src[g],
+                                face_block(u, q, sign if i % 2 == 0
+                                           else -sign)))
+    return chaincx.make_complex(dims, {
+        n: block_matrix(dims.get(n - 1, 0), dims[n], b)
+        for n, b in blocks.items()})
 
 
 # --- cosimplicial objects -----------------------------------------------------

@@ -36,6 +36,29 @@ def test_d_square_nonzero_rejected():
         make_complex({0: 1, 1: 1, 2: 1}, {1: M([[1]]), 2: M([[1]])})
 
 
+def test_d_square_nonzero_only_in_the_last_stored_row():
+    # d_2 d_3 = 0; d_1 d_2 is zero but for its last row
+    d1 = M([[1, 1, 0], [0, 1, 1], [1, 0, -1], [0, 0, 1]])
+    d2 = M([[1, 0], [-1, 0], [1, 0]])
+    d3 = M([[0], [1]])
+    assert (d1 * d2).row_block(0, 3).is_zero()
+    with pytest.raises(DSquareNonzero) as exc:
+        make_complex({0: 4, 1: 3, 2: 2, 3: 1}, {1: d1, 2: d2, 3: d3})
+    assert exc.value.degree == 1
+
+
+def test_d_square_check_sums_over_the_lcm_of_denominators():
+    # the one entry of d_1 d_2 sums rows of d_2 over denominators 2 and 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    ok = make_complex({0: 1, 1: 2, 2: 1},
+                      {1: M([[2, -3]]), 2: M([[half], [third]])})
+    assert ok.dim(1) == 2
+    with pytest.raises(DSquareNonzero) as exc:
+        make_complex({0: 1, 1: 2, 2: 1},
+                     {1: M([[1, 1]]), 2: M([[half], [third]])})
+    assert exc.value.degree == 1
+
+
 def test_homology_acyclic_cone():
     C = make_complex({0: 1, 1: 1}, {1: M([[1]])})
     assert betti_numbers(C) == {}

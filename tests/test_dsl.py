@@ -4,10 +4,11 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import betti_numbers
-from holim_engine.dsl import Binding, parse, pretty_print
+from holim_engine.dsl import Binding, Workspace, parse, pretty_print
 from holim_engine.endkan import FinSetDiagram, hom_bifunctor
 from holim_engine.errors import (DiagramError, DSquareNonzero, EngineError,
                                  NotLoopFree, ParseError, UnknownBinding)
+from holim_engine.fincat import from_poset, product_mor
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -316,3 +317,29 @@ def test_pretty_print_names_an_element_the_grammar_cannot_read():
     N = _renamed(_arrow_S(), {"x": "-1", "u": "u_2.b"})
     assert parse(_print_with("N", N, "C")).get(
         "N", "diagram_finset").value == N
+
+
+def test_first_print_over_a_product_of_a_poset_category_is_a_fixpoint():
+    """`from_poset` numbers each identity among the arrows, a parsed
+    category numbers identities first; the `on` lines of a diagram over
+    op(C) * C print in the same order either way."""
+    C = from_poset(["a", "b", "c"], {(0, 1), (1, 2), (0, 2)})
+    P = C.bifunctor_base
+
+    def hom(x, y):
+        return tuple(f"h{m}" for m in C.hom(x, y))
+
+    actions = {}
+    for m1 in C.morphisms():              # a morphism of op(C)
+        for m2 in C.morphisms():
+            actions[product_mor(P, m1, m2)] = {
+                f"h{a}": f"h{C.comp(C.comp(m2, a), m1)}"
+                for a in C.hom(C.tgt(m1), C.src(m2))}
+    H = FinSetDiagram(P, tuple(hom(x, y) for x in C.objects()
+                               for y in C.objects()), actions)
+    ws = Workspace()
+    ws.add(Binding("C", "category", C))
+    ws.add(Binding("H", "diagram_finset", H,
+                   meta={"base_expr": "op(C) * C"}))
+    printed = pretty_print(ws)
+    assert pretty_print(parse(printed)) == printed

@@ -11,19 +11,24 @@ from hypothesis import strategies as st
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import (betti_numbers, hom_complex, homology,
                                   identity_map, induced_homology_maps,
-                                  is_quasi_iso, mapping_cone,
-                                  validate_complex, zero_map)
+                                  is_quasi_iso, make_chain_map, make_complex,
+                                  mapping_cone, validate_complex, zero_map)
 from holim_engine.dsl import Binding, Workspace, parse, pretty_print
 from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
-from holim_engine.exactalg import RationalMatrix, block_matrix, rank
-from holim_engine.holim import bk_holim, cosimplicial_replacement, fat_tot
+from holim_engine.exactalg import (RationalMatrix, block_matrix,
+                                   kernel_matrix, product_is_zero, rank)
+from holim_engine.fincat import find_initial, object_inclusion
+from holim_engine.holim import (_chain_generators, bk_holim,
+                                cosimplicial_replacement, fat_tot, free_end)
+from holim_engine.oracle import free_end_by_blocks
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import nerve_weight
+from holim_engine.ssets import (_levelwise_free, constant_point_weight,
+                                nerve_of_comma_under, nerve_weight)
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,6 +364,118 @@ def test_hom_complex_differential_squares_to_zero(seed):
 def test_fat_totalization_differential_squares_to_zero(seed):
     D = random_cospan_diagram(random.Random(seed), max_dim=2, max_width=2)
     _assert_d_squared_zero(fat_tot(cosimplicial_replacement(D, 3)).complex)
+
+
+# --- the zero test of a product -------------------------------------------------
+
+def _sparse_rational(rng, rows, cols):
+    """A random rows x cols matrix, about half zeros, whose nonzero
+    entries have denominators 1, 2, 3 or 6."""
+    return RationalMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+          if rng.random() < 0.5 else 0 for _ in range(cols)]
+         for _ in range(rows)], rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "cancel", "last_row"]))
+def test_product_is_zero_agrees_with_the_product(seed, kind):
+    """`product_is_zero(A, B)` is `(A * B).is_zero()`, on random
+    products, on products that cancel to zero (B's columns in the
+    kernel of A) and on products whose one nonzero row is A's last."""
+    rng = random.Random(seed)
+    m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 5)
+    A = _sparse_rational(rng, m, k)
+    if kind == "random":
+        B = _sparse_rational(rng, k, n)
+    else:
+        # B's columns in the kernel of A, or of A without its last row
+        K = kernel_matrix(A if kind == "cancel" else A.row_block(0, m - 1))
+        B = K * _sparse_rational(rng, K.cols, n)
+    assert product_is_zero(A, B) == (A * B).is_zero()
+    if kind == "cancel":
+        assert product_is_zero(A, B)
+
+
+# --- free ends, row by row and block by block --------------------------------------
+
+def _gauged(rng, F):
+    """A diagram isomorphic to F whose actions and differentials have
+    non-integral entries: F(x) rescaled by c_x, so F(u) becomes
+    (c_y / c_x) F(u), and d_k by t_k in every value alike."""
+    G = F.base
+    c = [rng.choice((Fraction(1), Fraction(7), Fraction(1, 3),
+                     Fraction(5, 2))) for _ in G.objects()]
+    t = {k: rng.choice((3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+         for k in range(-8, 9)}
+    values = [make_complex(dict(V.dims),
+                           {k: d.scale(t[k]) for k, d in V.diff.items()})
+              for V in map(F.value, G.objects())]
+    actions = {}
+    for m in G.morphisms():
+        x, y = G.src(m), G.tgt(m)
+        a = F.action(m)
+        actions[m] = make_chain_map(values[x], values[y], {
+            k: a.component(k).scale(c[y] / c[x]) for k in a.components},
+            check=True)
+    return ChainDiagram(G, values, actions)
+
+
+def _free_end_input(rng, kind):
+    """(diagram, free basis) of one of the kinds of weight free_end
+    takes its ends over."""
+    if kind == "cospan_nerve":
+        F = random_cospan_diagram(rng, 2, 2)
+        return F, _chain_generators(F.base)[1]
+    if kind == "comma_under":
+        f = random_functor_between_loopfree(rng)
+        F = random_poset_chain_diagram(rng, f.target, 2, 2)
+        return F, _levelwise_free(nerve_of_comma_under(f))
+    # the constant point is free only over a base with an initial object
+    P = random_poset(rng, 4, with_bottom=kind in ("point", "initial_comma"))
+    F = random_poset_chain_diagram(rng, P, 2, 2)
+    if kind == "poset_nerve":
+        return F, _chain_generators(P)[1]
+    if kind == "nerve_weight":
+        W = nerve_weight(P)
+    elif kind == "point":
+        W = constant_point_weight(P)
+    else:
+        W = nerve_of_comma_under(object_inclusion(P, find_initial(P)))
+    return F, _levelwise_free(W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["cospan_nerve", "poset_nerve", "nerve_weight",
+                        "comma_under", "point", "initial_comma"]),
+       st.booleans())
+def test_free_end_matches_block_assembly(seed, kind, gauged):
+    """`free_end`, written row by row, is the block-by-block assembly
+    of `oracle.free_end_by_blocks` entry for entry: the same dims and
+    every d_n equal, over the nerve, over the `_levelwise_free` bases of
+    `nerve_weight`, `nerve_of_comma_under` and the constant point, and
+    over diagrams with non-integral actions and differentials."""
+    rng = random.Random(seed)
+    F, basis = _free_end_input(rng, kind)
+    if gauged:
+        F = _gauged(rng, F)
+    got, want = free_end(F, basis), free_end_by_blocks(F, basis)
+    assert (got.lo, got.hi, got.dims) == (want.lo, want.hi, want.dims)
+    assert got.diff == want.diff
+
+
+def test_free_end_of_a_gauged_diagram_has_non_integral_rows():
+    """The gauged inputs above do reach rows over a denominator."""
+    rng = random.Random(16)
+    dens = set()
+    for _ in range(6):
+        F = _gauged(rng, random_cospan_diagram(rng, 2, 2))
+        C = free_end(F, _chain_generators(F.base)[1])
+        assert C == free_end_by_blocks(F, _chain_generators(F.base)[1])
+        dens |= {den for d in C.diff.values() for den, _ in d._r.values()}
+    assert dens - {1}
 
 
 # --- functoriality of the nerve weight ----------------------------------------------
