@@ -8,7 +8,7 @@ tgt(f) = src(g).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import (AssociativityViolation, CompositionDomainError,
@@ -66,7 +66,7 @@ class FinCategory:
                 if self.mor_src[m] == x and self.mor_tgt[m] == y]
 
     def require_object(self, x: int) -> None:
-        if not (0 <= x < self.n_objects):
+        if not isinstance(x, int) or not 0 <= x < self.n_objects:
             raise UnknownObject(f"no object with index {x}")
 
     @cached_property
@@ -490,8 +490,9 @@ def chain_poset(n: int) -> FinCategory:
                                for j in range(i + 1, n + 1)})
 
 
+@cache
 def cospan_category() -> FinCategory:
-    """The cospan shape a -> c <- b."""
+    """The cospan shape a -> c <- b, built once: a category is frozen."""
     return from_poset(["a", "b", "c"], {(0, 2), (1, 2)})
 
 

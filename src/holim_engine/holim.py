@@ -5,11 +5,13 @@ Hom(chains of W(x), F(y)) over product(opposite(G), G).  Every weight
 the engine accepts is free, so by Yoneda its end is the product over
 the generating cells of F at their representing objects: `free_end`
 builds that product from the basis `ssets._levelwise_free` reads off
-the weight.  With the nerve weight g |-> N(G over g) the end is the
-Bousfield-Kan homotopy limit; its generators are the chains of G
-(`_chain_generators`), and maps between such products are block maps
-along the chains (`_chain_product_map`).  `bk_holim`, `comparison_map`
-and `change_of_diagrams_iso` all take their ends this way.  With the
+the weight and one profile of F per object (`_profiles`).  With the
+nerve weight g |-> N(G over g) the end is the Bousfield-Kan homotopy
+limit; its generators are the chains of G, listed with their faces in
+one pass over G (`ssets.nerve_chains`), and maps between such products
+are block maps along the chains (`_chain_product_map`).  `bk_holim`,
+`comparison_map` and `change_of_diagrams_iso` all take their ends this
+way.  With the
 truncated injective-simplex weight [n] |-> Delta^n the end is the fat
 totalization, which `fat_tot` computes as the double complex of the
 levels.  Its input X is a `Cosimplicial`: the levels X^0, ..., X^N and
@@ -48,7 +50,7 @@ from .fincat import (FinCategory, FunctorData, comma_under_functor,
 from .records import record
 from .ssets import (Weight, _levelwise_free, _nerve_of_commas, chains_of_map,
                     check_point_resolution, homology_contractible, nerve,
-                    normalized_chains)
+                    nerve_chains, normalized_chains)
 
 
 @record
@@ -94,7 +96,7 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     projectively cofibrant resolution of the point.
 
     With no weight the resolution is the nerve weight
-    g |-> N(G over g), free on the chains of G (`_chain_generators`).  Its
+    g |-> N(G over g), free on the chains of G (`ssets.nerve_chains`).  Its
     values are contractible because id_g is terminal in each G over g,
     which `fincat.identities_terminal_in_slices` reads off the
     composition table without building the slices.  An explicit weight
@@ -115,8 +117,7 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
         raise WeightRejected(
             f"weight (provenance {provenance!r}) is not a certified "
             f"cofibrant resolution of the point")
-    cx = free_end(F, _chain_generators(G)[1] if W is None
-                  else _levelwise_free(W))
+    cx = free_end(F, nerve_chains(G) if W is None else _levelwise_free(W))
     return HolimResult(cx, betti_numbers(cx),
                        f"bousfield-kan end, {provenance} weight")
 
@@ -135,29 +136,34 @@ def free_end(F: ChainDiagram, basis) -> ChainComplex:
     own row of d_F, then per face a signed 1 for an identity u_i or the
     signed row of F(u_i), summed over the lcm of their denominators."""
     G = F.base
-    offsets, dims = _chain_offsets(F, basis)
+    profile = _profiles(F)
+    offsets, dims = _chain_offsets(profile, basis)
+    identities = set(G.identity)
+
+    @lru_cache(maxsize=None)
+    def rows_of(u):             # {q: stored rows of F(u)_q}, once per u
+        a = F.action(u)
+        return {q: a.component(q)._r for q, _, _ in profile[G.tgt(u)]}
+
     diff: dict[int, dict] = {}
     for j, (k, x, _, faces) in enumerate(basis):
-        V = F.value(x)
-        # (g_i, F(u_i) or None for an identity, (-1)^i)
-        acts = [(g, None if G.is_identity(u) else F.action(u),
+        # (g_i, rows of F(u_i) or None for an identity, (-1)^i)
+        acts = [(g, None if u in identities else rows_of(u),
                  -1 if i % 2 else 1) for i, (g, u) in enumerate(faces)]
         # the block F(x)_q in total degree n - 1 = q - k, hit by d_n
-        for q in V.degrees():
-            dq = V.dim(q)
+        for q, dq, own in profile[x]:
             src = offsets.get(q - k + 1)
-            if not dq or src is None:
+            if src is None:
                 continue
             n, r0 = q - k + 1, offsets[q - k][j]
             sign = -1 if n % 2 == 0 else 1          # -(-1)^n
             # (stored rows or None for an identity, column, sign)
-            parts = [(V.d(q + 1)._r, src[j], 1)] if j in src else []
+            parts = [(own, src[j], 1)] if j in src else []
             # the faces are (k-1)-generators, read in internal degree q
             for g, a, s in acts:
                 c0 = src.get(g)
                 if c0 is not None:
-                    parts.append((None if a is None else a.component(q)._r,
-                                  c0, s * sign))
+                    parts.append((None if a is None else a[q], c0, s * sign))
             out = diff.setdefault(n, {})
             for r in range(dq):
                 L, acc = 1, {}
@@ -188,38 +194,32 @@ def free_end(F: ChainDiagram, basis) -> ChainComplex:
 
 
 def _chain_generators(G: FinCategory):
-    """The nerve of G as a free basis for `free_end`, with the index of
-    each chain: the k-chains c = (x_0 -> ... -> x_k) in the order of
-    `nerve(G).cells`, at x_k, whose faces d_i c carry the identity for
-    i < k and the last arrow m_k for i = k (d_k alone moves x_k)."""
-    K = nerve(G)
-    index = {(k, c): j for j, (k, c) in enumerate(
-        (k, c) for k, cells in enumerate(K.cells) for c in cells)}
-    basis = []
-    for k, c in index:
-        x = c if k == 0 else G.tgt(c[-1])
-        basis.append((k, x, c, tuple(
-            (index[(k - 1, d)], c[-1] if i == k else G.identity[x])
-            for i, d in enumerate(K.faces.get((k, c), ())))))
-    return index, basis
+    """The chains of G (`ssets.nerve_chains`) and the index of each."""
+    basis = nerve_chains(G)
+    return {c: j for j, (_, _, c, _) in enumerate(basis)}, basis
 
 
-def _chain_offsets(F: ChainDiagram, basis):
+def _profiles(F: ChainDiagram) -> list:
+    """Per object x of the base, the nonzero degrees of F(x) as
+    (q, dim F(x)_q, stored rows of d_F: F(x)_{q+1} -> F(x)_q)."""
+    return [[(q, V.dim(q), V.d(q + 1)._r) for q in V.degrees() if V.dim(q)]
+            for V in map(F.value, F.base.objects())]
+
+
+def _chain_offsets(profile, basis):
     """The layout of the product over the generators (k, x, ...) of F(x)
-    shifted down by k, in one pass over them: offsets[n][j] is where the
-    block F(x)_{n+k} of generator j starts in total degree n, for the
-    generators whose block there is nonzero, and dims[n] is the
-    dimension of degree n."""
+    shifted down by k, given the `_profiles` of F, in one pass over them:
+    offsets[n][j] is where the block F(x)_{n+k} of generator j starts in
+    total degree n, for the generators whose block there is nonzero, and
+    dims[n] is the dimension of degree n."""
     offsets: dict[int, dict[int, int]] = {}
     dims: dict[int, int] = {}
     for j, (k, x, _, _) in enumerate(basis):
-        V = F.value(x)
-        for q in V.degrees():
-            if V.dim(q):
-                n = q - k
-                acc = dims.get(n, 0)
-                offsets.setdefault(n, {})[j] = acc
-                dims[n] = acc + V.dim(q)
+        for q, dq, _ in profile[x]:
+            n = q - k
+            acc = dims.get(n, 0)
+            offsets.setdefault(n, {})[j] = acc
+            dims[n] = acc + dq
     return offsets, dims
 
 
@@ -234,17 +234,18 @@ def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
     an arrow of c to an identity (f(c) is degenerate)."""
     Gp = f.target
     (src_index, src_gens), (_, tgt_gens) = src_chains, tgt_chains
-    src, _ = _chain_offsets(Fp, src_gens)
-    tgt, _ = _chain_offsets(F, tgt_gens)
+    profile = _profiles(F)
+    src, _ = _chain_offsets(_profiles(Fp), src_gens)
+    tgt, _ = _chain_offsets(profile, tgt_gens)
     blocks: dict[int, list] = {}
     for j, (k, x, c, _) in enumerate(tgt_gens):
         fc = f.object_map[c] if k == 0 else \
             tuple(f.morphism_map[m] for m in c)
         if k and any(Gp.is_identity(m) for m in fc):
             continue
-        i, V = src_index[(k, fc)], F.value(x)
-        for q in V.degrees():
-            if V.dim(q) and i in src.get(q - k, ()):
+        i = src_index[fc]
+        for q, _, _ in profile[x]:
+            if i in src.get(q - k, ()):
                 blocks.setdefault(q - k, []).append(
                     (tgt[q - k][j], src[q - k][i], alpha[x].component(q)))
     return make_chain_map(P, Q, {
@@ -585,18 +586,16 @@ def _change_of_diagrams(f: FunctorData, F: ChainDiagram,
             c = tuple(com.mor_key(m)[2] for m in cell)
             last = com.mor_key(cell[-1])[1]
         if f.target.is_identity(com.object_keys[last][1]):
-            match[index[(k, c)]] = j
-    src, _ = _chain_offsets(F, basis)
-    tgt, _ = _chain_offsets(Frest, gens)
+            match[index[c]] = j
+    profile = _profiles(Frest)
+    src, _ = _chain_offsets(_profiles(F), basis)
+    tgt, _ = _chain_offsets(profile, gens)
     blocks: dict[int, list] = {}
     for i, j in match.items():
         k, x = gens[i][:2]
-        V = Frest.value(x)
-        for q in V.degrees():
-            if V.dim(q):
-                blocks.setdefault(q - k, []).append(
-                    (tgt[q - k][i], src[q - k][j],
-                     RationalMatrix.identity(V.dim(q))))
+        for q, dq, _ in profile[x]:
+            blocks.setdefault(q - k, []).append(
+                (tgt[q - k][i], src[q - k][j], RationalMatrix.identity(dq)))
     make_chain_map(E2, E3, {
         n: block_matrix(E3.dim(n), E2.dim(n), b) for n, b in blocks.items()},
         check=True)

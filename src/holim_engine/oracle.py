@@ -1,6 +1,7 @@
 """Independent checks of the paper's results that no command runs.
 
 Validators of semisimplicial sets, weights and natural transformations,
+the nerve and its chain basis built level by level through a face dict,
 the block-by-block assembly of a free end, simplicial frames with their
 Reedy check, homotopy invariance of `bk_holim`, Fubini for ends and the
 equalizer of two chain maps.  Tests import this module; no CLI command,
@@ -16,12 +17,13 @@ from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
 from .endkan import (ChainDiagram, ChainDiagramMap, EndChain, FinSetDiagram,
                      end_chain, end_induced_map)
 from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
-                     SimplicialError)
+                     NotLoopFree, SimplicialError)
 from .exactalg import (RationalMatrix, block_matrix, canonical_row_basis,
                        rank, rank_kernel, solve_matrix)
-from .fincat import FinCategory, product, product_mor, product_obj
+from .fincat import FinCategory, is_direct, product, product_mor, product_obj
 from .holim import (Cosimplicial, _chain_generators, _chain_offsets,
-                    _chain_product_map, cosimplicial_from_cofaces, free_end)
+                    _chain_product_map, _profiles, cosimplicial_from_cofaces,
+                    free_end)
 from .records import record
 from .ssets import (EMPTY_SSET, SemiSimplicialSet, SSetMap, Weight,
                     chains_of_map, identity_sset_map, normalized_chains,
@@ -67,6 +69,58 @@ def validate_sset(K: SemiSimplicialSet) -> SemiSimplicialSet:
                         raise SimplicialError(
                             f"simplicial identity fails on {c!r} (i={i}, j={j})")
     return K
+
+
+def nerve_by_levels(C: FinCategory) -> SemiSimplicialSet:
+    """`ssets.nerve` built level by level: the k-chains extend the
+    (k-1)-chains by every non-identity arrow out of their last object,
+    and each face is spelled out as a chain of arrows."""
+    if is_direct(C) is None:
+        raise NotLoopFree("nerve requires a loop-free category")
+    if C.n_objects == 0:
+        return EMPTY_SSET
+    nonid = C.non_identities()
+    out: dict[int, list[int]] = {x: [] for x in C.objects()}
+    for m in nonid:                     # in morphism order
+        out[C.src(m)].append(m)
+    cells: list[tuple] = [tuple(C.objects())]
+    faces: dict = {}
+    prev = [(m,) for m in nonid]
+    if prev:
+        cells.append(tuple(prev))
+        for (m,) in prev:
+            faces[(1, (m,))] = (C.tgt(m), C.src(m))
+    while prev:
+        k = len(prev[0]) + 1
+        nxt = [chain + (m,) for chain in prev for m in out[C.tgt(chain[-1])]]
+        if not nxt:
+            break
+        cells.append(tuple(nxt))
+        for chain in nxt:
+            fs = [chain[1:]]
+            for i in range(1, k):
+                comp = C.comp(chain[i], chain[i - 1])
+                fs.append(chain[:i - 1] + (comp,) + chain[i + 1:])
+            fs.append(chain[:-1])
+            faces[(k, chain)] = tuple(fs)
+        prev = nxt
+    return SemiSimplicialSet(tuple(cells), faces)
+
+
+def chain_generators_by_levels(G: FinCategory):
+    """`holim._chain_generators` read off `nerve_by_levels(G)`: index
+    its cells, then look each face up by its chain."""
+    K = nerve_by_levels(G)
+    index = {c: j for j, c in enumerate(c for cells in K.cells
+                                        for c in cells)}
+    basis = []
+    for k, cells in enumerate(K.cells):
+        for c in cells:
+            x = c if k == 0 else G.tgt(c[-1])
+            basis.append((k, x, c, tuple(
+                (index[d], c[-1] if i == k else G.identity[x])
+                for i, d in enumerate(K.faces.get((k, c), ())))))
+    return index, tuple(basis)
 
 
 def make_sset_map(source: SemiSimplicialSet, target: SemiSimplicialSet,
@@ -271,7 +325,7 @@ def free_end_by_blocks(F: ChainDiagram, basis) -> ChainComplex:
     `block_matrix` of the generators' own differentials and their
     signed face blocks, an identity face as a scaled identity matrix."""
     G = F.base
-    offsets, dims = _chain_offsets(F, basis)
+    offsets, dims = _chain_offsets(_profiles(F), basis)
 
     def face_block(u, q, s):
         if G.is_identity(u):

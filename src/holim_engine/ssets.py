@@ -14,12 +14,14 @@ at the i-th object.  On 1-cells this gives d(f) = tgt(f) - src(f).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Mapping
 
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
-from .errors import EmptyComplex, NotLoopFree, SimplicialError
+from .errors import (CompositionDomainError, EmptyComplex, NotLoopFree,
+                     SimplicialError)
 from .exactalg import block_matrix
 from .fincat import (Comma, FinCategory, FunctorData, comma_over,
                      comma_under_functor, find_initial, is_direct)
@@ -100,39 +102,53 @@ def point() -> SemiSimplicialSet:
 
 # --- nerves -------------------------------------------------------------------
 
-def nerve(C: FinCategory) -> SemiSimplicialSet:
-    """Nerve of a loop-free category; k-cells are chains of k composable
-    non-identity morphisms, 0-cells are the objects."""
+def nerve_chains(C: FinCategory) -> tuple:
+    """The nerve of a loop-free category as a free basis, in one pass:
+    each k-chain c = (x_0 -> ... -> x_k) as (k, x_k, c, faces) in the
+    order of `nerve(C).cells`, with faces[i] = (j, u), j the index of
+    d_i c and u the identity of x_k for i < k, the last arrow for i = k
+    (d_k alone moves x_k).  A 0-chain is its object, a k-chain the tuple
+    of its arrows.  A k-chain extends its d_k by one arrow, so d_i c
+    with i < k - 1 extends d_i d_k c by that arrow, and d_{k-1} c extends
+    d_{k-1} d_k c by the composite of the last two."""
     if is_direct(C) is None:
         raise NotLoopFree("nerve requires a loop-free category")
-    if C.n_objects == 0:
-        return EMPTY_SSET
-    nonid = C.non_identities()
-    out: dict[int, list[int]] = {x: [] for x in C.objects()}
-    for m in nonid:                     # in morphism order
-        out[C.src(m)].append(m)
-    cells: list[tuple] = [tuple(C.objects())]
-    faces: dict = {}
-    prev = [(m,) for m in nonid]
-    if prev:
-        cells.append(tuple(prev))
-        for (m,) in prev:
-            faces[(1, (m,))] = (C.tgt(m), C.src(m))
-    while prev:
-        k = len(prev[0]) + 1
-        nxt = [chain + (m,) for chain in prev for m in out[C.tgt(chain[-1])]]
-        if not nxt:
-            break
-        cells.append(tuple(nxt))
-        for chain in nxt:
-            fs = [chain[1:]]
-            for i in range(1, k):
-                comp = C.comp(chain[i], chain[i - 1])
-                fs.append(chain[:i - 1] + (comp,) + chain[i + 1:])
-            fs.append(chain[:-1])
-            faces[(k, chain)] = tuple(fs)
-        prev = nxt
-    return SemiSimplicialSet(tuple(cells), faces)
+    ident, tgt = C.identity, C.mor_tgt
+    basis = [(0, x, x, ()) for x in C.objects()]
+    ext: list[dict] = [{} for _ in basis]   # ext[j][m]: chain j, then m
+    for m in C.non_identities():        # in morphism order
+        x, y = C.src(m), tgt[m]
+        ext[x][m] = len(basis)
+        basis.append((1, y, (m,), ((y, ident[y]), (x, m))))
+    p = C.n_objects
+    while p < len(basis):       # breadth first, so level by level
+        k, y, c, pf = basis[p]
+        ext.append({})
+        for m in ext[y]:        # the arrows out of y, in morphism order
+            z = tgt[m]
+            ext[p][m] = len(basis)
+            d = ext[pf[-1][0]].get(u := C.comp(m, c[-1]))
+            if d is None or tgt[u] != z:    # the table is not a category's
+                raise CompositionDomainError(
+                    f"{C.mor_labels[m]!r} o {C.mor_labels[c[-1]]!r} is not "
+                    f"a non-identity arrow {C.obj_labels[C.src(c[-1])]!r} -> "
+                    f"{C.obj_labels[z]!r}")
+            fs = [(ext[g][m], ident[z]) for g, _ in pf[:-1]]
+            basis.append((k + 1, z, c + (m,), (*fs, (d, ident[z]), (p, m))))
+        p += 1
+    return tuple(basis)
+
+
+def nerve(C: FinCategory) -> SemiSimplicialSet:
+    """Nerve of a loop-free category; k-cells are chains of k composable
+    non-identity morphisms, 0-cells are the objects: a view of
+    `nerve_chains(C)`."""
+    basis = nerve_chains(C)
+    return SemiSimplicialSet(
+        tuple(tuple(c for _, _, c, _ in level)
+              for _, level in groupby(basis, itemgetter(0))),
+        {(k, c): tuple(basis[j][2] for j, _ in fs)
+         for k, _, c, fs in basis if k})
 
 
 @record(frozen=True)

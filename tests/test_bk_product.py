@@ -14,6 +14,7 @@ import holim_engine.cli as cli_mod
 import holim_engine.endkan as endkan_mod
 import holim_engine.exactalg as exactalg_mod
 import holim_engine.holim as holim_mod
+import holim_engine.ssets as ssets_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   hom_postcompose, identity_map,
                                   induced_homology_maps, is_quasi_iso,
@@ -29,7 +30,8 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
                                 cosimplicial_replacement, delta_plus_vertices,
-                                fat_tot, free_end, weighted_end)
+                                fat_tot, free_end, homotopy_pullback,
+                                weighted_end)
 from holim_engine.oracle import (_simplex_inclusion, constant_cosimplicial,
                                  holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
@@ -235,6 +237,29 @@ def test_comparison_map_builds_each_product_once(monkeypatch):
         # P', P and E2; E3 is P
         assert counts["free_end"] == 3
         assert counts["_chain_generators"] <= 2
+
+
+def test_bk_holim_and_pullbacks_build_no_nerve(monkeypatch):
+    """The chain product reads the chains off `ssets.nerve_chains`, so
+    neither `bk_holim` nor `homotopy_pullback` builds `nerve(G)`, and the
+    cospan shape is built once."""
+    calls = []
+    for mod in (ssets_mod, holim_mod):
+        monkeypatch.setattr(mod, "nerve",
+                            lambda C, _orig=ssets_mod.nerve:
+                            calls.append(C) or _orig(C))
+    rng = random.Random(2034)
+    for n in range(5):
+        F = random_poset_chain_diagram(rng, chain_poset(n), 2, 2)
+        assert bk_holim(F).betti == betti_numbers(F.value(0))
+    for _ in range(3):
+        D = random_cospan_diagram(rng, 2, 2)
+        C = D.base
+        _, rep = homotopy_pullback(D.action(C.hom(0, 2)[0]),
+                                   D.action(C.hom(1, 2)[0]))
+        assert rep.passed
+    assert calls == []
+    assert cospan_category() is cospan_category()
 
 
 def test_betti_numbers_eliminate_only_the_uncleared_rows(monkeypatch):

@@ -292,6 +292,20 @@ def test_unknown_object_errors():
         object_inclusion(C, 5)
 
 
+def test_an_object_that_is_not_an_index_is_unknown():
+    """`find_initial` returns None on a poset with no initial object;
+    including None, or any object that is not an index, ends in an
+    `EngineError`."""
+    from holim_engine.errors import EngineError, UnknownObject
+    P = from_poset(["a", "b"], set())
+    assert find_initial(P) is None
+    with pytest.raises(UnknownObject, match="no object with index None"):
+        object_inclusion(P, find_initial(P))
+    for x in ("0", 0.0, -1, 2):
+        with pytest.raises(EngineError):
+            P.require_object(x)
+
+
 def test_omitted_composable_pair_rejected():
     C = chain_poset(2)
     table = dict(C.compose_table)

@@ -18,17 +18,21 @@ from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
 from holim_engine.exactalg import (RationalMatrix, block_matrix,
                                    kernel_matrix, product_is_zero, rank)
-from holim_engine.fincat import find_initial, object_inclusion
+from holim_engine.fincat import (chain_poset, cospan_category, find_initial,
+                                 object_inclusion)
 from holim_engine.holim import (_chain_generators, bk_holim,
                                 cosimplicial_replacement, fat_tot, free_end)
-from holim_engine.oracle import free_end_by_blocks
+from holim_engine.oracle import (chain_generators_by_levels,
+                                 free_end_by_blocks, nerve_by_levels)
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
+                                  random_free_category,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import (_levelwise_free, constant_point_weight,
-                                nerve_of_comma_under, nerve_weight)
+from holim_engine.ssets import (_levelwise_free, constant_point_weight, nerve,
+                                nerve_chains, nerve_of_comma_under,
+                                nerve_weight)
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,6 +480,33 @@ def test_free_end_of_a_gauged_diagram_has_non_integral_rows():
         assert C == free_end_by_blocks(F, _chain_generators(F.base)[1])
         dens |= {den for d in C.diff.values() for den, _ in d._r.values()}
     assert dens - {1}
+
+
+# --- the chains of a loop-free category ------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["poset", "free", "cospan", "chain"]))
+def test_chain_enumerator_matches_the_nerve_built_by_levels(seed, kind):
+    """`ssets.nerve_chains`, one pass over G, is the chain basis read off
+    the nerve built level by level (`oracle.chain_generators_by_levels`):
+    the same chains in the same order, at the same last objects, with
+    the same faces; and `nerve(G)`, its view, is that nerve cell for
+    cell.  Free categories have several arrows between two objects, so
+    their inner faces compose arrows a poset cannot tell apart."""
+    rng = random.Random(seed)
+    if kind == "poset":
+        G = random_poset(rng, 6)
+    elif kind == "free":
+        G = random_free_category(rng, 5, 20)[0]
+    elif kind == "cospan":
+        G = cospan_category()
+    else:
+        G = chain_poset(rng.randint(0, 7))
+    index, basis = chain_generators_by_levels(G)
+    assert nerve_chains(G) == basis
+    assert _chain_generators(G) == (index, basis)
+    assert nerve(G) == nerve_by_levels(G)
 
 
 # --- functoriality of the nerve weight ----------------------------------------------

@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from holim_engine.chaincx import betti_numbers, validate_map
-from holim_engine.errors import EmptyComplex, NotLoopFree
+from holim_engine.errors import (CompositionDomainError, EmptyComplex,
+                                 NotLoopFree)
 from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category,
                                  identity_functor, object_inclusion,
@@ -17,8 +18,9 @@ from holim_engine.randgen import random_free_category, random_loopfree_category
 from holim_engine.ssets import (EMPTY_SSET, Weight, chains_of_map,
                                 check_point_resolution, constant_point_weight,
                                 homology_contractible, identity_sset_map,
-                                nerve, nerve_of_comma_under, nerve_weight,
-                                normalized_chains, point, standard_simplex)
+                                nerve, nerve_chains, nerve_of_comma_under,
+                                nerve_weight, normalized_chains, point,
+                                standard_simplex)
 
 
 def test_standard_simplex_cell_counts():
@@ -67,6 +69,22 @@ def test_nerve_rejects_loops():
         1, ("x",), (0, 0), (0, 0), ("id_x", "e"), (0,), table))
     with pytest.raises(NotLoopFree):
         nerve(M)
+    with pytest.raises(NotLoopFree):
+        nerve_chains(M)
+
+
+def test_nerve_rejects_a_table_whose_composite_skips_an_object():
+    """A table sending (1<2) o (0<1) to 1<2 is no category's: the chain
+    enumerator names the composite instead of listing a wrong face."""
+    P = chain_poset(2)
+    f, g = P.mor_labels.index("0<1"), P.mor_labels.index("1<2")
+    C = replace(P, compose_table={**P.compose_table, (g, f): g},
+                validated=False)
+    for build in (nerve_chains, nerve):
+        with pytest.raises(CompositionDomainError,
+                           match="'1<2' o '0<1' is not a non-identity "
+                                 "arrow '0' -> '2'"):
+            build(C)
 
 
 def test_nerve_simplicial_identities_randomized():
