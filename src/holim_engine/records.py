@@ -33,9 +33,6 @@ def field(*, default=MISSING, default_factory=MISSING, compare=True):
 
 def _init(self, *args, **kwargs):
     fields = type(self).__record_fields__
-    if not kwargs and len(args) == len(fields):     # every field, in order
-        self.__dict__.update(zip(type(self).__record_names__, args))
-        return
     if len(args) > len(fields):
         raise TypeError(f"{type(self).__qualname__}.__init__() takes "
                         f"{len(fields) + 1} positional arguments but "
@@ -119,7 +116,6 @@ def record(cls=None, /, *, frozen=False):
         raise TypeError(f"{cls.__qualname__}: a field without a default "
                         "follows one with a default")
     cls.__record_fields__ = fields
-    cls.__record_names__ = tuple(f.name for f in fields)
     cls.__record_keys__ = tuple(f.name for f in fields if f.compare)
     methods = {"__init__": _init, "__eq__": _eq, "__repr__": _repr}
     if frozen:
