@@ -483,8 +483,10 @@ def arrow_category() -> FinCategory:
     return from_poset(["a", "b"], {(0, 1)})
 
 
+@cache
 def chain_poset(n: int) -> FinCategory:
-    """The linear order [n] = 0 < 1 < ... < n."""
+    """The linear order [n] = 0 < 1 < ... < n, built once per n: a
+    category is frozen."""
     labels = [str(i) for i in range(n + 1)]
     return from_poset(labels, {(i, j) for i in range(n + 1)
                                for j in range(i + 1, n + 1)})

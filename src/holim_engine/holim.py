@@ -4,23 +4,23 @@ The weighted end of a diagram F with weight W is the end of (x, y) |->
 Hom(chains of W(x), F(y)) over product(opposite(G), G).  Every weight
 the engine accepts is free, so by Yoneda its end is the product over
 the generating cells of F at their representing objects: `free_end`
-builds that product from the basis `ssets._levelwise_free` reads off
-the weight and one profile of F per object (`_profiles`).  With the
-nerve weight g |-> N(G over g) the end is the Bousfield-Kan homotopy
-limit; its generators are the chains of G, listed with their faces in
-one pass over G (`ssets.nerve_chains`), and maps between such products
-are block maps along the chains (`_chain_product_map`).  `bk_holim`,
-`comparison_map` and `change_of_diagrams_iso` all take their ends this
-way.  With the
-truncated injective-simplex weight [n] |-> Delta^n the end is the fat
-totalization, which `fat_tot` computes as the double complex of the
-levels.  Its input X is a `Cosimplicial`: the levels X^0, ..., X^N and
-the cofaces, checked against the coface identities that present the
-truncated category.  The category itself (`delta_plus_category`) is
-built only for the view of X as a diagram over it, which the tests
-check `fat_tot` against.  The equalizer end (`weighted_end`) is the
-independent check of these products; no command runs it, but it stays
-here because `bench/spans.py` wraps it by this module's name.
+builds that product from a free basis and one profile of F per object
+(`_profiles`).  Both homotopy-limit formulas of the paper are such
+ends.  With the nerve weight g |-> N(G over g) the end is the
+Bousfield-Kan homotopy limit; its generators are the chains of G,
+listed with their faces in one pass over G (`ssets.nerve_chains`), and
+maps between such products are block maps along the chains
+(`_chain_product_map`).  `bk_holim`, `comparison_map` and
+`change_of_diagrams_iso` all take their ends this way.  The fat
+totalization of the cosimplicial replacement of F, truncated at N, is
+the end over the chains [n] -> G with identities allowed and n <= N
+(`ssets.fat_chains`): `fat_tot` checks F and that basis
+(`ssets.check_free_basis`) and takes `free_end` over it.  The levels
+and cofaces of the replacement, and the truncated injective-simplex
+category they are a diagram over, are the oracle's
+(`oracle.cosimplicial_levels`).  The equalizer end (`weighted_end`) is
+the independent check of these products; no command runs it, but it
+stays here because `bench/spans.py` wraps it by this module's name.
 
 Quasi-isomorphism is only ever asserted along an explicitly constructed
 comparison map; equal Betti numbers alone are reported as consistent,
@@ -30,9 +30,9 @@ never as quasi-isomorphic.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import chaincx
 from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
@@ -40,7 +40,7 @@ from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
                       hom_precompose, identity_map, is_quasi_iso,
                       make_chain_map)
 from .endkan import (ChainDiagram, EndChain, bifunctor_diagram, end_chain,
-                     restrict)
+                     restrict, validate_chain_diagram)
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, WeightRejected)
 from .exactalg import RationalMatrix, _normal, block_matrix
@@ -49,8 +49,9 @@ from .fincat import (FinCategory, FunctorData, comma_under_functor,
                      is_direct, validate_category)
 from .records import record
 from .ssets import (Weight, _levelwise_free, _nerve_of_commas, chains_of_map,
-                    check_point_resolution, homology_contractible, nerve,
-                    nerve_chains, normalized_chains)
+                    check_free_basis, check_point_resolution, fat_chains,
+                    homology_contractible, nerve, nerve_chains,
+                    normalized_chains)
 
 
 @record
@@ -326,8 +327,9 @@ def _delta_plus_records(N: int) -> tuple[tuple[int, int, tuple], ...]:
 def delta_plus_category(N: int) -> FinCategory:
     """Injective monotone maps between [0], ..., [N]; a morphism is
     interned by its image vertex tuple.  Its table grows about 4x per
-    level, so only the oracle's view of a `Cosimplicial` as a diagram
-    (`Cosimplicial.base`) builds it; `fat_tot` does not."""
+    level, so only the view of a `Cosimplicial` as a diagram over it
+    (`Cosimplicial.base`, `oracle.cosimplicial_levels`) builds it;
+    `fat_tot` does not."""
     objs = [f"[{n}]" for n in range(N + 1)]
     records = _delta_plus_records(N)
     index = {r: i for i, r in enumerate(records)}
@@ -347,127 +349,34 @@ def delta_plus_category(N: int) -> FinCategory:
     return validate_category(C)
 
 
-def delta_plus_vertices(C: FinCategory, m: int) -> tuple[int, ...]:
-    """Recover the image tuple of a morphism of delta_plus_category."""
-    return _delta_plus_records(C.n_objects - 1)[m][2]
-
-
 @record(frozen=True)
 class Cosimplicial:
-    """A cosimplicial complex truncated at N = len(levels) - 1: the
-    levels X^0, ..., X^N and the cofaces cofaces[(n, i)] : X^{n-1} -> X^n
-    for 0 <= i <= n.  The truncated injective-simplex category is
-    presented by the cofaces subject to d^j d^i = d^i d^{j-1} for i < j,
-    so these data are the whole functor; build one with
-    `cosimplicial_from_cofaces`, which checks them.  `base`, `value` and
-    `action` view it as a diagram over delta_plus_category(N)."""
-    levels: tuple[ChainComplex, ...]
-    cofaces: dict[tuple[int, int], ChainMap]
+    """The cosimplicial replacement of a chain diagram F over G, truncated
+    at `depth` N: level n is the product, over the chains [n] -> G with
+    identities allowed (`ssets.fat_chains`), of the value at the last
+    object, and coface i of an n-chain c reads the block of d_i c, through
+    F of its last arrow for i = n.  `base` and `value` give the levels as
+    a diagram over delta_plus_category(N); its cofaces are the oracle's
+    (`oracle.cosimplicial_levels`)."""
+    diagram: ChainDiagram
+    depth: int
 
     @cached_property
     def base(self) -> FinCategory:
-        return delta_plus_category(len(self.levels) - 1)
+        return delta_plus_category(self.depth)
 
     def value(self, n: int) -> ChainComplex:
-        return self.levels[n]
-
-    def action(self, m: int) -> ChainMap:
-        """The composite of cofaces along the morphism m of `base`."""
-        C = self.base
-        a, b = C.src(m), C.tgt(m)
-        if a == b:
-            return identity_map(self.levels[a])
-        t = delta_plus_vertices(C, m)
-        missing = sorted(set(range(b + 1)) - set(t))
-        # delta^{i_1} o ... o delta^{i_r} with i_1 > ... > i_r
-        out = self.cofaces[(a + 1, missing[0])]
-        for n, i in enumerate(missing[1:], a + 2):
-            out = compose_maps(self.cofaces[(n, i)], out)
-        return out
-
-
-def cosimplicial_from_cofaces(levels: Sequence[ChainComplex],
-                              cofaces: Mapping[tuple[int, int], ChainMap]) \
-        -> Cosimplicial:
-    """The cosimplicial complex with the given levels and cofaces, after
-    checking that every coface is present, maps X^{n-1} to X^n and
-    satisfies the coface identities."""
-    N = len(levels) - 1
-    if N < 0:
-        raise DiagramError("a cosimplicial complex needs level 0")
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            f = cofaces.get((n, i))
-            if f is None:
-                raise DiagramError(f"coface ({n}, {i}) is missing")
-            if f.source != levels[n - 1] or f.target != levels[n]:
-                raise DiagramError(
-                    f"coface ({n}, {i}) does not map level {n - 1} "
-                    f"to level {n}")
-    for n in range(1, N):
-        for j in range(n + 2):
-            for i in range(j):
-                lhs = compose_maps(cofaces[(n + 1, j)], cofaces[(n, i)])
-                rhs = compose_maps(cofaces[(n + 1, i)], cofaces[(n, j - 1)])
-                for k in levels[n - 1].degrees():
-                    if lhs.component(k) != rhs.component(k):
-                        raise DiagramError(
-                            f"coface identity fails at (n={n}, i={i}, j={j})")
-    return Cosimplicial(tuple(levels), dict(cofaces))
+        """The level X^n, summed over the n-chains in basis order."""
+        F = self.diagram
+        return direct_sum([F.value(x) for k, x, _, _ in
+                           fat_chains(F.base, n) if k == n])[0]
 
 
 def cosimplicial_replacement(F: ChainDiagram, N: int) -> Cosimplicial:
-    """X^n = product over chains [n] -> G (identities allowed) of the
-    value at the last object, with the usual cofaces."""
-    G = F.base
-
-    def last_obj(c):
-        return c[0] if len(c) == 1 else G.tgt(c[-1])
-
-    # a chain [n] -> G is (x_0, m_1, ..., m_n)
-    chains: list[list[tuple]] = [[(x,) for x in G.objects()]]
-    for n in range(1, N + 1):
-        chains.append([c + (m,) for c in chains[-1] for m in G.morphisms()
-                       if G.src(m) == last_obj(c)])
-
-    def face_chain(c, i):
-        """c o delta^i for a chain of length n >= 1."""
-        n = len(c) - 1
-        if i == 0:
-            return (G.tgt(c[1]),) + c[2:]
-        if i == n:
-            return c[:-1]
-        return c[:i] + (G.comp(c[i + 1], c[i]),) + c[i + 2:]
-
-    levels, index = [], []
-    for n in range(N + 1):
-        S, _, _ = direct_sum([F.value(last_obj(c)) for c in chains[n]])
-        levels.append(S)
-        index.append({c: i for i, c in enumerate(chains[n])})
-    cofaces = {}
-    for n in range(1, N + 1):
-        # starts[k][j]: the column where chain j of X^{n-1} starts in degree k
-        starts = {k: list(accumulate((F.value(last_obj(c)).dim(k)
-                                      for c in chains[n - 1]), initial=0))
-                  for k in levels[n - 1].degrees()}
-        for i in range(n + 1):
-            comps = {}
-            for k in levels[n - 1].degrees():
-                blocks, r0 = [], 0
-                for c in chains[n]:
-                    c0 = starts[k][index[n - 1][face_chain(c, i)]]
-                    if i == n:
-                        blk = F.action(c[-1]).component(k)
-                    else:
-                        blk = RationalMatrix.identity(
-                            F.value(last_obj(c)).dim(k))
-                    blocks.append((r0, c0, blk))
-                    r0 += F.value(last_obj(c)).dim(k)
-                comps[k] = block_matrix(levels[n].dim(k),
-                                        levels[n - 1].dim(k), blocks)
-            cofaces[(n, i)] = make_chain_map(levels[n - 1], levels[n], comps,
-                                             check=False)
-    return cosimplicial_from_cofaces(levels, cofaces)
+    """The replacement of F truncated at N >= 0."""
+    if N < 0:
+        raise DiagramError("a cosimplicial complex needs level 0")
+    return Cosimplicial(F, N)
 
 
 @record
@@ -483,30 +392,25 @@ class FatTotResult(HolimResult):
 
 def fat_tot(X: Cosimplicial) -> FatTotResult:
     """Fat totalization: the end over the truncated injective-simplex
-    category of power(Delta^n, X^n).  The weight n |-> Delta^n is free
-    on the top cells, so the end is the double complex with columns
-    X^n (shifted down by n) and horizontal map the alternating sum of
-    the cofaces.
+    category of power(Delta^n, X^n).  The weight n |-> Delta^n is free on
+    the top cells, and the chains of the replacement are free on
+    themselves, so the end is `free_end` over the chains [n] -> G with
+    n <= N (`ssets.fat_chains`): the double complex with columns X^n
+    shifted down by n and horizontal map the alternating sum of the
+    cofaces, laid out degree by degree in basis order.  F is checked to
+    be a functor and the chains to satisfy the simplicial identities
+    (`ssets.check_free_basis`); together they give every coface
+    identity.
 
-    Homology is final in degrees >= max_n hi(X^n) - N + 1: level n only
+    Homology is final in degrees >= max_x hi(F(x)) - N + 1: level n only
     reaches total degree k when lo(X^n) - n <= k <= hi(X^n) - n."""
     if not isinstance(X, Cosimplicial):
         raise ShapeMismatch("fat_tot expects a Cosimplicial complex")
-    columns, cofaces = X.levels, X.cofaces
-    N = len(columns) - 1
-
-    def horizontal(n, q):
-        # product_total asks only for n < N
-        if not columns[n].dim(q):
-            return None
-        out = RationalMatrix.zero(columns[n + 1].dim(q), columns[n].dim(q))
-        for i in range(n + 2):
-            out = out + cofaces[(n + 1, i)].component(q).scale(
-                -1 if i % 2 else 1)
-        return out.scale(-1 if (q - n - 1) % 2 else 1)
-
-    T = chaincx.product_total(columns, horizontal)
-    his = [c.hi for c in columns if not c.is_zero()]
+    F, N = validate_chain_diagram(X.diagram), X.depth
+    basis = fat_chains(F.base, N)
+    check_free_basis(F.base, basis)
+    T = free_end(F, basis)
+    his = [V.hi for V in map(F.value, F.base.objects()) if not V.is_zero()]
     stable_from = (max(his) - N + 1) if his else T.lo
     return FatTotResult(T, betti_numbers(T),
                         f"fat totalization, truncation {N}",

@@ -2,17 +2,24 @@
 
 Validators of semisimplicial sets, weights and natural transformations,
 the nerve and its chain basis built level by level through a face dict,
-the block-by-block assembly of a free end, simplicial frames with their
-Reedy check, homotopy invariance of `bk_holim`, Fubini for ends and the
-equalizer of two chain maps.  Tests import this module; no CLI command,
-`verify` suite or engine module does.
+the block-by-block assembly of a free end, the cosimplicial
+replacement built as levels and cofaces (block matrices, with every
+coface identity checked by composing them) and its fat totalization as
+the double complex of the levels (`chaincx.product_total`), simplicial
+frames with their Reedy check, homotopy invariance of `bk_holim`,
+Fubini for ends and the equalizer of two chain maps.  Tests import this
+module; no CLI command, `verify` suite or engine module does.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import accumulate
+from typing import Mapping, Sequence
+
 from . import chaincx, fincat
 from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
-                      hom_precompose, identity_map, is_quasi_iso,
+                      direct_sum, hom_precompose, identity_map, is_quasi_iso,
                       make_chain_map, map_sub, power, subcomplex_from_kernels)
 from .endkan import (ChainDiagram, ChainDiagramMap, EndChain, FinSetDiagram,
                      end_chain, end_induced_map)
@@ -22,8 +29,8 @@ from .exactalg import (RationalMatrix, block_matrix, canonical_row_basis,
                        rank, rank_kernel, solve_matrix)
 from .fincat import FinCategory, is_direct, product, product_mor, product_obj
 from .holim import (Cosimplicial, _chain_generators, _chain_offsets,
-                    _chain_product_map, _profiles, cosimplicial_from_cofaces,
-                    free_end)
+                    _chain_product_map, _delta_plus_records, _profiles,
+                    cosimplicial_replacement, delta_plus_category, free_end)
 from .records import record
 from .ssets import (EMPTY_SSET, SemiSimplicialSet, SSetMap, Weight,
                     chains_of_map, identity_sset_map, normalized_chains,
@@ -356,11 +363,183 @@ def free_end_by_blocks(F: ChainDiagram, basis) -> ChainComplex:
 
 # --- cosimplicial objects -----------------------------------------------------
 
+def delta_plus_vertices(C: FinCategory, m: int) -> tuple[int, ...]:
+    """Recover the image tuple of a morphism of delta_plus_category."""
+    return _delta_plus_records(C.n_objects - 1)[m][2]
+
+
+@record(frozen=True)
+class CosimplicialLevels:
+    """A cosimplicial complex truncated at N = len(levels) - 1, as the
+    levels X^0, ..., X^N and the cofaces cofaces[(n, i)] : X^{n-1} -> X^n
+    for 0 <= i <= n.  The truncated injective-simplex category is
+    presented by the cofaces subject to d^j d^i = d^i d^{j-1} for i < j,
+    so these data are the whole functor; build one with
+    `cosimplicial_from_cofaces`, which checks them.  `base`, `value` and
+    `action` view it as a diagram over delta_plus_category(N)."""
+    levels: tuple[ChainComplex, ...]
+    cofaces: dict[tuple[int, int], ChainMap]
+
+    @cached_property
+    def base(self) -> FinCategory:
+        return delta_plus_category(len(self.levels) - 1)
+
+    def value(self, n: int) -> ChainComplex:
+        return self.levels[n]
+
+    def action(self, m: int) -> ChainMap:
+        """The composite of cofaces along the morphism m of `base`."""
+        C = self.base
+        a, b = C.src(m), C.tgt(m)
+        if a == b:
+            return identity_map(self.levels[a])
+        t = delta_plus_vertices(C, m)
+        missing = sorted(set(range(b + 1)) - set(t))
+        # delta^{i_1} o ... o delta^{i_r} with i_1 > ... > i_r
+        out = self.cofaces[(a + 1, missing[0])]
+        for n, i in enumerate(missing[1:], a + 2):
+            out = compose_maps(self.cofaces[(n, i)], out)
+        return out
+
+
+def cosimplicial_from_cofaces(levels: Sequence[ChainComplex],
+                              cofaces: Mapping[tuple[int, int], ChainMap]) \
+        -> CosimplicialLevels:
+    """The cosimplicial complex with the given levels and cofaces, after
+    checking that every coface is present, maps X^{n-1} to X^n and
+    satisfies the coface identities, by composing matrices."""
+    N = len(levels) - 1
+    if N < 0:
+        raise DiagramError("a cosimplicial complex needs level 0")
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            f = cofaces.get((n, i))
+            if f is None:
+                raise DiagramError(f"coface ({n}, {i}) is missing")
+            if f.source != levels[n - 1] or f.target != levels[n]:
+                raise DiagramError(
+                    f"coface ({n}, {i}) does not map level {n - 1} "
+                    f"to level {n}")
+    for n in range(1, N):
+        for j in range(n + 2):
+            for i in range(j):
+                lhs = compose_maps(cofaces[(n + 1, j)], cofaces[(n, i)])
+                rhs = compose_maps(cofaces[(n + 1, i)], cofaces[(n, j - 1)])
+                for k in levels[n - 1].degrees():
+                    if lhs.component(k) != rhs.component(k):
+                        raise DiagramError(
+                            f"coface identity fails at (n={n}, i={i}, j={j})")
+    return CosimplicialLevels(tuple(levels), dict(cofaces))
+
+
+def replacement_chains(G: FinCategory, N: int):
+    """The chains [n] -> G with identities allowed, n <= N, as lists per
+    level n of tuples (x_0, m_1, ..., m_n), each level extending the one
+    below by every arrow out of its last object, and the face map
+    face_chain(c, i) = c o delta^i spelled out on such tuples."""
+    def last_obj(c):
+        return c[0] if len(c) == 1 else G.tgt(c[-1])
+
+    chains: list[list[tuple]] = [[(x,) for x in G.objects()]]
+    for n in range(1, N + 1):
+        chains.append([c + (m,) for c in chains[-1] for m in G.morphisms()
+                       if G.src(m) == last_obj(c)])
+
+    def face_chain(c, i):
+        n = len(c) - 1
+        if i == 0:
+            return (G.tgt(c[1]),) + c[2:]
+        if i == n:
+            return c[:-1]
+        return c[:i] + (G.comp(c[i + 1], c[i]),) + c[i + 2:]
+
+    return chains, face_chain
+
+
+def fat_chains_by_levels(G: FinCategory, N: int) -> tuple:
+    """`ssets.fat_chains` read off `replacement_chains`: index the chains,
+    then look each face up by `face_chain`."""
+    chains, face_chain = replacement_chains(G, N)
+    flat = [c for level in chains for c in level]
+    index = {c: j for j, c in enumerate(flat)}
+    basis = []
+    for c in flat:
+        n = len(c) - 1
+        x = G.tgt(c[-1]) if n else c[0]
+        basis.append((n, x, c[1:] if n else x, tuple(
+            (index[face_chain(c, i)], c[-1] if i == n else G.identity[x])
+            for i in range(n + 1 if n else 0))))
+    return tuple(basis)
+
+
+def cosimplicial_levels(X: Cosimplicial) -> CosimplicialLevels:
+    """`holim.Cosimplicial` built level by level: X^n the direct sum over
+    the n-chains of F at the last object, and each coface a block matrix
+    of identity blocks, F of the last arrow for the last coface, checked
+    by `cosimplicial_from_cofaces`."""
+    F, N = X.diagram, X.depth
+    G = F.base
+    chains, face_chain = replacement_chains(G, N)
+
+    def value(c):
+        return F.value(c[0] if len(c) == 1 else G.tgt(c[-1]))
+
+    levels, index = [], []
+    for n in range(N + 1):
+        levels.append(direct_sum([value(c) for c in chains[n]])[0])
+        index.append({c: i for i, c in enumerate(chains[n])})
+    cofaces = {}
+    for n in range(1, N + 1):
+        # starts[k][j]: the column where chain j of X^{n-1} starts in degree k
+        starts = {k: list(accumulate((value(c).dim(k) for c in chains[n - 1]),
+                                     initial=0))
+                  for k in levels[n - 1].degrees()}
+        for i in range(n + 1):
+            comps = {}
+            for k in levels[n - 1].degrees():
+                blocks, r0 = [], 0
+                for c in chains[n]:
+                    c0 = starts[k][index[n - 1][face_chain(c, i)]]
+                    if i == n:
+                        blk = F.action(c[-1]).component(k)
+                    else:
+                        blk = RationalMatrix.identity(value(c).dim(k))
+                    blocks.append((r0, c0, blk))
+                    r0 += value(c).dim(k)
+                comps[k] = block_matrix(levels[n].dim(k),
+                                        levels[n - 1].dim(k), blocks)
+            cofaces[(n, i)] = make_chain_map(levels[n - 1], levels[n], comps,
+                                             check=False)
+    return cosimplicial_from_cofaces(levels, cofaces)
+
+
+def fat_tot_by_columns(X: CosimplicialLevels) -> ChainComplex:
+    """The complex of `holim.fat_tot` as the double complex of the levels:
+    columns X^n shifted down by n, horizontal map the alternating sum of
+    the cofaces, assembled by `chaincx.product_total`, which checks that
+    the horizontal maps anticommute with the vertical ones and square to
+    zero."""
+    columns, cofaces = X.levels, X.cofaces
+
+    def horizontal(n, q):
+        # product_total asks only for n < N
+        if not columns[n].dim(q):
+            return None
+        out = RationalMatrix.zero(columns[n + 1].dim(q), columns[n].dim(q))
+        for i in range(n + 2):
+            out = out + cofaces[(n + 1, i)].component(q).scale(
+                -1 if i % 2 else 1)
+        return out.scale(-1 if (q - n - 1) % 2 else 1)
+
+    return chaincx.product_total(columns, horizontal)
+
+
 def constant_cosimplicial(c: ChainComplex, N: int) -> Cosimplicial:
-    ident = identity_map(c)
-    return cosimplicial_from_cofaces(
-        [c] * (N + 1), {(n, i): ident for n in range(1, N + 1)
-                        for i in range(n + 1)})
+    """The constant cosimplicial complex at c: the replacement of the
+    diagram c over the terminal category."""
+    T = fincat.terminal_category()
+    return cosimplicial_replacement(
+        ChainDiagram(T, [c], {T.identity[0]: identity_map(c)}), N)
 
 
 # --- Fubini -------------------------------------------------------------------

@@ -139,6 +139,71 @@ def nerve_chains(C: FinCategory) -> tuple:
     return tuple(basis)
 
 
+def fat_chains(C: FinCategory, N: int) -> tuple:
+    """The chains [n] -> C with identities allowed, n <= N, as the free
+    basis of the fat totalization's weight: each n-chain c as
+    (n, x_n, c, faces) with faces as in `nerve_chains`, level by level,
+    each level in the order of its (n-1)-chains and then of the arrows
+    out of their last object.  A 0-chain is its object, an n-chain the
+    tuple of its arrows.  C need not be loop-free; the depth N ends the
+    enumeration.  An n-chain extends its d_n by one arrow m, so d_i c
+    with i < n - 1 extends d_i d_n c by m, and d_{n-1} c extends
+    d_{n-1} d_n c by the composite of the last two arrows."""
+    ident, tgt = C.identity, C.mor_tgt
+    out: list[list[int]] = [[] for _ in C.objects()]
+    for m in C.morphisms():
+        out[C.src(m)].append(m)
+    basis = [(0, x, x, ()) for x in C.objects()] if N >= 0 else []
+    ext: list[dict] = []        # ext[j][m]: chain j, then m
+    for p, (k, y, c, pf) in enumerate(basis):   # grows while it runs
+        if k == N:
+            break
+        ext.append({})
+        for m in out[y]:
+            z = tgt[m]
+            ext[p][m] = len(basis)
+            if k == 0:
+                basis.append((1, z, (m,), ((z, ident[z]), (p, m))))
+                continue
+            d = ext[pf[-1][0]].get(u := C.comp(m, c[-1]))
+            if d is None:               # the table is not a category's
+                raise CompositionDomainError(
+                    f"{C.mor_labels[m]!r} o {C.mor_labels[c[-1]]!r} does "
+                    f"not start at {C.obj_labels[C.src(c[-1])]!r}")
+            fs = [(ext[g][m], ident[z]) for g, _ in pf[:-1]]
+            basis.append((k + 1, z, c + (m,), (*fs, (d, ident[z]), (p, m))))
+    return tuple(basis)
+
+
+def check_free_basis(C: FinCategory, basis) -> None:
+    """Raise `SimplicialError` unless `basis` (`nerve_chains`,
+    `fat_chains`, `_levelwise_free`) presents a semisimplicial diagram
+    over C: the faces of every n-generator are n + 1 generators
+    (g_i, u_i) of dimension n - 1 with u_i an arrow from the object of
+    g_i to that of the generator, and for i < j face i of face j equals
+    face j - 1 of face i as a pair (generator, composite arrow of C).
+    With a functorial F this gives every coface identity of the product
+    `holim.free_end` lays out over the basis."""
+    comp = C.compose_table.__getitem__
+    for n, x, cell, faces in basis:
+        if len(faces) != (n + 1 if n else 0) or any(
+                not 0 <= g < len(basis) or basis[g][0] != n - 1 or
+                C.src(u) != basis[g][1] or C.tgt(u) != x for g, u in faces):
+            raise SimplicialError(f"generator {cell!r} has misplaced faces")
+        for j in range(1, n + 1 if n > 1 else 0):   # faces of faces
+            gj, uj = faces[j]
+            below = basis[gj][3]
+            for i in range(j):
+                gi, ui = faces[i]
+                a, v = below[i]
+                b, w = basis[gi][3][j - 1]
+                # faces precede their generators, so their arrows compose
+                if a != b or comp((uj, v)) != comp((ui, w)):
+                    raise SimplicialError(
+                        f"d_{i} d_{j} != d_{j - 1} d_{i} on generator "
+                        f"{cell!r}")
+
+
 def nerve(C: FinCategory) -> SemiSimplicialSet:
     """Nerve of a loop-free category; k-cells are chains of k composable
     non-identity morphisms, 0-cells are the objects: a view of

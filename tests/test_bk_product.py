@@ -13,6 +13,7 @@ import pytest
 import holim_engine.cli as cli_mod
 import holim_engine.endkan as endkan_mod
 import holim_engine.exactalg as exactalg_mod
+import holim_engine.fincat as fincat_mod
 import holim_engine.holim as holim_mod
 import holim_engine.ssets as ssets_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
@@ -29,10 +30,10 @@ from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  identity_functor, object_inclusion)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
-                                cosimplicial_replacement, delta_plus_vertices,
-                                fat_tot, free_end, homotopy_pullback,
-                                weighted_end)
+                                cosimplicial_replacement, fat_tot, free_end,
+                                homotopy_pullback, weighted_end)
 from holim_engine.oracle import (_simplex_inclusion, constant_cosimplicial,
+                                 cosimplicial_levels, delta_plus_vertices,
                                  holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
@@ -262,6 +263,22 @@ def test_bk_holim_and_pullbacks_build_no_nerve(monkeypatch):
     assert cospan_category() is cospan_category()
 
 
+def test_chain_poset_is_built_and_sorted_once(monkeypatch):
+    """`chain_poset(n)` is built once per n, so bk_holim on two
+    diagrams over chain_poset(4) sorts the poset (`is_direct`) once."""
+    chain_poset.cache_clear()
+    calls = []
+    monkeypatch.setattr(fincat_mod, "_longest_path_degrees",
+                        lambda C, _orig=fincat_mod._longest_path_degrees:
+                        calls.append(C) or _orig(C))
+    assert chain_poset(4) is chain_poset(4)
+    rng = random.Random(2035)
+    for _ in range(2):
+        F = random_poset_chain_diagram(rng, chain_poset(4), 2, 2)
+        assert bk_holim(F).betti == betti_numbers(F.value(0))
+    assert len(calls) == 1
+
+
 def test_betti_numbers_eliminate_only_the_uncleared_rows(monkeypatch):
     """The product over chain_poset(6) is acyclic.  By clearing, degree k
     hands elimination only the rows of d_k outside the pivot columns of
@@ -381,7 +398,8 @@ def _delta_weight(C):
 
 def _check_fat_tot_against_equalizer(X):
     res = fat_tot(X)
-    E = weighted_end(X, _delta_weight(X.base))
+    L = cosimplicial_levels(X)      # X as a diagram over delta_plus
+    E = weighted_end(L, _delta_weight(L.base))
     assert _nonzero_dims(res.complex) == _nonzero_dims(E.complex)
     assert res.betti == betti_numbers(E.complex)
 

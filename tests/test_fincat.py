@@ -220,7 +220,8 @@ def test_is_direct_sorts_once_per_instance(monkeypatch):
     sort = fincat_mod._longest_path_degrees
     monkeypatch.setattr(fincat_mod, "_longest_path_degrees",
                         lambda C: calls.append(C) or sort(C))
-    C, twin = chain_poset(3), chain_poset(3)
+    # chain_poset is memoised: build two equal instances afresh
+    C, twin = chain_poset.__wrapped__(3), chain_poset.__wrapped__(3)
     text = repr(C)
     d = is_direct(C)
     assert is_direct(C) is d and d.assignment == (0, 1, 2, 3)

@@ -24,13 +24,14 @@ from holim_engine.fincat import (arrow_category, chain_poset,
                                  validate_functor, FunctorData, find_initial)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
-                                cosimplicial_from_cofaces,
                                 cosimplicial_replacement, cospan_diagram,
                                 delta_plus_category, fat_tot,
                                 homotopy_pullback, mapping_path_complex,
                                 weighted_end)
 from holim_engine.oracle import (augmentation, check_reedy_fibrant,
-                                 constant_cosimplicial, fibrant_frame,
+                                 constant_cosimplicial,
+                                 cosimplicial_from_cofaces,
+                                 cosimplicial_levels, fibrant_frame,
                                  holim_we_invariance, matching_object)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
@@ -295,6 +296,23 @@ def test_cosimplicial_replacement_levels_for_cospan():
     assert X.value(0).dim(0) == 3
     assert X.value(1).dim(0) == 5
     assert X.value(2).dim(0) == 7
+    with pytest.raises(DiagramError, match="needs level 0"):
+        cosimplicial_replacement(F, -1)
+
+
+def test_fat_tot_refuses_a_diagram_that_is_not_a_functor():
+    """The coface identities of the replacement rest on F being a
+    functor, which `fat_tot` checks before its free end: over 0 -> 1 -> 2
+    with every value Q[0], the composite 0 -> 2 acting by 2 while both
+    steps act by 1, or the identity of 0 acting by 2, is refused."""
+    C, c = chain_poset(2), single(0)
+    two = make_chain_map(c, c, {0: M([[2]])})
+    for m, match in ((C.hom(0, 2)[0], "not functorial"),
+                     (C.identity[0], "identity action at object 0")):
+        F = ChainDiagram(C, [c] * 3, lambda u, m=m:
+                         two if u == m else identity_map(c))
+        with pytest.raises(DiagramError, match=match):
+            fat_tot(cosimplicial_replacement(F, 2))
 
 
 def test_cosimplicial_from_cofaces_rejects_a_missing_coface():
@@ -328,7 +346,7 @@ def test_cosimplicial_from_cofaces_rejects_a_broken_coface_identity():
         cosimplicial_from_cofaces([c] * 3, cofaces)
     X = cosimplicial_from_cofaces([c] * 3, {
         (n, i): identity_map(c) for n in (1, 2) for i in range(n + 1)})
-    assert X == constant_cosimplicial(c, 2)
+    assert X == cosimplicial_levels(constant_cosimplicial(c, 2))
 
 
 def test_fat_tot_builds_no_delta_plus_category():
@@ -360,6 +378,45 @@ def test_fat_tot_builds_no_delta_plus_category():
         "else:\n"
         "    raise AssertionError('a ChainDiagram was accepted')\n"
         "assert built() == 0, 'refusal'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_fattot_composes_and_assembles_no_matrices():
+    """In a fresh interpreter, CLI `fattot Loop --depth 6` makes no call
+    to `compose_maps`, `direct_sum`, `block_matrix` or `product_total`,
+    parsing included: the fat totalization is one `free_end`, which
+    writes each row once, and no coface is composed.  Every engine
+    module the command loads is loaded, and each of its bindings of
+    these names counted, before the command runs."""
+    src = Path(holim.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from holim_engine import chaincx, cli, exactalg, holim\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith('holim_engine')}\n"
+        "before, calls = loaded(), {}\n"
+        "for mod, name in ((chaincx, 'compose_maps'), (chaincx, 'direct_sum'),\n"
+        "                  (exactalg, 'block_matrix'),\n"
+        "                  (chaincx, 'product_total')):\n"
+        "    orig = getattr(mod, name)\n"
+        "    def counted(*a, _orig=orig, _name=name, **kw):\n"
+        "        calls[_name] = calls.get(_name, 0) + 1\n"
+        "        return _orig(*a, **kw)\n"
+        "    for m in before:\n"
+        "        if getattr(sys.modules[m], name, None) is orig:\n"
+        "            setattr(sys.modules[m], name, counted)\n"
+        "corpus = os.path.join(os.path.dirname(holim.__file__), 'corpus',\n"
+        "                      'cospan.hle')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main([corpus, '--cmd', 'fattot Loop', '--depth', '6',\n"
+        "                     '--json']) == 0\n"
+        "assert loaded() == before, loaded() - before\n"
+        "assert calls == {}, calls\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

@@ -18,11 +18,14 @@ from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
 from holim_engine.exactalg import (RationalMatrix, block_matrix,
                                    kernel_matrix, product_is_zero, rank)
-from holim_engine.fincat import (chain_poset, cospan_category, find_initial,
-                                 object_inclusion)
+from holim_engine.fincat import (FinCategory, chain_poset, cospan_category,
+                                 find_initial, object_inclusion,
+                                 validate_category)
 from holim_engine.holim import (_chain_generators, bk_holim,
                                 cosimplicial_replacement, fat_tot, free_end)
 from holim_engine.oracle import (chain_generators_by_levels,
+                                 constant_cosimplicial, cosimplicial_levels,
+                                 fat_chains_by_levels, fat_tot_by_columns,
                                  free_end_by_blocks, nerve_by_levels)
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
@@ -30,7 +33,8 @@ from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import (_levelwise_free, constant_point_weight, nerve,
+from holim_engine.ssets import (_levelwise_free, check_free_basis,
+                                constant_point_weight, fat_chains, nerve,
                                 nerve_chains, nerve_of_comma_under,
                                 nerve_weight)
 
@@ -370,6 +374,49 @@ def test_fat_totalization_differential_squares_to_zero(seed):
     _assert_d_squared_zero(fat_tot(cosimplicial_replacement(D, 3)).complex)
 
 
+# one object x and an idempotent e = e o e: a base with a loop
+_IDEMPOTENT = validate_category(FinCategory(
+    1, ("x",), (0, 0), (0, 0), ("id_x", "e"), (0,),
+    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}))
+
+
+def _fat_tot_input(rng, kind, N):
+    if kind == "constant":
+        return constant_cosimplicial(
+            random_chain_complex(rng, max_dim=2, max_width=2), N)
+    if kind == "idempotent":
+        V = random_chain_complex(rng, max_dim=2, max_width=2)
+        e = rng.choice([identity_map(V), zero_map(V, V)])
+        D = ChainDiagram(_IDEMPOTENT, [V], {0: identity_map(V), 1: e})
+    elif kind == "cospan":
+        D = random_cospan_diagram(rng, 2, 2, lo_min=0, hi_max=1)
+    elif kind == "poset":
+        D = random_poset_chain_diagram(rng, random_poset(rng, 3), 2, 2)
+    else:
+        D = parse(_TEXTS[1]).get(kind, "diagram_ch").value
+    return cosimplicial_replacement(D, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["cospan", "poset", "Loop", "Glue", "constant",
+                        "idempotent"]),
+       st.integers(0, 4))
+def test_fat_tot_matches_the_column_assembly(seed, kind, N):
+    """`fat_tot`, the end over the fat chains, is the double complex of
+    the levels and cofaces entry for entry (`oracle.fat_tot_by_columns`
+    of `oracle.cosimplicial_levels`), and `ssets.fat_chains` lists the
+    replacement's chains in its order with the indices of their faces
+    (`oracle.fat_chains_by_levels`), also over a base with a loop."""
+    X = _fat_tot_input(random.Random(seed), kind, N)
+    got = fat_tot(X).complex
+    want = fat_tot_by_columns(cosimplicial_levels(X))
+    assert (got.lo, got.hi, got.dims) == (want.lo, want.hi, want.dims)
+    assert got.diff == want.diff
+    G = X.diagram.base
+    assert fat_chains(G, N) == fat_chains_by_levels(G, N)
+
+
 # --- the zero test of a product -------------------------------------------------
 
 def _sparse_rational(rng, rows, cols):
@@ -507,6 +554,31 @@ def test_chain_enumerator_matches_the_nerve_built_by_levels(seed, kind):
     assert nerve_chains(G) == basis
     assert _chain_generators(G) == (index, basis)
     assert nerve(G) == nerve_by_levels(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["poset", "free", "nerve_weight", "fat"]))
+def test_free_bases_pass_the_simplicial_certificate(seed, kind):
+    """`ssets.check_free_basis` passes the chains of random loop-free
+    categories (posets and free categories), the `_levelwise_free` basis
+    of the nerve weight of a poset, and the fat chains of posets, free
+    categories, the cospan and the idempotent."""
+    rng = random.Random(seed)
+    if kind == "poset":
+        G = random_poset(rng, 6)
+        basis = nerve_chains(G)
+    elif kind == "free":
+        G = random_free_category(rng, 5, 20)[0]
+        basis = nerve_chains(G)
+    elif kind == "nerve_weight":
+        G = random_poset(rng, 4)
+        basis = _levelwise_free(nerve_weight(G))
+    else:
+        G = rng.choice([random_poset(rng, 3), cospan_category(),
+                        random_free_category(rng, 3, 4)[0], _IDEMPOTENT])
+        basis = fat_chains(G, rng.randint(0, 4))
+    check_free_basis(G, basis)
 
 
 # --- functoriality of the nerve weight ----------------------------------------------

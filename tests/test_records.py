@@ -23,7 +23,8 @@ from holim_engine.chaincx import ZERO_COMPLEX, identity_map, single, zero_map
 from holim_engine.dsl import Binding, Workspace
 from holim_engine.endkan import ChainDiagram, bifunctor_diagram, end_chain
 from holim_engine.fincat import arrow_category, opposite, product
-from holim_engine.oracle import (check_reedy_fibrant, fibrant_frame,
+from holim_engine.oracle import (check_reedy_fibrant, constant_cosimplicial,
+                                 cosimplicial_levels, fibrant_frame,
                                  fubini_check, holim_we_invariance)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_poset, random_poset_chain_diagram)
@@ -48,7 +49,7 @@ RECORDS = {
               "InitialReport": True, "ChangeOfDiagramsReport": False,
               "ComparisonReport": False},
     "oracle": {"ReedyReport": True, "FubiniReport": True,
-               "InvarianceReport": True},
+               "InvarianceReport": True, "CosimplicialLevels": True},
     "ssets": {"SemiSimplicialSet": True, "SSetMap": True, "Weight": True,
               "PointResolutionReport": True},
 }
@@ -122,6 +123,7 @@ def _collect(classes):
             G = random_poset_chain_diagram(rng, random_poset(rng, 3),
                                            max_dim=1, max_width=2)
             holim_we_invariance(fattened_quasi_iso(rng, G)[1])
+        cosimplicial_levels(constant_cosimplicial(single(0), 2))
         C = arrow_category()
         end_chain(bifunctor_diagram(C, lambda x, y: single(0),
                                     lambda m1, m2: identity_map(single(0))))
@@ -156,7 +158,7 @@ def test_every_record_class_is_listed_and_sampled(world):
     classes, _, samples = world
     declared = {(m, n) for m, ns in RECORDS.items() for n in ns}
     found = {(c.__module__.split(".")[1], c.__qualname__) for c in classes}
-    assert found == declared and len(found) == 31
+    assert found == declared and len(found) == 32
     assert not [c.__qualname__ for c, xs in samples.items() if not xs]
 
 

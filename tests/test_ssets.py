@@ -7,8 +7,9 @@ import pytest
 
 from holim_engine.chaincx import betti_numbers, validate_map
 from holim_engine.errors import (CompositionDomainError, EmptyComplex,
-                                 NotLoopFree)
-from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
+                                 NotLoopFree, SimplicialError)
+from holim_engine.fincat import (FinCategory, arrow_category,
+                                 category_from_presentation, chain_poset,
                                  comma_over, cospan_category,
                                  identity_functor, object_inclusion,
                                  terminal_category, validate_category)
@@ -16,7 +17,8 @@ from holim_engine.oracle import (augmentation, boundary, euler_characteristic,
                                  validate_sset, validate_weight)
 from holim_engine.randgen import random_free_category, random_loopfree_category
 from holim_engine.ssets import (EMPTY_SSET, Weight, chains_of_map,
-                                check_point_resolution, constant_point_weight,
+                                check_free_basis, check_point_resolution,
+                                constant_point_weight, fat_chains,
                                 homology_contractible, identity_sset_map,
                                 nerve, nerve_chains, nerve_of_comma_under,
                                 nerve_weight, normalized_chains, point,
@@ -128,6 +130,68 @@ def test_nerve_matches_enumeration_in_order_randomized():
         cells, faces = _nerve_by_enumeration(C)
         assert K.cells == cells
         assert list(K.faces.items()) == list(faces.items())
+
+
+def test_check_free_basis_rejects_a_replaced_face():
+    """Over f: a -> b, g, h: b -> c and k: c -> d, the 2-chain (f, g) has
+    faces ((g), id_c), ((g.f), id_c) and ((f), g).  Replacing (g.f) by
+    (h.f), the arrow g by h, or (f) by (g) (at the wrong object) breaks
+    the certificate; so do the vertex b of (g) replaced by a (at the
+    wrong object) and the face (g, k) of (f, g, k) replaced by (h, k),
+    whose composites agree with the other faces' but whose face (k.h)
+    is another chain.  Each face replaced differs from its neighbours,
+    so no swap hides among equal faces."""
+    G = category_from_presentation(["a", "b", "c", "d"],
+                                   [("f", 0, 1), ("g", 1, 2), ("h", 1, 2),
+                                    ("k", 2, 3)])
+    basis = nerve_chains(G)
+    check_free_basis(G, basis)
+    f, g, h, k, gf, hf = (G.mor_labels.index(m)
+                          for m in ("f", "g", "h", "k", "g.f", "h.f"))
+    index = {b[2]: i for i, b in enumerate(basis)}
+    assert basis[index[(f, g)]][3] == ((index[(g,)], G.identity[2]),
+                                       (index[(gf,)], G.identity[2]),
+                                       (index[(f,)], g))
+    for chain, i, face in (((f, g), 1, (index[(hf,)], G.identity[2])),
+                           ((f, g), 2, (index[(f,)], h)),
+                           ((f, g), 2, (index[(g,)], g)),
+                           ((g,), 1, (0, g)),
+                           ((f, g, k), 0, (index[(h, k)], G.identity[3]))):
+        j = index[chain]
+        faces = basis[j][3]
+        assert faces[i] != face
+        broken = list(basis)
+        broken[j] = basis[j][:3] + (faces[:i] + (face,) + faces[i + 1:],)
+        with pytest.raises(SimplicialError):
+            check_free_basis(G, broken)
+
+
+def test_check_free_basis_rejects_misplaced_faces():
+    """The arrow f: a -> b is a 1-chain with faces (b, id_b) and (a, f)
+    and no face of anything, so only the placement of its faces is
+    checked: each replacement below puts a face at the wrong object, at
+    the wrong dimension, outside the basis or leaves one out."""
+    C = arrow_category()
+    basis = nerve_chains(C)
+    a, b, (f,) = 0, 1, C.non_identities()
+    j, ida, idb = 2, C.identity[a], C.identity[b]
+    assert basis[j] == (1, b, (f,), ((b, idb), (a, f)))
+    check_free_basis(C, basis)
+    for faces in (((b, idb), (b, f)), ((b, idb), (a, ida)),
+                  ((j, idb), (a, f)), ((b, idb), (len(basis), f)),
+                  ((b, idb),)):
+        with pytest.raises(SimplicialError):
+            check_free_basis(C, basis[:j] + ((1, b, (f,), faces),))
+
+
+def test_fat_chains_stop_at_the_depth():
+    """The cospan has 3 + 2n chains of length n with identities allowed;
+    no chain has length at most -1, so a negative depth lists none."""
+    C = cospan_category()
+    for N in range(4):
+        assert [n for n, _, _, _ in fat_chains(C, N)] == \
+            [n for n in range(N + 1) for _ in range(3 + 2 * n)]
+    assert fat_chains(C, -1) == ()
 
 
 def test_normalized_chains_point():
