@@ -19,7 +19,7 @@ from .chaincx import betti_numbers
 from .endkan import (coend_finset, end_chain, end_finset, finset_colimit,
                      finset_limit, lan, lan_agreement, nat_trans_bruteforce,
                      ran, ran_agreement, co_yoneda_check, hom_bifunctor)
-from .errors import EngineError, TypeMismatch, UnknownBinding
+from .errors import EngineError, ParseError, TypeMismatch, UnknownBinding
 from .fincat import comma_over, find_terminal, is_direct, opposite
 from .records import record
 
@@ -56,7 +56,10 @@ def _fmt_elem(e) -> str:
 
 def run_command(ws: dsl.Workspace, command: str, depth: int = 4,
                 seed: int = 0) -> Report:
-    parts = shlex.split(command)
+    try:
+        parts = shlex.split(command)
+    except ValueError as e:     # an unbalanced quote or a trailing escape
+        raise TypeMismatch(f"{e} in command {command!r}") from None
     if not parts:
         raise TypeMismatch("empty command")
     cmd, args = parts[0], parts[1:]
@@ -461,6 +464,20 @@ def _cmd_verify(ws, args, seed=0, **kw):
 
 # --- entry point --------------------------------------------------------------------
 
+def _workspace_text(data: bytes) -> str:
+    """The workspace file as text, newlines read as text mode reads
+    them.  A byte that is not UTF-8 is a ParseError at its line and
+    column."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = _workspace_text(data[:e.start])
+        raise ParseError(f"byte 0x{data[e.start]:02x} is not UTF-8",
+                         before.count("\n") + 1,
+                         len(before) - before.rfind("\n")) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="holim-engine",
@@ -476,8 +493,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="truncation depth for fattot")
     ns = ap.parse_args(argv)
     try:
-        with open(ns.file, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        with open(ns.file, "rb") as fh:
+            source = _workspace_text(fh.read())
         ws = dsl.parse(source)
         report = run_command(ws, ns.cmd, depth=ns.depth, seed=ns.seed)
     except EngineError as e:

@@ -9,11 +9,17 @@ to the gcd of the numerators), so a matrix has exactly one storage and
 `==` and `hash` compare values exactly.  `entries`, the dense tuple of
 `fractions.Fraction` rows, is a derived view built on first use.
 
-Elimination reads the stored integer rows directly (row scaling keeps
+One elimination and one back-substitution serve every result.
+`_echelon` reads the stored integer rows directly (row scaling keeps
 the row space) and runs fraction-free (integer cross-multiplication
-with gcd reduction), pivoting on columns left to right; every basis this
-module emits depends only on the row space and the column order, so it
-is deterministic across runs and platforms.
+with gcd reduction), pivoting on columns left to right.
+`_back_substitute` fills in the pivot columns of a vector given at the
+free ones: from 1 at free column f it gives the reduced kernel vector
+k_f, and from -1 at column j of [A | B] the solution for that column of
+B.  The quotient's projection rows are the k_f, and the reduced row
+echelon form is read off them.  Every basis this module emits depends
+only on the row space and the column order, so it is deterministic
+across runs and platforms.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .errors import ShapeMismatch
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _frac(x) -> Fraction:
@@ -453,22 +461,61 @@ def _echelon(rows: list[dict[int, int]], cols: int):
     return pivots, rest
 
 
-def _kernel_from_echelon(pivots, cols: int) -> list[Vector]:
-    """Back-substitute one kernel vector per free column (set to 1)."""
+def _back_substitute(pivots, x: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Fill in the pivot columns of x so that every pivot row vanishes
+    on it.  x holds values at some non-pivot columns and is 0 at the
+    others; it is extended in place and returned."""
+    for c, row in reversed(pivots):
+        s = _ZERO
+        for k, v in row.items():
+            if k in x:
+                s += v * x[k]
+        if s:
+            x[c] = -s / row[c]
+    return x
+
+
+def _kernel(pivots, cols: int) -> list[tuple[int, dict[int, Fraction]]]:
+    """The reduced kernel of an echelon form: for each free column f, in
+    increasing order, the sparse vector k_f with 1 at f and 0 at every
+    other free column."""
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        x: dict[int, Fraction] = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            s = Fraction(0)
-            for k, v in row.items():
-                if k != c and k in x:
-                    s += v * x[k]
-            if s:
-                x[c] = -s / row[c]
-        basis.append(tuple(x.get(j, _ZERO) for j in range(cols)))
-    return basis
+    return [(f, _back_substitute(pivots, {f: _ONE}))
+            for f in range(cols) if f not in pivot_cols]
+
+
+def _dense(x: dict[int, Fraction], cols: int) -> Vector:
+    return tuple(x.get(j, _ZERO) for j in range(cols))
+
+
+def _rank_kernel(A: RationalMatrix) -> tuple[int, list[Vector]]:
+    pivots, _ = _echelon(_int_rows(A), A.cols)
+    return len(pivots), [_dense(k, A.cols) for _, k in _kernel(pivots, A.cols)]
+
+
+def _solutions(A: RationalMatrix, B: RationalMatrix) -> Optional[list[Vector]]:
+    """For each column of B, the solution x of A x = (that column) with
+    every free variable 0; None if some column has no solution.
+
+    The solution for column j of [A | B] back-substitutes from -1 at j.
+    Only A's columns are pivots, so every row left over holds only
+    columns of B and makes the system unsolvable."""
+    n = A.cols
+    pivots, rest = _echelon(_int_rows(A.hstack(B)), n)
+    if rest:
+        return None
+    return [_dense(_back_substitute(pivots, {j: _MINUS_ONE}), n)
+            for j in range(n, n + B.cols)]
+
+
+def _span_echelon(vectors: Sequence[Sequence], dim: int, what: str):
+    """The pivot rows of the echelon form of the span of the vectors."""
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"{what} length mismatch")
+    pivots, _ = _echelon(_int_rows(
+        RationalMatrix(len(vectors), dim, vectors)), dim)
+    return pivots
 
 
 def rank_pivots(A: RationalMatrix, skip_rows=frozenset()) \
@@ -482,7 +529,7 @@ def rank_pivots(A: RationalMatrix, skip_rows=frozenset()) \
 
 
 def rank(A: RationalMatrix) -> int:
-    return rank_pivots(A)[0]
+    return len(_echelon(_int_rows(A), A.cols)[0])
 
 
 def rank_kernel(A: RationalMatrix) -> tuple[int, list[Vector]]:
@@ -491,13 +538,11 @@ def rank_kernel(A: RationalMatrix) -> tuple[int, list[Vector]]:
     Each basis vector carries 1 at its free column and 0 at every other
     free column (reduced column echelon of the kernel).
     """
-    pivots, _ = _echelon(_int_rows(A), A.cols)
-    return len(pivots), _kernel_from_echelon(pivots, A.cols)
+    return _rank_kernel(A)
 
 
 def kernel_matrix(A: RationalMatrix) -> RationalMatrix:
-    r, basis = rank_kernel(A)
-    return RationalMatrix.from_columns(basis, A.cols)
+    return RationalMatrix.from_columns(_rank_kernel(A)[1], A.cols)
 
 
 def solve(A: RationalMatrix, b: Sequence) -> Optional[Vector]:
@@ -508,81 +553,37 @@ def solve(A: RationalMatrix, b: Sequence) -> Optional[Vector]:
     bb = [_frac(x) for x in b]
     if len(bb) != A.rows:
         raise ValueError("rhs length mismatch")
-    aug = A.hstack(RationalMatrix.from_columns([bb], A.rows))
-    bcol = A.cols
-    # never pivot on the rhs column: every row left over holds only it
-    pivots, rest = _echelon(_int_rows(aug), A.cols)
-    if rest:
-        return None
-    x: dict[int, Fraction] = {}
-    for c, row in reversed(pivots):
-        s = Fraction(row.get(bcol, 0))
-        for k, v in row.items():
-            if k != c and k != bcol and k in x:
-                s -= v * x[k]
-        x[c] = s / row[c]
-    return tuple(x.get(j, _ZERO) for j in range(A.cols))
+    got = _solutions(A, RationalMatrix.from_columns([bb], A.rows))
+    return None if got is None else got[0]
 
 
 def solve_matrix(A: RationalMatrix, B: RationalMatrix) -> Optional[RationalMatrix]:
-    """X with A X = B (columnwise particular solutions), or None.
-
-    The echelon form of A is computed once and reused per column.
+    """X with A X = B (columnwise particular solutions, as `solve`
+    gives them), or None.  The echelon form of [A | B] is computed
+    once for all columns.
     """
     if A.rows != B.rows:
         raise ValueError("row count mismatch")
-    aug = A.hstack(B)
-    pivots, rest = _echelon(_int_rows(aug), A.cols)
-    if rest:
-        return None
-    bcols = range(A.cols, A.cols + B.cols)
-    # pivot rows may involve several rhs columns at once; substitute per rhs
-    cols_out = []
-    for jb in bcols:
-        x: dict[int, Fraction] = {}
-        for c, row in reversed(pivots):
-            s = Fraction(row.get(jb, 0))
-            for k, v in row.items():
-                if k != c and k < A.cols and k in x:
-                    s -= v * x[k]
-            x[c] = s / row[c]
-        cols_out.append(tuple(x.get(j, _ZERO) for j in range(A.cols)))
-    return RationalMatrix.from_columns(cols_out, A.cols)
-
-
-def _rref(vectors: Sequence[Sequence], dim: int, what: str):
-    """The reduced row echelon form of the span of the vectors: one
-    (pivot column, sparse row with 1 at the pivot) pair per row, in
-    increasing pivot order."""
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError(f"{what} length mismatch")
-    pivots, _ = _echelon(_int_rows(
-        RationalMatrix(len(vectors), dim, vectors)), dim)
-    # normalize pivots to 1 and eliminate upwards
-    rref: list[tuple[int, dict[int, Fraction]]] = []
-    for c, row in reversed(pivots):
-        p = Fraction(row[c])
-        frow = {k: Fraction(v) / p for k, v in row.items()}
-        for c2, row2 in rref:
-            coef = frow.get(c2, _ZERO)
-            if coef:
-                for k, v in row2.items():
-                    nv = frow.get(k, _ZERO) - coef * v
-                    if nv:
-                        frow[k] = nv
-                    else:
-                        frow.pop(k, None)
-        rref.append((c, frow))
-    rref.reverse()
-    return rref
+    got = _solutions(A, B)
+    return None if got is None else RationalMatrix.from_columns(got, A.cols)
 
 
 def canonical_row_basis(vectors: Sequence[Sequence], dim: int) -> list[Vector]:
     """The unique reduced-row-echelon basis of the span; depends only on
-    the subspace, so equal subspaces give identical bases."""
-    return [tuple(frow.get(j, _ZERO) for j in range(dim))
-            for _, frow in _rref(vectors, dim, "vector")]
+    the subspace, so equal subspaces give identical bases.
+
+    The row at pivot c is read off the reduced kernel: 1 at c, -k_f[c]
+    at each free column f and 0 at the other pivot columns."""
+    pivots = _span_echelon(vectors, dim, "vector")
+    kernel = _kernel(pivots, dim)
+    basis = []
+    for c, _ in pivots:
+        row = [_ZERO] * dim
+        row[c] = _ONE
+        for f, k in kernel:
+            row[f] = -k.get(c, _ZERO)
+        basis.append(tuple(row))
+    return basis
 
 
 def quotient_basis(ambient_dim: int, subspace_gens: Sequence[Sequence]):
@@ -590,23 +591,15 @@ def quotient_basis(ambient_dim: int, subspace_gens: Sequence[Sequence]):
 
     Returns (projection, representatives): projection is onto, kills
     every generator, and sends each representative to a distinct
-    standard basis vector of the quotient.
+    standard basis vector of the quotient.  Its rows are the reduced
+    kernel vectors k_f of the generators' echelon form, and the
+    representatives are the unit vectors at the free columns f.
     """
-    rref = _rref(subspace_gens, ambient_dim, "generator")
-    pivot_cols = {c for c, _ in rref}
-    free_cols = [j for j in range(ambient_dim) if j not in pivot_cols]
-    stored = {}
-    for i, f in enumerate(free_cols):
-        row = {f: 1}
-        for c, frow in rref:
-            coef = frow.get(f)
-            if coef:
-                row[c] = -coef
-        stored[i] = _row_of(row)
-    projection = RationalMatrix._of(len(free_cols), ambient_dim, stored)
-    reps = []
-    for f in free_cols:
-        v = [_ZERO] * ambient_dim
-        v[f] = Fraction(1)
-        reps.append(tuple(v))
-    return projection, reps
+    pivots = _span_echelon(subspace_gens, ambient_dim, "generator")
+    kernel = _kernel(pivots, ambient_dim)
+    # f first, then the pivot columns left to right: products and
+    # transposes of the projection visit a row in its key order
+    projection = RationalMatrix._of(len(kernel), ambient_dim, {
+        i: _row_of({f: _ONE, **{c: k[c] for c, _ in pivots if c in k}})
+        for i, (f, k) in enumerate(kernel)})
+    return projection, [_dense({f: _ONE}, ambient_dim) for f, _ in kernel]

@@ -12,7 +12,8 @@ from functools import cache, cached_property
 from typing import Optional
 
 from .errors import (AssociativityViolation, CompositionDomainError,
-                     FunctorError, IdentityViolation, UnknownObject)
+                     FunctorError, IdentityViolation, NotLoopFree,
+                     UnknownObject)
 from .records import field, record, replace
 
 
@@ -290,46 +291,45 @@ def comma_over(C: FinCategory, g: int) -> Comma:
         [C.mor_src[a] for a in objs], labels)
 
 
-def comma_under_functor(f: FunctorData, gp: int) -> Comma:
-    """The comma f over gp: objects are pairs (gamma, alpha: f(gamma) -> gp),
-    morphisms m: gamma1 -> gamma2 with alpha2 o f(m) = alpha1."""
+def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
+    """The comma f over g (over=True) or g under f (over=False): objects
+    are pairs (gamma, alpha) with alpha: f(gamma) -> g, or alpha: g ->
+    f(gamma); morphisms m: gamma1 -> gamma2 with alpha2 o f(m) = alpha1,
+    or f(m) o alpha1 = alpha2.  Both list keys, records and labels in
+    the same order."""
     G, Gp = f.source, f.target
-    Gp.require_object(gp)
+    Gp.require_object(g)
+    near, far = (Gp.mor_src, Gp.mor_tgt) if over else \
+        (Gp.mor_tgt, Gp.mor_src)
     keys = [(x, a) for x in G.objects() for a in Gp.morphisms()
-            if Gp.mor_src[a] == f.object_map[x] and Gp.mor_tgt[a] == gp]
+            if near[a] == f.object_map[x] and far[a] == g]
+    comp = Gp.compose_table
     records, labels = [], {}
     for i, (x1, a1) in enumerate(keys):
         for j, (x2, a2) in enumerate(keys):
             for m in G.morphisms():
-                if G.mor_src[m] == x1 and G.mor_tgt[m] == x2 and \
-                        Gp.compose_table[(a2, f.morphism_map[m])] == a1:
-                    rec = (i, j, m)
-                    records.append(rec)
-                    labels[rec] = f"{G.mor_labels[m]}|{i}>{j}"
+                if G.mor_src[m] == x1 and G.mor_tgt[m] == x2:
+                    fm = f.morphism_map[m]
+                    if (comp[(a2, fm)] == a1) if over else \
+                            (comp[(fm, a1)] == a2):
+                        rec = (i, j, m)
+                        records.append(rec)
+                        labels[rec] = f"{G.mor_labels[m]}|{i}>{j}"
     return _comma_from_records(
         G, keys, [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys],
         records, [x for x, _ in keys], labels)
+
+
+def comma_under_functor(f: FunctorData, gp: int) -> Comma:
+    """The comma f over gp: objects are pairs (gamma, alpha: f(gamma) -> gp),
+    morphisms m: gamma1 -> gamma2 with alpha2 o f(m) = alpha1."""
+    return _functor_comma(f, gp, True)
 
 
 def comma_from(f: FunctorData, g: int) -> Comma:
     """The comma g under f: objects are pairs (gamma, alpha: g -> f(gamma)),
     morphisms m: gamma1 -> gamma2 with f(m) o alpha1 = alpha2."""
-    G, Gp = f.source, f.target
-    Gp.require_object(g)
-    keys = [(x, a) for x in G.objects() for a in Gp.morphisms()
-            if Gp.mor_tgt[a] == f.object_map[x] and Gp.mor_src[a] == g]
-    records, labels = [], {}
-    for i, (x1, a1) in enumerate(keys):
-        for j, (x2, a2) in enumerate(keys):
-            for m in G.morphisms():
-                if G.mor_src[m] == x1 and G.mor_tgt[m] == x2 and \
-                        Gp.compose_table[(f.morphism_map[m], a1)] == a2:
-                    rec = (i, j, m)
-                    records.append(rec)
-                    labels[rec] = f"{G.mor_labels[m]}|{i}>{j}"
-    return _comma_from_records(
-        G, keys, [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys],
-        records, [x for x, _ in keys], labels)
+    return _functor_comma(f, g, False)
 
 
 def is_direct(C: FinCategory) -> Optional[DegreeFunction]:
@@ -510,7 +510,13 @@ def category_from_presentation(
     the congruence generated by the relations (pairs of paths given as
     arrow-index tuples, written left-to-right along the path).
     """
-    from .errors import NotLoopFree
+    return _presented(obj_labels, arrows, relations)[0]
+
+
+def _presented(obj_labels, arrows, relations=()):
+    """The category of `category_from_presentation` and the
+    representative path of each non-identity morphism, in morphism
+    order (a tuple of arrow indices, first arrow first)."""
     n = len(obj_labels)
     # the generator graph must be acyclic or path enumeration diverges
     adj: dict[int, set[int]] = {x: set() for x in range(n)}
@@ -613,7 +619,7 @@ def category_from_presentation(
                 table[(j, i)] = index[rep_of[rep1 + rep2]]
     return validate_category(FinCategory(
         n, tuple(obj_labels), tuple(mor_src), tuple(mor_tgt),
-        tuple(mor_labels), identity, table))
+        tuple(mor_labels), identity, table)), tuple(reps)
 
 
 def identity_functor(C: FinCategory) -> FunctorData:

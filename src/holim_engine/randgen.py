@@ -23,7 +23,7 @@ from .endkan import ChainDiagram, FinSetDiagram, constant_finset_diagram, \
 from .exactalg import RationalMatrix, block_matrix, rank_kernel
 from .fincat import (FinCategory, FunctorData, arrow_category, chain_poset,
                      cospan_category, discrete_category, from_poset,
-                     terminal_category, validate_category, validate_functor)
+                     terminal_category, validate_functor, _presented)
 
 
 # --- categories ---------------------------------------------------------------
@@ -32,39 +32,8 @@ def free_category(obj_labels, arrows):
     """Free category on an acyclic multigraph, keeping the path of each
     morphism.  Returns (category, paths) with paths[m] the tuple of
     arrow indices (empty for identities)."""
-    n = len(obj_labels)
-    frontier = [((i,), arrows[i][1], arrows[i][2])
-                for i in range(len(arrows))]
-    all_paths = []
-    while frontier:
-        all_paths.extend(frontier)
-        nxt = []
-        for p, s, t in frontier:
-            for i, (_, s2, t2) in enumerate(arrows):
-                if s2 == t:
-                    nxt.append((p + (i,), s, t2))
-        frontier = nxt
-    all_paths.sort(key=lambda rec: (len(rec[0]), rec[0]))
-    mor_src = list(range(n)) + [s for _, s, _ in all_paths]
-    mor_tgt = list(range(n)) + [t for _, _, t in all_paths]
-    labels = [f"id_{l}" for l in obj_labels] + \
-        [".".join(arrows[i][0] for i in reversed(p)) for p, _, _ in all_paths]
-    paths = [()] * n + [p for p, _, _ in all_paths]
-    index = {p: n + i for i, (p, _, _) in enumerate(all_paths)}
-    identity = tuple(range(n))
-    table = {}
-    nm = len(mor_src)
-    for m in range(nm):
-        table[(identity[mor_tgt[m]], m)] = m
-        table[(m, identity[mor_src[m]])] = m
-    for j in range(n, nm):
-        for i in range(n, nm):
-            if mor_tgt[i] == mor_src[j]:
-                table[(j, i)] = index[paths[i] + paths[j]]
-    C = validate_category(FinCategory(
-        n, tuple(obj_labels), tuple(mor_src), tuple(mor_tgt), tuple(labels),
-        identity, table))
-    return C, tuple(paths)
+    C, reps = _presented(obj_labels, arrows)
+    return C, ((),) * len(obj_labels) + reps
 
 
 def random_free_category(rng: random.Random, max_objects: int = 4,

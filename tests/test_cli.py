@@ -233,6 +233,38 @@ def test_negative_depth_rejected(cospan_ws):
     assert b"--depth" in err.stderr
 
 
+def test_unbalanced_quote_is_a_type_mismatch(cospan_ws):
+    with pytest.raises(TypeMismatch, match="No closing quotation"):
+        run_command(cospan_ws, 'holim "Glue')
+    err = _run_cli([str(CORPUS / "cospan.hle"), "--cmd", 'holim "Glue'])
+    assert err.returncode == 1
+    assert err.stderr.startswith(b"error: ")
+    assert b"Traceback" not in err.stderr
+
+
+def test_workspace_that_is_not_utf8_is_located(tmp_path, capsys):
+    src = tmp_path / "latin1.hle"
+    src.write_bytes(b"# one\r\n# two\r# caf\xe9\n")
+    assert cli_mod.main([str(src), "--cmd", "holim Loop"]) == 1
+    assert capsys.readouterr().err == \
+        "error: byte 0xe9 is not UTF-8 at line 3, column 6\n"
+    err = _run_cli([str(src), "--cmd", "holim Loop"])
+    assert err.returncode == 1
+    assert err.stderr.startswith(b"error: ")
+    assert b"Traceback" not in err.stderr
+
+
+def test_crlf_workspace_reads_as_lf(tmp_path, capsys):
+    text = (CORPUS / "cospan.hle").read_bytes()
+    src = tmp_path / "crlf.hle"
+    src.write_bytes(text.replace(b"\n", b"\r\n"))
+    outs = []
+    for path in (CORPUS / "cospan.hle", src):
+        assert cli_mod.main([str(path), "--cmd", "holim Loop", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
 # (payload in bench/expected, workspace, command, extra flags)

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holim_engine.errors import ShapeMismatch
 from holim_engine.exactalg import (RationalMatrix, block_diag, block_matrix,
-                                   kernel_matrix, quotient_basis, rank,
-                                   rank_kernel, solve, solve_matrix)
+                                   canonical_row_basis, kernel_matrix,
+                                   quotient_basis, rank, rank_kernel, solve,
+                                   solve_matrix)
 
 
 def test_rank_kernel_identity():
@@ -161,3 +164,106 @@ def test_determinism():
     A = _random_matrix(rng, 4, 6)
     assert rank_kernel(A) == rank_kernel(A)
     assert solve(A, A.apply([1] * 6)) == solve(A, A.apply([1] * 6))
+
+
+# --- an independent oracle: textbook dense Gauss-Jordan over Fractions ------
+
+def _gauss_jordan(rows, cols):
+    """The reduced row echelon form of the dense rows (its nonzero rows)
+    and its pivot columns, by row swaps, scaling and full elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _reduced_kernel(rref, pivots, cols):
+    """One kernel vector per free column f: 1 at f, 0 at the other free
+    columns, and -rref[i][f] at the i-th pivot column."""
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, c in zip(rref, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_solve(rows, cols, b):
+    """The solution of A x = b with every free variable 0, or None."""
+    rref, pivots = _gauss_jordan(
+        [list(row) + [y] for row, y in zip(rows, b)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, c in zip(rref, pivots):
+        x[c] = row[cols]
+    return tuple(x)
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-4, 4),
+                               st.integers(1, 3)))
+
+
+@st.composite
+def _dense_rows(draw, cols):
+    """Up to 5 rows, some of them zero or sums of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("entries", "entries", "zero", "sum")))
+        if kind == "zero" or (kind == "sum" and not rows):
+            rows.append([0] * cols)
+        elif kind == "sum":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([Fraction(x) - 2 * Fraction(y) for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(_ENTRIES, min_size=cols,
+                                      max_size=cols)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 3))
+def test_kernel_matches_dense_gauss_jordan(data, cols, rhs_cols):
+    rows = data.draw(_dense_rows(cols))
+    A = RationalMatrix(len(rows), cols, rows)
+    rref, pivots = _gauss_jordan(rows, cols)
+    kernel = _reduced_kernel(rref, pivots, cols)
+    assert canonical_row_basis(rows, cols) == [tuple(r) for r in rref]
+    assert rank_kernel(A) == (len(pivots), kernel)
+    proj, reps = quotient_basis(cols, rows)
+    assert proj.entries == tuple(kernel)
+    assert reps == [tuple(Fraction(int(j == f)) for j in range(cols))
+                    for f in range(cols) if f not in pivots]
+    # right-hand sides: drawn at random, or images A x
+    rhs = []
+    for _ in range(rhs_cols):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(_ENTRIES, min_size=cols, max_size=cols))
+            rhs.append(A.apply(x))
+        else:
+            rhs.append(tuple(data.draw(st.lists(
+                _ENTRIES, min_size=len(rows), max_size=len(rows)))))
+    want = [_reference_solve(rows, cols, b) for b in rhs]
+    for b, x in zip(rhs, want):
+        assert solve(A, b) == x
+    X = solve_matrix(A, RationalMatrix.from_columns(rhs, len(rows)))
+    if None in want:
+        assert X is None
+    else:
+        assert X == RationalMatrix.from_columns(want, cols)

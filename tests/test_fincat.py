@@ -6,7 +6,7 @@ import pytest
 import holim_engine.fincat as fincat_mod
 
 from holim_engine.errors import (CompositionDomainError, FunctorError,
-                                 IdentityViolation)
+                                 IdentityViolation, NotLoopFree)
 from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  arrow_category, chain_poset, comma_from,
                                  comma_over, comma_under_functor,
@@ -17,7 +17,7 @@ from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  product, terminal_category,
                                  validate_category, validate_functor)
 
-from holim_engine.randgen import random_loopfree_category
+from holim_engine.randgen import free_category, random_loopfree_category
 
 
 def test_terminal_category_valid():
@@ -328,3 +328,10 @@ def test_union_find_keeps_the_least_root_and_reports_merges():
     assert uf.union(4, 2) and uf.union(5, 4) and uf.union(1, 3)
     assert not uf.union(2, 5)
     assert [uf.find(x) for x in range(6)] == [0, 1, 2, 1, 2, 2]
+
+
+def test_free_category_rejects_a_cyclic_generator_graph():
+    with pytest.raises(NotLoopFree):
+        free_category(["a", "b"], [("f", 0, 1), ("g", 1, 0)])
+    with pytest.raises(NotLoopFree):
+        free_category(["a"], [("e", 0, 0)])
