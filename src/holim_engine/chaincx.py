@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import ChainRuleViolation, DSquareNonzero, ShapeMismatch, \
     TotalDSquareNonzero
-from .exactalg import (RationalMatrix, block_diag, block_matrix,
+from .exactalg import (RationalMatrix, block_matrix,
                        product_is_zero, quotient_basis, rank_kernel,
                        rank_pivots, solve_matrix)
 from .records import record
@@ -180,31 +181,41 @@ def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
 def direct_sum(summands: Sequence[ChainComplex]):
     """Direct sum with inclusion and projection chain maps."""
     summands = list(summands)
-    nonzero = [c for c in summands if not c.is_zero()]
-    if not nonzero:
-        S = ZERO_COMPLEX
-    else:
-        lo = min(c.lo for c in nonzero)
-        hi = max(c.hi for c in nonzero)
-        dims = {k: sum(c.dim(k) for c in summands) for k in range(lo, hi + 1)}
-        # make_complex checks the block diagonal against dims
-        diff = {k: block_diag([c.d(k) for c in summands])
-                for k in range(lo + 1, hi + 1)}
-        S = make_complex(dims, diff)
+    S, starts = _total([(c, 0) for c in summands], lambda k: [
+        (i, i, c.d(k)) for i, c in enumerate(summands)])
     incls, projs = [], []
     for i, c in enumerate(summands):
         comps_i, comps_p = {}, {}
         for k in c.degrees():
             if not c.dim(k):
                 continue
-            off = sum(cc.dim(k) for cc in summands[:i])
             m = block_matrix(S.dim(k), c.dim(k),
-                             [(off, 0, RationalMatrix.identity(c.dim(k)))])
+                             [(starts[k][i], 0,
+                               RationalMatrix.identity(c.dim(k)))])
             comps_i[k] = m
             comps_p[k] = m.transpose()
         incls.append(ChainMap(c, S, comps_i))
         projs.append(ChainMap(S, c, comps_p))
     return S, incls, projs
+
+
+def _total(parts: Sequence[tuple[ChainComplex, int]], blocks):
+    """The complex whose degree n is the sum, in order, of P_{n+s} over
+    the parts (P, s), with d_n assembled from `blocks(n)`: each (i, j, M)
+    places M, from part j in degree n to part i in degree n - 1.  Returns
+    the complex (one `make_complex`) and its layout: starts[n][i] is
+    where part i begins in degree n."""
+    shifted = [(P.lo - s, P.hi - s) for P, s in parts if not P.is_zero()]
+    if not shifted:
+        return ZERO_COMPLEX, {}
+    lo, hi = min(a for a, _ in shifted), max(b for _, b in shifted)
+    starts = {n: list(accumulate((P.dim(n + s) for P, s in parts),
+                                 initial=0)) for n in range(lo, hi + 1)}
+    dims = {n: at[-1] for n, at in starts.items()}
+    diff = {n: block_matrix(dims[n - 1], dims[n], [
+        (starts[n - 1][i], starts[n][j], M) for i, j, M in blocks(n)])
+        for n in range(lo + 1, hi + 1)}
+    return make_complex(dims, diff), starts
 
 
 # --- homology ---------------------------------------------------------------
@@ -291,19 +302,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone(f)_n = A_{n-1} + B_n for f: A -> B, with
     d(a, b) = (-d a, f a + d b)."""
     A, B = f.source, f.target
-    nonzero = [(c, s) for c, s in ((A, 1), (B, 0)) if not c.is_zero()]
-    if not nonzero:
-        return ZERO_COMPLEX
-    lo = min(c.lo + s for c, s in nonzero)
-    hi = max(c.hi + s for c, s in nonzero)
-    dims = {n: A.dim(n - 1) + B.dim(n) for n in range(lo, hi + 1)}
-    diff = {}
-    for n in range(lo + 1, hi + 1):
-        diff[n] = block_matrix(dims[n - 1], dims[n], [
-            (0, 0, A.d(n - 1).scale(-1)),
-            (A.dim(n - 2), 0, f.component(n - 1)),
-            (A.dim(n - 2), A.dim(n - 1), B.d(n))])
-    return make_complex(dims, diff)
+    return _total([(A, -1), (B, 0)], lambda n: [
+        (0, 0, A.d(n - 1).scale(-1)), (1, 0, f.component(n - 1)),
+        (1, 1, B.d(n))])[0]
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -395,44 +396,39 @@ def hom_encode(A: ChainComplex, B: ChainComplex, k: int,
     return tuple(out)
 
 
-def hom_postcompose(A: ChainComplex, f: ChainMap,
-                    check: bool = False) -> ChainMap:
-    """Hom(A, f) : Hom(A, B) -> Hom(A, B'), phi |-> f o phi."""
-    B, Bp = f.source, f.target
-    H, Hp = hom_complex(A, B), hom_complex(A, Bp)
+def _hom_map(A: ChainComplex, B: ChainComplex, Ap: ChainComplex,
+             Bp: ChainComplex, block, check: bool) -> ChainMap:
+    """The map Hom(A, B) -> Hom(Ap, Bp) that is block(n, k, a, b) from
+    the block n of Hom(A, B)_k to the block n of Hom(Ap, Bp)_k, which
+    holds the b x a matrices Ap_n -> Bp_{n+k}, and zero elsewhere."""
+    H, Hp = hom_complex(A, B), hom_complex(Ap, Bp)
     comps = {}
     for k in H.degrees():
         if not H.dim(k):
             continue
-        src_blocks = _hom_blocks(A, B, k)
-        tgt_blocks = _hom_blocks(A, Bp, k)
-        src_offs, sdim = _hom_offsets(src_blocks)
+        src_offs, sdim = _hom_offsets(_hom_blocks(A, B, k))
+        tgt_blocks = _hom_blocks(Ap, Bp, k)
         tgt_offs, tdim = _hom_offsets(tgt_blocks)
         comps[k] = block_matrix(tdim, sdim, [
-            (tgt_offs[n], src_offs[n],
-             f.component(n + k).kron(RationalMatrix.identity(a)))
-            for n, a, _ in tgt_blocks if n in src_offs])
+            (tgt_offs[n], src_offs[n], block(n, k, a, b))
+            for n, a, b in tgt_blocks if n in src_offs])
     return make_chain_map(H, Hp, comps, check=check)
+
+
+def hom_postcompose(A: ChainComplex, f: ChainMap,
+                    check: bool = False) -> ChainMap:
+    """Hom(A, f) : Hom(A, B) -> Hom(A, B'), phi |-> f o phi."""
+    return _hom_map(A, f.source, A, f.target, lambda n, k, a, _:
+                    f.component(n + k).kron(RationalMatrix.identity(a)),
+                    check)
 
 
 def hom_precompose(g: ChainMap, B: ChainComplex,
                    check: bool = False) -> ChainMap:
     """Hom(g, B) : Hom(A, B) -> Hom(A', B), phi |-> phi o g, for g: A' -> A."""
-    Ap, A = g.source, g.target
-    H, Hp = hom_complex(A, B), hom_complex(Ap, B)
-    comps = {}
-    for k in H.degrees():
-        if not H.dim(k):
-            continue
-        src_blocks = _hom_blocks(A, B, k)
-        tgt_blocks = _hom_blocks(Ap, B, k)
-        src_offs, sdim = _hom_offsets(src_blocks)
-        tgt_offs, tdim = _hom_offsets(tgt_blocks)
-        comps[k] = block_matrix(tdim, sdim, [
-            (tgt_offs[n], src_offs[n],
-             RationalMatrix.identity(bt).kron(g.component(n).transpose()))
-            for n, _, bt in tgt_blocks if n in src_offs])
-    return make_chain_map(H, Hp, comps, check=check)
+    return _hom_map(g.target, B, g.source, B, lambda n, k, _, b:
+                    RationalMatrix.identity(b).kron(
+                        g.component(n).transpose()), check)
 
 
 def power(K, c: ChainComplex) -> ChainComplex:
@@ -487,31 +483,19 @@ def product_total(columns: Sequence[ChainComplex], horizontal) -> ChainComplex:
                 if not (h(n + 1, k) * h(n, k)).is_zero():
                     raise TotalDSquareNonzero(
                         f"horizontal composite nonzero at ({n}, {k})")
-    nonzero = [n for n, c in enumerate(columns) if not c.is_zero()]
-    if not nonzero:
-        return ZERO_COMPLEX
-    lo = min(columns[n].lo - n for n in nonzero)
-    hi = max(columns[n].hi - n for n in nonzero)
-    dims = {k: sum(c.dim(k + n) for n, c in enumerate(columns))
-            for k in range(lo, hi + 1)}
 
-    def offset(k, n):
-        return sum(columns[i].dim(k + i) for i in range(n))
-
-    diff = {}
-    for k in range(lo + 1, hi + 1):
-        blocks = []
+    def blocks(k):
         for n, c in enumerate(columns):
             q = k + n
             if not c.dim(q):
                 continue
-            blocks.append((offset(k - 1, n), offset(k, n), c.d(q)))
+            yield n, n, c.d(q)
             hm = h(n, q)
             if hm.rows:
-                blocks.append((offset(k - 1, n + 1), offset(k, n), hm))
-        diff[k] = block_matrix(dims.get(k - 1, 0), dims[k], blocks)
+                yield n + 1, n, hm
+
     try:
-        return make_complex(dims, diff)
+        return _total([(c, n) for n, c in enumerate(columns)], blocks)[0]
     except DSquareNonzero as e:
         raise TotalDSquareNonzero(str(e)) from None
 

@@ -432,6 +432,8 @@ _SUITES = {"bindings": (_suite_bindings,),
 
 
 def _cmd_verify(ws, args, seed=0, **kw):
+    if len(args) > 1:
+        raise TypeMismatch("verify expects at most one suite name")
     suite_name = args[0] if args else "all"
     if suite_name not in _SUITES:
         raise TypeMismatch(f"unknown suite {suite_name!r}; suites: "
@@ -466,16 +468,18 @@ def _cmd_verify(ws, args, seed=0, **kw):
 
 def _workspace_text(data: bytes) -> str:
     """The workspace file as text, newlines read as text mode reads
-    them.  A byte that is not UTF-8 is a ParseError at its line and
-    column."""
+    them and one leading byte-order mark skipped.  A byte that is not
+    UTF-8 is a ParseError at its line and column."""
+    # \r and \n never occur inside a multi-byte UTF-8 sequence
+    data = data.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n") \
+        .replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        before = _workspace_text(data[:e.start])
+        before = data[:e.start].decode("utf-8")
         raise ParseError(f"byte 0x{data[e.start]:02x} is not UTF-8",
                          before.count("\n") + 1,
                          len(before) - before.rfind("\n")) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

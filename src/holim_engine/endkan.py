@@ -543,11 +543,12 @@ class EndChain:
     base: FinCategory              # G
 
 
-def end_chain(H: ChainDiagram, generators: Optional[Sequence[int]] = None,
-              check_dinaturality: bool = True) -> EndChain:
+def end_chain(H: ChainDiagram,
+              generators: Optional[Sequence[int]] = None) -> EndChain:
     """End of a chain bifunctor over product(opposite(G), G): the
     degreewise kernel of (pushforward - pullback) between the sums of
-    diagonal values and of per-condition values."""
+    diagonal values and of per-condition values, with the end wedge
+    checked to commute at every generator."""
     P = H.base
     G = _split_product_base(P)
     gens = list(generating_morphisms(G) if generators is None else generators)
@@ -576,15 +577,14 @@ def end_chain(H: ChainDiagram, generators: Optional[Sequence[int]] = None,
         kernels[k] = RationalMatrix.from_columns(basis, S.dim(k))
     E, incl = subcomplex_from_kernels(S, kernels)
     projections = [compose_maps(pr, incl) for pr in s_projs]
-    if check_dinaturality:
-        for i, f in enumerate(gens):
-            s, t = G.src(f), G.tgt(f)
-            lhs = compose_maps(push[i], projections[s])
-            rhs = compose_maps(pull[i], projections[t])
-            for k in E.degrees():
-                if lhs.component(k) != rhs.component(k):
-                    raise DiagramError(
-                        f"end wedge does not commute at morphism {f}")
+    for i, f in enumerate(gens):
+        s, t = G.src(f), G.tgt(f)
+        lhs = compose_maps(push[i], projections[s])
+        rhs = compose_maps(pull[i], projections[t])
+        for k in E.degrees():
+            if lhs.component(k) != rhs.component(k):
+                raise DiagramError(
+                    f"end wedge does not commute at morphism {f}")
     return EndChain(E, incl, S, projections, G)
 
 

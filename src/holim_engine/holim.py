@@ -9,9 +9,10 @@ builds that product from a free basis and one profile of F per object
 ends.  With the nerve weight g |-> N(G over g) the end is the
 Bousfield-Kan homotopy limit; its generators are the chains of G,
 listed with their faces in one pass over G (`ssets.nerve_chains`), and
-maps between such products are block maps along the chains
-(`_chain_product_map`).  `bk_holim`, `comparison_map` and
-`change_of_diagrams_iso` all take their ends this way.  The fat
+every map between two such products is a block map along their
+generators (`_product_map`).  `bk_holim`, `comparison_map` and
+`change_of_diagrams_iso` all take their ends this way; the pullback's
+oracle, `mapping_path_complex`, is a `chaincx._total` instead.  The fat
 totalization of the cosimplicial replacement of F, truncated at N, is
 the end over the chains [n] -> G with identities allowed and n <= N
 (`ssets.fat_chains`): `fat_tot` checks F and that basis
@@ -224,6 +225,29 @@ def _chain_offsets(profile, basis):
     return offsets, dims
 
 
+def _product_map(P: ChainComplex, Q: ChainComplex, FP: ChainDiagram,
+                 FQ: ChainDiagram, P_gens, Q_gens, pairs, block) -> ChainMap:
+    """The checked block map from the product P of FP over the generators
+    P_gens to the product Q of FQ over Q_gens (`free_end`).  For each
+    (i, j) in pairs, with (k, x) the dimension and object of generator
+    i of Q, the block from generator j of P to generator i in total
+    degree q - k is block(x, q), from FP_q at the object of generator j
+    to FQ(x)_q; every other block is zero."""
+    profile = _profiles(FQ)
+    src, _ = _chain_offsets(_profiles(FP), P_gens)
+    tgt, _ = _chain_offsets(profile, Q_gens)
+    blocks: dict[int, list] = {}
+    for i, j in pairs:
+        k, x = Q_gens[i][:2]
+        for q, _, _ in profile[x]:
+            if j in src.get(q - k, ()):
+                blocks.setdefault(q - k, []).append(
+                    (tgt[q - k][i], src[q - k][j], block(x, q)))
+    return make_chain_map(P, Q, {
+        n: block_matrix(Q.dim(n), P.dim(n), b) for n, b in blocks.items()},
+        check=True)
+
+
 def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
                        alpha: Sequence[ChainMap], P: ChainComplex,
                        Q: ChainComplex, src_chains, tgt_chains) -> ChainMap:
@@ -235,23 +259,14 @@ def _chain_product_map(f: FunctorData, Fp: ChainDiagram, F: ChainDiagram,
     an arrow of c to an identity (f(c) is degenerate)."""
     Gp = f.target
     (src_index, src_gens), (_, tgt_gens) = src_chains, tgt_chains
-    profile = _profiles(F)
-    src, _ = _chain_offsets(_profiles(Fp), src_gens)
-    tgt, _ = _chain_offsets(profile, tgt_gens)
-    blocks: dict[int, list] = {}
-    for j, (k, x, c, _) in enumerate(tgt_gens):
+    pairs = []
+    for i, (k, _, c, _) in enumerate(tgt_gens):
         fc = f.object_map[c] if k == 0 else \
             tuple(f.morphism_map[m] for m in c)
-        if k and any(Gp.is_identity(m) for m in fc):
-            continue
-        i = src_index[fc]
-        for q, _, _ in profile[x]:
-            if i in src.get(q - k, ()):
-                blocks.setdefault(q - k, []).append(
-                    (tgt[q - k][j], src[q - k][i], alpha[x].component(q)))
-    return make_chain_map(P, Q, {
-        n: block_matrix(Q.dim(n), P.dim(n), b) for n, b in blocks.items()},
-        check=True)
+        if not k or not any(Gp.is_identity(m) for m in fc):
+            pairs.append((i, src_index[fc]))
+    return _product_map(P, Q, Fp, F, src_gens, tgt_gens, pairs,
+                        lambda x, q: alpha[x].component(q))
 
 
 # --- homotopy pullback ------------------------------------------------------------
@@ -273,24 +288,9 @@ def mapping_path_complex(p: ChainMap, q: ChainMap) -> ChainComplex:
     """The independent homotopy-pullback oracle: degree k part
     A_k + B_k + C_{k+1}, d(a, b, c) = (da, db, p(a) - q(b) - dc)."""
     A, B, C = p.source, q.source, p.target
-    nonzero = [x for x in (A, B) if not x.is_zero()]
-    los = [x.lo for x in nonzero] + ([C.lo - 1] if not C.is_zero() else [])
-    his = [x.hi for x in nonzero] + ([C.hi - 1] if not C.is_zero() else [])
-    if not los:
-        return chaincx.ZERO_COMPLEX
-    lo, hi = min(los), max(his)
-    dims = {k: A.dim(k) + B.dim(k) + C.dim(k + 1) for k in range(lo, hi + 1)}
-    diff = {}
-    for k in range(lo + 1, hi + 1):
-        oa, ob, oc = 0, A.dim(k - 1), A.dim(k - 1) + B.dim(k - 1)
-        ja, jb, jc = 0, A.dim(k), A.dim(k) + B.dim(k)
-        diff[k] = block_matrix(dims.get(k - 1, 0), dims[k], [
-            (oa, ja, A.d(k)),
-            (ob, jb, B.d(k)),
-            (oc, ja, p.component(k)),
-            (oc, jb, q.component(k).scale(-1)),
-            (oc, jc, C.d(k + 1).scale(-1))])
-    return chaincx.make_complex(dims, diff)
+    return chaincx._total([(A, 0), (B, 0), (C, 1)], lambda k: [
+        (0, 0, A.d(k)), (1, 1, B.d(k)), (2, 0, p.component(k)),
+        (2, 1, q.component(k).scale(-1)), (2, 2, C.d(k + 1).scale(-1))])[0]
 
 
 @record(frozen=True)
@@ -491,18 +491,8 @@ def _change_of_diagrams(f: FunctorData, F: ChainDiagram,
             last = com.mor_key(cell[-1])[1]
         if f.target.is_identity(com.object_keys[last][1]):
             match[index[c]] = j
-    profile = _profiles(Frest)
-    src, _ = _chain_offsets(_profiles(F), basis)
-    tgt, _ = _chain_offsets(profile, gens)
-    blocks: dict[int, list] = {}
-    for i, j in match.items():
-        k, x = gens[i][:2]
-        for q, dq, _ in profile[x]:
-            blocks.setdefault(q - k, []).append(
-                (tgt[q - k][i], src[q - k][j], RationalMatrix.identity(dq)))
-    make_chain_map(E2, E3, {
-        n: block_matrix(E3.dim(n), E2.dim(n), b) for n, b in blocks.items()},
-        check=True)
+    _product_map(E2, E3, F, Frest, basis, gens, match.items(),
+                 lambda x, q: RationalMatrix.identity(Frest.value(x).dim(q)))
     return ChangeOfDiagramsReport(
         {k: E3.dim(k) for k in E3.degrees() if E3.dim(k)},
         {k: E2.dim(k) for k in E2.degrees() if E2.dim(k)},

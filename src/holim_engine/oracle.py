@@ -2,13 +2,15 @@
 
 Validators of semisimplicial sets, weights and natural transformations,
 the nerve and its chain basis built level by level through a face dict,
-the block-by-block assembly of a free end, the cosimplicial
-replacement built as levels and cofaces (block matrices, with every
-coface identity checked by composing them) and its fat totalization as
-the double complex of the levels (`chaincx.product_total`), simplicial
-frames with their Reedy check, homotopy invariance of `bk_holim`,
-Fubini for ends and the equalizer of two chain maps.  Tests import this
-module; no CLI command, `verify` suite or engine module does.
+the block-by-block assembly of a free end as a total complex
+(`chaincx._total`), with none of `holim.free_end`'s layout, the
+cosimplicial replacement built as levels and cofaces (block matrices,
+with every coface identity checked by composing them) and its fat
+totalization as the double complex of the levels
+(`chaincx.product_total`), simplicial frames with their Reedy check,
+homotopy invariance of `bk_holim`, Fubini for ends and the equalizer
+of two chain maps.  Tests import this module; no CLI command, `verify`
+suite or engine module does.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
 from .exactalg import (RationalMatrix, block_matrix, canonical_row_basis,
                        rank, rank_kernel, solve_matrix)
 from .fincat import FinCategory, is_direct, product, product_mor, product_obj
-from .holim import (Cosimplicial, _chain_generators, _chain_offsets,
-                    _chain_product_map, _delta_plus_records, _profiles,
-                    cosimplicial_replacement, delta_plus_category, free_end)
+from .holim import (Cosimplicial, _chain_generators, _chain_product_map,
+                    _delta_plus_records, cosimplicial_replacement,
+                    delta_plus_category, free_end)
 from .records import record
 from .ssets import (EMPTY_SSET, SemiSimplicialSet, SSetMap, Weight,
                     chains_of_map, identity_sset_map, normalized_chains,
@@ -328,37 +330,29 @@ def check_reedy_fibrant(frame: SimplicialFrame, depth: int) -> ReedyReport:
 # --- free ends -----------------------------------------------------------------
 
 def free_end_by_blocks(F: ChainDiagram, basis) -> ChainComplex:
-    """`holim.free_end` assembled block by block: d_n is one
-    `block_matrix` of the generators' own differentials and their
-    signed face blocks, an identity face as a scaled identity matrix."""
+    """`holim.free_end` assembled block by block by `chaincx._total`:
+    the parts are F(x) shifted down by k, one per generator (k, x, ...),
+    and d_n places the generators' own differentials and their signed
+    face blocks, an identity face as a scaled identity matrix."""
     G = F.base
-    offsets, dims = _chain_offsets(_profiles(F), basis)
 
     def face_block(u, q, s):
         if G.is_identity(u):
             return RationalMatrix.identity(F.value(G.src(u)).dim(q)).scale(s)
         return F.action(u).component(q).scale(s)
 
-    blocks: dict[int, list] = {}
-    for j, (k, x, _, faces) in enumerate(basis):
-        V = F.value(x)
-        for q in V.degrees():
-            src = offsets.get(q - k + 1)
-            if not V.dim(q) or src is None:
+    def blocks(n):
+        sign = -1 if n % 2 == 0 else 1              # -(-1)^n
+        for j, (k, x, _, faces) in enumerate(basis):
+            V, q = F.value(x), n - 1 + k
+            if not V.dim(q):                        # no rows to write
                 continue
-            n, row = q - k + 1, offsets[q - k][j]
-            sign = -1 if n % 2 == 0 else 1          # -(-1)^n
-            out = blocks.setdefault(n, [])
-            if j in src:
-                out.append((row, src[j], V.d(q + 1)))
+            yield j, j, V.d(q + 1)
             for i, (g, u) in enumerate(faces):
-                if g in src:
-                    out.append((row, src[g],
-                                face_block(u, q, sign if i % 2 == 0
-                                           else -sign)))
-    return chaincx.make_complex(dims, {
-        n: block_matrix(dims.get(n - 1, 0), dims[n], b)
-        for n, b in blocks.items()})
+                yield j, g, face_block(u, q, -sign if i % 2 else sign)
+
+    return chaincx._total([(F.value(x), k) for k, x, _, _ in basis],
+                          blocks)[0]
 
 
 # --- cosimplicial objects -----------------------------------------------------

@@ -102,6 +102,12 @@ def test_verify_unknown_suite(arrow_ws):
         run_command(arrow_ws, "verify nonsense")
 
 
+def test_verify_rejects_extra_arguments(arrow_ws):
+    with pytest.raises(TypeMismatch, match="at most one suite"):
+        run_command(arrow_ws, "verify all extra")
+    assert run_command(arrow_ws, "verify", seed=11).payload["suite"] == "all"
+
+
 def test_unknown_command(arrow_ws):
     with pytest.raises(TypeMismatch):
         run_command(arrow_ws, "summon D")
@@ -263,6 +269,22 @@ def test_crlf_workspace_reads_as_lf(tmp_path, capsys):
         assert cli_mod.main([str(path), "--cmd", "holim Loop", "--json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = (CORPUS / "cospan.hle").read_bytes()
+    src = tmp_path / "bom.hle"
+    src.write_bytes(b"\xef\xbb\xbf" + text)
+    outs = []
+    for path in (CORPUS / "cospan.hle", src):
+        assert cli_mod.main([str(path), "--cmd", "holim Glue", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # error positions are counted after the mark, as without it
+    src.write_bytes(b"\xef\xbb\xbf# one\r\n# caf\xe9\n")
+    assert cli_mod.main([str(src), "--cmd", "holim Loop"]) == 1
+    assert capsys.readouterr().err == \
+        "error: byte 0xe9 is not UTF-8 at line 2, column 6\n"
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
