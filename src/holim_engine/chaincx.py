@@ -21,7 +21,7 @@ the rows of d_{k+1} that the pivot columns of d_k make redundant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -462,6 +462,7 @@ def product_total(columns: Sequence[ChainComplex], horizontal) -> ChainComplex:
     columns = list(columns)
     N = len(columns)
 
+    @cache      # the checks and the blocks read each (n, k) more than once
     def h(n, k):
         if n + 1 >= N:
             return RationalMatrix.zero(0, columns[n].dim(k))

@@ -302,12 +302,7 @@ def lan(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     if F.base != G:
         raise DiagramError("diagram is not over the source of the functor")
     commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
-    colims = []
-    for com in commas:
-        vals = tuple(F.values[x] for x, _ in com.object_keys)
-        acts = {m: F.actions[com.projection.morphism_map[m]]
-                for m in com.cat.morphisms()}
-        colims.append(finset_colimit(FinSetDiagram(com.cat, vals, acts)))
+    colims = [finset_colimit(restrict(com.projection, F)) for com in commas]
     values = tuple(tuple(range(len(col.classes))) for col in colims)
     actions = {}
     for u in Gp.morphisms():
@@ -331,12 +326,7 @@ def ran(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     if F.base != G:
         raise DiagramError("diagram is not over the source of the functor")
     commas = [comma_from(f, gp) for gp in Gp.objects()]
-    lims = []
-    for com in commas:
-        vals = tuple(F.values[x] for x, _ in com.object_keys)
-        acts = {m: F.actions[com.projection.morphism_map[m]]
-                for m in com.cat.morphisms()}
-        lims.append(finset_limit(FinSetDiagram(com.cat, vals, acts)))
+    lims = [finset_limit(restrict(com.projection, F)) for com in commas]
     values = tuple(tuple(lim.elements) for lim in lims)
     actions = {}
     for u in Gp.morphisms():
@@ -561,16 +551,14 @@ def end_chain(H: ChainDiagram,
     for k in S.degrees():
         if not S.dim(k):
             continue
+        off = [0, *itertools.accumulate(c.dim(k) for c in diag)]
         blocks, r0 = [], 0
         for i, f in enumerate(gens):
             t_dim = targets[i].dim(k)
             if not t_dim:
                 continue
-            s, t = G.src(f), G.tgt(f)
-            off_s = sum(diag[x].dim(k) for x in range(s))
-            off_t = sum(diag[x].dim(k) for x in range(t))
-            blocks.append((r0, off_s, push[i].component(k)))
-            blocks.append((r0, off_t, pull[i].component(k).scale(-1)))
+            blocks.append((r0, off[G.src(f)], push[i].component(k)))
+            blocks.append((r0, off[G.tgt(f)], pull[i].component(k).scale(-1)))
             r0 += t_dim
         M = block_matrix(r0, S.dim(k), blocks)
         _, basis = rank_kernel(M)

@@ -90,12 +90,6 @@ class FunctorData:
     morphism_map: tuple[int, ...]
     validated: bool = field(default=False, compare=False)
 
-    def on_obj(self, x: int) -> int:
-        return self.object_map[x]
-
-    def on_mor(self, m: int) -> int:
-        return self.morphism_map[m]
-
 
 @record(frozen=True)
 class DegreeFunction:
@@ -338,30 +332,30 @@ def is_direct(C: FinCategory) -> Optional[DegreeFunction]:
 
 
 def _longest_path_degrees(C: FinCategory) -> Optional[DegreeFunction]:
-    edges: set[tuple[int, int]] = set()
-    for m in C.non_identities():
-        x, y = C.mor_src[m], C.mor_tgt[m]
-        if x == y:
-            return None
-        edges.add((x, y))
-    out: dict[int, list[int]] = {x: [] for x in C.objects()}
-    indeg = {x: 0 for x in C.objects()}
-    for x, y in sorted(edges):
+    deg = _longest_paths(C.n_objects, [(C.mor_src[m], C.mor_tgt[m])
+                                       for m in C.non_identities()])
+    return None if deg is None else DegreeFunction(tuple(deg))
+
+
+def _longest_paths(n: int, edges) -> Optional[list[int]]:
+    """Kahn's sort of the graph on 0..n-1 with the (x, y) `edges`: the
+    length of the longest path ending at each vertex, or None when the
+    graph has a directed cycle (a self-loop among them).  It keeps no
+    recursion, so a long path or cycle costs no stack."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for x, y in edges:
         out[x].append(y)
         indeg[y] += 1
-    order, queue = [], [x for x in C.objects() if indeg[x] == 0]
-    deg = {x: 0 for x in C.objects()}
-    while queue:
-        x = queue.pop(0)
-        order.append(x)
+    deg = [0] * n
+    order = [x for x in range(n) if not indeg[x]]
+    for x in order:             # grows while it runs
         for y in out[x]:
             deg[y] = max(deg[y], deg[x] + 1)
             indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if len(order) != C.n_objects:
-        return None
-    return DegreeFunction(tuple(deg[x] for x in C.objects()))
+            if not indeg[y]:
+                order.append(y)
+    return deg if len(order) == n else None
 
 
 def generating_morphisms(C: FinCategory) -> list[int]:
@@ -519,25 +513,10 @@ def _presented(obj_labels, arrows, relations=()):
     order (a tuple of arrow indices, first arrow first)."""
     n = len(obj_labels)
     # the generator graph must be acyclic or path enumeration diverges
-    adj: dict[int, set[int]] = {x: set() for x in range(n)}
-    for _, s, t in arrows:
-        if s == t:
-            raise NotLoopFree("generator graph has a self-loop")
-        adj[s].add(t)
-    state: dict[int, int] = {}
-
-    def visit(x):
-        if state.get(x) == 1:
-            raise NotLoopFree("generator graph has a directed cycle")
-        if state.get(x) == 2:
-            return
-        state[x] = 1
-        for y in sorted(adj[x]):
-            visit(y)
-        state[x] = 2
-
-    for start in range(n):
-        visit(start)
+    if any(s == t for _, s, t in arrows):
+        raise NotLoopFree("generator graph has a self-loop")
+    if _longest_paths(n, [(s, t) for _, s, t in arrows]) is None:
+        raise NotLoopFree("generator graph has a directed cycle")
     # enumerate all paths; a path is a tuple of arrow indices in
     # traversal order (first arrow first)
     frontier = [((i,), arrows[i][1], arrows[i][2])

@@ -15,7 +15,9 @@ generators (`_product_map`).  `bk_holim`, `comparison_map` and
 oracle, `mapping_path_complex`, is a `chaincx._total` instead.  The fat
 totalization of the cosimplicial replacement of F, truncated at N, is
 the end over the chains [n] -> G with identities allowed and n <= N
-(`ssets.fat_chains`): `fat_tot` checks F and that basis
+(`ssets.fat_chains`); both bases come from the one chain enumerator,
+`ssets._chains`, over the non-identity arrows or over every arrow to
+depth N.  `fat_tot` checks F and that basis
 (`ssets.check_free_basis`) and takes `free_end` over it.  The levels
 and cofaces of the replacement, and the truncated injective-simplex
 category they are a diagram over, are the oracle's

@@ -1,7 +1,10 @@
 """Finite semisimplicial sets (nondegenerate cells and face maps only).
 
 Nerves of loop-free categories, standard simplices, normalized chains,
-and homology-level contractibility.
+and homology-level contractibility.  One breadth-first enumerator,
+`_chains`, lists the chains of a set of arrows with their faces: over
+the non-identity arrows it is the nerve's basis (`nerve_chains`), over
+every arrow to a depth N the fat basis (`fat_chains`).
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -102,29 +105,30 @@ def point() -> SemiSimplicialSet:
 
 # --- nerves -------------------------------------------------------------------
 
-def nerve_chains(C: FinCategory) -> tuple:
-    """The nerve of a loop-free category as a free basis, in one pass:
-    each k-chain c = (x_0 -> ... -> x_k) as (k, x_k, c, faces) in the
-    order of `nerve(C).cells`, with faces[i] = (j, u), j the index of
-    d_i c and u the identity of x_k for i < k, the last arrow for i = k
-    (d_k alone moves x_k).  A 0-chain is its object, a k-chain the tuple
-    of its arrows.  A k-chain extends its d_k by one arrow, so d_i c
-    with i < k - 1 extends d_i d_k c by that arrow, and d_{k-1} c extends
-    d_{k-1} d_k c by the composite of the last two."""
-    if is_direct(C) is None:
-        raise NotLoopFree("nerve requires a loop-free category")
+def _chains(C: FinCategory, arrows, N: int) -> tuple:
+    """Every chain of `arrows` with at most N arrows, in one breadth-first
+    pass: each n-chain c = (x_0 -> ... -> x_n) as (n, x_n, c, faces),
+    with faces[i] = (j, u), j the index of d_i c and u the identity of
+    x_n for i < n, the last arrow for i = n (d_n alone moves x_n).  A
+    0-chain is its object, an n-chain the tuple of its arrows.  The
+    1-chains come in the order of `arrows`; each longer level extends
+    the chains below it, in order, by the arrows out of their last
+    object.  An n-chain extends its d_n by one arrow m, so d_i c with
+    i < n - 1 extends d_i d_n c by m, and d_{n-1} c extends
+    d_{n-1} d_n c by the composite of the last two arrows, which must
+    be one of `arrows` ending where m does."""
     ident, tgt = C.identity, C.mor_tgt
     basis = [(0, x, x, ()) for x in C.objects()]
     ext: list[dict] = [{} for _ in basis]   # ext[j][m]: chain j, then m
-    for m in C.non_identities():        # in morphism order
+    for m in arrows if N > 0 else ():
         x, y = C.src(m), tgt[m]
         ext[x][m] = len(basis)
         basis.append((1, y, (m,), ((y, ident[y]), (x, m))))
     p = C.n_objects
-    while p < len(basis):       # breadth first, so level by level
+    while p < len(basis) and basis[p][0] < N:   # level by level
         k, y, c, pf = basis[p]
         ext.append({})
-        for m in ext[y]:        # the arrows out of y, in morphism order
+        for m in ext[y]:        # the arrows out of y, in their order
             z = tgt[m]
             ext[p][m] = len(basis)
             d = ext[pf[-1][0]].get(u := C.comp(m, c[-1]))
@@ -139,40 +143,22 @@ def nerve_chains(C: FinCategory) -> tuple:
     return tuple(basis)
 
 
+def nerve_chains(C: FinCategory) -> tuple:
+    """The nerve of a loop-free category as a free basis: the `_chains`
+    of its non-identity arrows, in the order of `nerve(C).cells`
+    (lexicographic in the arrows).  Such a chain visits each object at
+    most once, so it has fewer than `C.n_objects` arrows."""
+    if is_direct(C) is None:
+        raise NotLoopFree("nerve requires a loop-free category")
+    return _chains(C, C.non_identities(), C.n_objects)
+
+
 def fat_chains(C: FinCategory, N: int) -> tuple:
     """The chains [n] -> C with identities allowed, n <= N, as the free
-    basis of the fat totalization's weight: each n-chain c as
-    (n, x_n, c, faces) with faces as in `nerve_chains`, level by level,
-    each level in the order of its (n-1)-chains and then of the arrows
-    out of their last object.  A 0-chain is its object, an n-chain the
-    tuple of its arrows.  C need not be loop-free; the depth N ends the
-    enumeration.  An n-chain extends its d_n by one arrow m, so d_i c
-    with i < n - 1 extends d_i d_n c by m, and d_{n-1} c extends
-    d_{n-1} d_n c by the composite of the last two arrows."""
-    ident, tgt = C.identity, C.mor_tgt
-    out: list[list[int]] = [[] for _ in C.objects()]
-    for m in C.morphisms():
-        out[C.src(m)].append(m)
-    basis = [(0, x, x, ()) for x in C.objects()] if N >= 0 else []
-    ext: list[dict] = []        # ext[j][m]: chain j, then m
-    for p, (k, y, c, pf) in enumerate(basis):   # grows while it runs
-        if k == N:
-            break
-        ext.append({})
-        for m in out[y]:
-            z = tgt[m]
-            ext[p][m] = len(basis)
-            if k == 0:
-                basis.append((1, z, (m,), ((z, ident[z]), (p, m))))
-                continue
-            d = ext[pf[-1][0]].get(u := C.comp(m, c[-1]))
-            if d is None:               # the table is not a category's
-                raise CompositionDomainError(
-                    f"{C.mor_labels[m]!r} o {C.mor_labels[c[-1]]!r} does "
-                    f"not start at {C.obj_labels[C.src(c[-1])]!r}")
-            fs = [(ext[g][m], ident[z]) for g, _ in pf[:-1]]
-            basis.append((k + 1, z, c + (m,), (*fs, (d, ident[z]), (p, m))))
-    return tuple(basis)
+    basis of the fat totalization's weight: the `_chains` of every
+    arrow, level by level, each lexicographic in (x_0, arrows).  C need
+    not be loop-free; the depth N ends the enumeration."""
+    return _chains(C, sorted(C.morphisms(), key=C.src), N) if N >= 0 else ()
 
 
 def check_free_basis(C: FinCategory, basis) -> None:

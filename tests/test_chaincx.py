@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,21 @@ def test_product_total_rejects_non_anticommuting():
         return None
     with pytest.raises(TotalDSquareNonzero):
         product_total([c, c], h)
+
+
+def test_product_total_asks_for_each_horizontal_map_once():
+    """The anticommutation check, the h o h check and the blocks all
+    read h(n, k); `horizontal` is still called once per (n, k)."""
+    rng = random.Random(23)
+    columns = [random_chain_complex(rng) for _ in range(4)]
+    calls = Counter()
+
+    def horizontal(n, k):
+        calls[(n, k)] += 1
+        return None
+
+    product_total(columns, horizontal)
+    assert calls and set(calls.values()) == {1}, calls
 
 
 def test_equalizer_of_equal_maps_is_source():

@@ -52,13 +52,18 @@ category C {
 
 
 def test_parse_rejects_cyclic_generators_without_table():
-    with pytest.raises(NotLoopFree):
-        parse("""
+    n = 1100        # a cycle longer than the interpreter's recursion limit
+    long_cycle = "category L {\n  objects: %s\n  arrows: %s\n}\n" % (
+        ", ".join(f"o{i}" for i in range(n)),
+        ", ".join(f"a{i}: o{i} -> o{(i + 1) % n}" for i in range(n)))
+    for text in ("""
 category M {
   objects: x
   arrows: e: x -> x
 }
-""")
+""", long_cycle):
+        with pytest.raises(NotLoopFree):
+            parse(text)
 
 
 def test_parse_table_mode_allows_loops():

@@ -581,6 +581,28 @@ def test_free_bases_pass_the_simplicial_certificate(seed, kind):
     check_free_basis(G, basis)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["poset", "free", "cospan"]))
+def test_nerve_chains_are_the_identity_free_fat_chains(seed, kind):
+    """On a loop-free G, the chains of the nerve are exactly the chains of
+    `fat_chains(G, |G|)` that contain no identity, and each has the same
+    last object and the same faces, read as (chain, arrow) pairs: the
+    Bousfield-Kan basis is a sub-basis of the fat one."""
+    rng = random.Random(seed)
+    G = random_poset(rng, 5) if kind == "poset" else \
+        random_free_category(rng, 5, 20)[0] if kind == "free" else \
+        cospan_category()
+
+    def by_chain(basis):
+        return {(n, c): (x, tuple((basis[j][2], u) for j, u in faces))
+                for n, x, c, faces in basis}
+
+    fat = by_chain(fat_chains(G, G.n_objects))
+    assert by_chain(nerve_chains(G)) == {
+        (n, c): v for (n, c), v in fat.items()
+        if not n or not any(G.is_identity(m) for m in c)}
+
+
 # --- functoriality of the nerve weight ----------------------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -76,17 +76,20 @@ def test_nerve_rejects_loops():
 
 
 def test_nerve_rejects_a_table_whose_composite_skips_an_object():
-    """A table sending (1<2) o (0<1) to 1<2 is no category's: the chain
-    enumerator names the composite instead of listing a wrong face."""
+    """A table sending (1<2) o (0<1) to 1<2 (wrong start) or to 0<1
+    (wrong end) is no category's: the chain enumerator names the
+    composite instead of listing a wrong face, with or without
+    identities in the chains."""
     P = chain_poset(2)
     f, g = P.mor_labels.index("0<1"), P.mor_labels.index("1<2")
-    C = replace(P, compose_table={**P.compose_table, (g, f): g},
-                validated=False)
-    for build in (nerve_chains, nerve):
-        with pytest.raises(CompositionDomainError,
-                           match="'1<2' o '0<1' is not a non-identity "
-                                 "arrow '0' -> '2'"):
-            build(C)
+    for h in (g, f):
+        C = replace(P, compose_table={**P.compose_table, (g, f): h},
+                    validated=False)
+        for build in (nerve_chains, nerve, lambda C: fat_chains(C, 2)):
+            with pytest.raises(CompositionDomainError,
+                               match="'1<2' o '0<1' is not a non-identity "
+                                     "arrow '0' -> '2'"):
+                build(C)
 
 
 def test_nerve_simplicial_identities_randomized():
