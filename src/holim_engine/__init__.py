@@ -11,10 +11,13 @@ The main entry points:
     exactalg  -- exact rational matrices, kernels, quotients
     chaincx   -- chain complexes, hom complexes, powering
     ssets     -- semisimplicial sets, nerves, weights
+    diagrams  -- finite-set and chain diagrams, their validators, restrict
     endkan    -- (co)limits, (co)ends, Kan extensions
     holim     -- bk_holim, fat_tot, comparison maps
     oracle    -- checks no command runs: frames, Fubini, invariance
     dsl, cli  -- the workspace text format and `holim-engine`
+    printer   -- pretty_print, the text form `dsl.parse` reads back
+    verify    -- the suites of `holim-engine verify`
 
 Importing the package loads no submodule: each name below is imported
 from its submodule on first access (PEP 562), so a CLI command loads
@@ -31,10 +34,10 @@ _EXPORTS = {
     "chaincx": ("ChainComplex", "ChainMap", "betti_numbers", "hom_complex",
                 "homology", "is_quasi_iso", "make_chain_map", "make_complex",
                 "power", "product_total"),
-    "endkan": ("ChainDiagram", "FinSetDiagram", "coend_finset",
-               "co_yoneda_check", "end_chain", "end_finset",
+    "diagrams": ("ChainDiagram", "FinSetDiagram", "restrict"),
+    "endkan": ("coend_finset", "co_yoneda_check", "end_chain", "end_finset",
                "finset_colimit", "finset_limit", "lan", "lan_via_coend",
-               "nat_trans_bruteforce", "ran", "ran_via_end", "restrict"),
+               "nat_trans_bruteforce", "ran", "ran_via_end"),
     "exactalg": ("RationalMatrix", "quotient_basis", "rank_kernel", "solve"),
     "fincat": ("DegreeFunction", "FinCategory", "FunctorData", "comma_over",
                "comma_under_functor", "is_direct", "opposite", "product",

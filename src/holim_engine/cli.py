@@ -14,18 +14,15 @@ import shlex
 import sys
 from typing import Optional
 
-from . import chaincx, dsl, endkan, fincat
+from . import dsl
 from .chaincx import betti_numbers
-from .endkan import (coend_finset, end_chain, end_finset, finset_colimit,
-                     finset_limit, lan, lan_agreement, nat_trans_bruteforce,
-                     ran, ran_agreement, co_yoneda_check, hom_bifunctor)
 from .errors import EngineError, ParseError, TypeMismatch, UnknownBinding
-from .fincat import comma_over, find_terminal, is_direct, opposite
 from .records import record
 
-# `holim`, `ssets` and `randgen` are imported inside the handlers and
-# verify suites that call them, so that a command loads only the engine
-# modules it runs; without cached bytecode every import is a compile.
+# `endkan`, `holim`, `ssets` and the verify suites (`verify`) are
+# imported inside the handlers that call them, so that a command loads
+# only the engine modules it runs; without cached bytecode every import
+# is a compile.
 
 USAGE_COMMANDS = ("end", "coend", "lim", "colim", "lan", "ran", "nerve",
                   "homology", "holim", "hopullback", "fattot", "hoinitial",
@@ -91,6 +88,7 @@ def _cmd_end(ws, args, **kw):
     if b is None:
         raise UnknownBinding(f"no binding named {name!r}")
     if b.kind == "diagram_finset":
+        from .endkan import end_finset
         elems = end_finset(b.value)
         return Report("end",
                       f"{len(elems)} elements\n" +
@@ -98,6 +96,7 @@ def _cmd_end(ws, args, **kw):
                       {"command": "end", "size": len(elems),
                        "elements": [_fmt_elem(e) for e in elems]})
     if b.kind == "diagram_ch":
+        from .endkan import end_chain
         E = end_chain(b.value)
         betti = betti_numbers(E.complex)
         return Report("end", f"end complex betti: {betti}",
@@ -108,6 +107,7 @@ def _cmd_end(ws, args, **kw):
 def _cmd_coend(ws, args, **kw):
     name = _one_arg(args, "coend")
     b = ws.get(name, "diagram_finset")
+    from .endkan import coend_finset
     col = coend_finset(b.value)
     return Report(
         "coend",
@@ -121,6 +121,7 @@ def _cmd_coend(ws, args, **kw):
 def _cmd_lim(ws, args, **kw):
     name = _one_arg(args, "lim")
     b = ws.get(name, "diagram_finset")
+    from .endkan import finset_limit
     lim = finset_limit(b.value)
     return Report("lim",
                   f"{len(lim.elements)} elements\n" +
@@ -132,6 +133,7 @@ def _cmd_lim(ws, args, **kw):
 def _cmd_colim(ws, args, **kw):
     name = _one_arg(args, "colim")
     b = ws.get(name, "diagram_finset")
+    from .endkan import finset_colimit
     col = finset_colimit(b.value)
     return Report(
         "colim",
@@ -155,10 +157,12 @@ def _kan(ws, args, which, op):
 
 
 def _cmd_lan(ws, args, **kw):
+    from .endkan import lan
     return _kan(ws, args, "lan", lan)
 
 
 def _cmd_ran(ws, args, **kw):
+    from .endkan import ran
     return _kan(ws, args, "ran", ran)
 
 
@@ -192,22 +196,11 @@ def _cmd_holim(ws, args, **kw):
                    "provenance": res.provenance})
 
 
-def _cospan_legs(D):
-    C = D.base
-    nonid = C.non_identities()
-    if C.n_objects != 3 or len(nonid) != 2:
-        raise TypeMismatch("hopullback expects a diagram over a cospan")
-    f, g = sorted(nonid, key=lambda m: C.src(m))
-    if C.tgt(f) != C.tgt(g) or C.src(f) == C.src(g):
-        raise TypeMismatch("hopullback expects a diagram over a cospan")
-    return D.action(f), D.action(g)
-
-
 def _cmd_hopullback(ws, args, **kw):
     name = _one_arg(args, "hopullback")
     D = ws.get(name, "diagram_ch").value
-    p, q = _cospan_legs(D)
     from . import holim
+    p, q = holim.cospan_legs(D)
     res, rep = holim.homotopy_pullback(p, q)
     verdict = "pass" if rep.passed else "fail"
     return Report(
@@ -275,172 +268,17 @@ def _cmd_compare_holim(ws, args, **kw):
         verdict=verdict)
 
 
-# --- verify suites -----------------------------------------------------------------
-
-def _suite_bindings(ws, rng):
-    for name in ws.order:
-        b = ws.bindings[name]
-
-        def check(b=b):
-            if b.kind == "category":
-                fincat.validate_category(b.value)
-            elif b.kind == "complex":
-                chaincx.validate_complex(b.value)
-            elif b.kind == "diagram_ch":
-                endkan.validate_chain_diagram(b.value)
-            elif b.kind == "diagram_finset":
-                endkan.validate_finset_diagram(b.value)
-            elif b.kind == "functor":
-                fincat.validate_functor(b.value)
-            return True, ""
-
-        yield f"validate {b.kind} {name}", check
-
-
-def _suite_categories(ws, rng):
-    from . import ssets
-    for name in ws.order:
-        b = ws.bindings[name]
-        if b.kind != "category":
-            continue
-        C = b.value
-
-        def check_op(C=C):
-            ok = opposite(opposite(C)) == C
-            return ok, "" if ok else "opposite is not an involution"
-
-        yield f"opposite involution {name}", check_op
-        if is_direct(C) is not None:
-            def check_commas(C=C):
-                for g in C.objects():
-                    com = comma_over(C, g)
-                    if find_terminal(com.cat) is None:
-                        return False, f"comma over {C.obj_labels[g]} " \
-                            f"has no terminal object"
-                    K = ssets.nerve(com.cat)
-                    if not ssets.homology_contractible(K):
-                        return False, f"comma nerve at {C.obj_labels[g]} " \
-                            f"not contractible"
-                return True, ""
-
-            yield f"comma nerves {name}", check_commas
-
-
-def _suite_weights(ws, rng):
-    from .ssets import check_point_resolution, nerve_weight
-    for name in ws.order:
-        b = ws.bindings[name]
-        if b.kind != "category" or is_direct(b.value) is None:
-            continue
-
-        def check(C=b.value):
-            rep = check_point_resolution(nerve_weight(C))
-            return rep.passed, "" if rep.passed else "resolution rejected"
-
-        yield f"nerve weight resolves the point {name}", check
-
-
-def _suite_holim(ws, rng):
-    from . import holim
-    from .ssets import nerve_weight
-    for name in ws.order:
-        b = ws.bindings[name]
-        if b.kind != "diagram_ch" or is_direct(b.value.base) is None:
-            continue
-
-        def check(D=b.value):
-            res = holim.bk_holim(D)
-            W = nerve_weight(D.base)
-            bound = sum(D.value(g).total_dim() * W.value(g).total_cells()
-                        for g in D.base.objects())
-            if res.complex.total_dim() > bound:
-                return False, "dimension bound exceeded"
-            return True, ""
-
-        yield f"bousfield-kan computes {name}", check
-        try:
-            _cospan_legs(b.value)
-        except TypeMismatch:
-            continue
-
-        def check_oracle(D=b.value):
-            p, q = _cospan_legs(D)
-            _, rep = holim.homotopy_pullback(p, q)
-            return rep.passed, "" if rep.passed else \
-                f"oracle mismatch: {rep.betti_bk} vs {rep.betti_oracle}"
-
-        yield f"pullback oracle {name}", check_oracle
-
-
-def _suite_random(ws, rng):
-    from . import holim, randgen
-
-    def end_vs_bruteforce(i):
-        def check():
-            r = random.Random(rng.randrange(2 ** 32))
-            C, F, G = randgen.random_finset_pair(r, cap=3000)
-            end = end_finset(hom_bifunctor(F, G))
-            brute = nat_trans_bruteforce(F, G)
-            ok = end == brute
-            return ok, "" if ok else "end != brute-force enumeration"
-        return check
-
-    def kan_agreements(i):
-        def check():
-            r = random.Random(rng.randrange(2 ** 32))
-            f = randgen.random_functor_between_loopfree(r)
-            F = randgen.random_finset_diagram(r, f.source, max_size=2)
-            ok = lan_agreement(f, F) and ran_agreement(f, F)
-            return ok, "" if ok else "formula disagreement"
-        return check
-
-    def pullback_oracle(i):
-        def check():
-            r = random.Random(rng.randrange(2 ** 32))
-            D = randgen.random_cospan_diagram(r, max_dim=2, max_width=2)
-            p, q = _cospan_legs(D)
-            _, rep = holim.homotopy_pullback(p, q)
-            return rep.passed, "" if rep.passed else "oracle mismatch"
-        return check
-
-    def coyoneda(i):
-        def check():
-            r = random.Random(rng.randrange(2 ** 32))
-            f = randgen.random_functor_between_loopfree(r)
-            G = randgen.random_finset_diagram(r, f.target, max_size=2)
-            rep = co_yoneda_check(G, f, r.randrange(f.source.n_objects))
-            return rep.passed, "" if rep.passed else "bijection failed"
-        return check
-
-    for i in range(5):
-        yield f"random end vs enumeration #{i}", end_vs_bruteforce(i)
-    for i in range(3):
-        yield f"random kan formula agreement #{i}", kan_agreements(i)
-    for i in range(3):
-        yield f"random pullback oracle #{i}", pullback_oracle(i)
-    for i in range(2):
-        yield f"random co-yoneda #{i}", coyoneda(i)
-
-
-_SUITES = {"bindings": (_suite_bindings,),
-           "categories": (_suite_categories,),
-           "weights": (_suite_weights,),
-           "holim": (_suite_holim,),
-           "random": (_suite_random,),
-           "all": (_suite_bindings, _suite_categories, _suite_weights,
-                   _suite_holim, _suite_random)}
-
-
 def _cmd_verify(ws, args, seed=0, **kw):
     if len(args) > 1:
         raise TypeMismatch("verify expects at most one suite name")
     suite_name = args[0] if args else "all"
-    if suite_name not in _SUITES:
+    from .verify import SUITES
+    if suite_name not in SUITES:
         raise TypeMismatch(f"unknown suite {suite_name!r}; suites: "
-                           f"{', '.join(sorted(_SUITES))}")
+                           f"{', '.join(sorted(SUITES))}")
     rng = random.Random(seed)
     items = []
-    for gen in _SUITES[suite_name]:
+    for gen in SUITES[suite_name]:
         items.extend(gen(ws, rng))
     results = []
     for name, fn in items:

@@ -141,9 +141,13 @@ def validate_category(raw: FinCategory) -> FinCategory:
             raise CompositionDomainError(
                 f"composite {lab[h]!r} = {lab[g]!r} o {lab[f]!r} has wrong "
                 f"source or target")
+    # the morphisms out of each object, in order: the composable pairs
+    by_src: dict[int, list[int]] = {}
+    for g in range(nm):
+        by_src.setdefault(raw.mor_src[g], []).append(g)
     for f in range(nm):
-        for g in range(nm):
-            if raw.mor_tgt[f] == raw.mor_src[g] and (g, f) not in raw.compose_table:
+        for g in by_src.get(raw.mor_tgt[f], ()):
+            if (g, f) not in raw.compose_table:
                 raise CompositionDomainError(
                     f"table omits the composable pair {lab[g]!r} o {lab[f]!r}")
     for f in range(nm):
@@ -152,9 +156,6 @@ def validate_category(raw: FinCategory) -> FinCategory:
         if raw.compose_table[(f, raw.identity[raw.mor_src[f]])] != f:
             raise IdentityViolation(f"{lab[f]!r} o id != {lab[f]!r}")
     # associativity on every composable triple
-    by_src: dict[int, list[int]] = {}
-    for g in range(nm):
-        by_src.setdefault(raw.mor_src[g], []).append(g)
     for f in range(nm):
         for g in by_src.get(raw.mor_tgt[f], ()):
             gf = raw.compose_table[(g, f)]
@@ -590,12 +591,15 @@ def _presented(obj_labels, arrows, relations=()):
     for m in range(nm):
         table[(identity[mor_tgt[m]], m)] = m
         table[(m, identity[mor_src[m]])] = m
+    # only composable pairs: each rep2 meets the reps that end where it
+    # starts, in the order of `reps`
+    by_tgt: dict[int, list[tuple[int, ...]]] = {}
+    for rep1 in reps:
+        by_tgt.setdefault(ends[rep1][1], []).append(rep1)
     for rep2 in reps:
         j = index[rep2]
-        for rep1 in reps:
-            i = index[rep1]
-            if ends[rep1][1] == ends[rep2][0]:
-                table[(j, i)] = index[rep_of[rep1 + rep2]]
+        for rep1 in by_tgt.get(ends[rep2][0], ()):
+            table[(j, index[rep1])] = index[rep_of[rep1 + rep2]]
     return validate_category(FinCategory(
         n, tuple(obj_labels), tuple(mor_src), tuple(mor_tgt),
         tuple(mor_labels), identity, table)), tuple(reps)

@@ -23,7 +23,9 @@ and cofaces of the replacement, and the truncated injective-simplex
 category they are a diagram over, are the oracle's
 (`oracle.cosimplicial_levels`).  The equalizer end (`weighted_end`) is
 the independent check of these products; no command runs it, but it
-stays here because `bench/spans.py` wraps it by this module's name.
+stays here because `bench/spans.py` wraps it by this module's name.  It
+imports `endkan` when called, so no homotopy-limit command loads
+`endkan`.
 
 Quasi-isomorphism is only ever asserted along an explicitly constructed
 comparison map; equal Betti numbers alone are reported as consistent,
@@ -35,17 +37,16 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import chaincx
 from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
                       direct_sum, hom_complex, hom_postcompose,
                       hom_precompose, identity_map, is_quasi_iso,
                       make_chain_map)
-from .endkan import (ChainDiagram, EndChain, bifunctor_diagram, end_chain,
-                     restrict, validate_chain_diagram)
+from .diagrams import ChainDiagram, restrict, validate_chain_diagram
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
-                     TruncationTooShallow, WeightRejected)
+                     TruncationTooShallow, TypeMismatch, WeightRejected)
 from .exactalg import RationalMatrix, _normal, block_matrix
 from .fincat import (FinCategory, FunctorData, comma_under_functor,
                      cospan_category, identities_terminal_in_slices,
@@ -55,6 +56,9 @@ from .ssets import (Weight, _levelwise_free, _nerve_of_commas, chains_of_map,
                     check_free_basis, check_point_resolution, fat_chains,
                     homology_contractible, nerve, nerve_chains,
                     normalized_chains)
+
+if TYPE_CHECKING:
+    from .endkan import EndChain
 
 
 @record
@@ -70,6 +74,7 @@ def weighted_end(F: ChainDiagram, W: Weight,
                  generators: Optional[Sequence[int]] = None) -> EndChain:
     """The end over product(opposite(G), G) of
     (x, y) |-> Hom(chains of W(x), F(y))."""
+    from .endkan import bifunctor_diagram, end_chain
     G = F.base
     if W.base != G:
         raise ShapeMismatch("weight and diagram have different bases")
@@ -284,6 +289,19 @@ def cospan_diagram(p: ChainMap, q: ChainMap) -> ChainDiagram:
                C.hom(0, 2)[0]: p,
                C.hom(1, 2)[0]: q}
     return ChainDiagram(C, values, actions)
+
+
+def cospan_legs(D: ChainDiagram) -> tuple[ChainMap, ChainMap]:
+    """The legs p, q of a diagram over a cospan, as `cospan_diagram`
+    takes them: the leg out of the object listed first is p."""
+    C = D.base
+    nonid = C.non_identities()
+    if C.n_objects != 3 or len(nonid) != 2:
+        raise TypeMismatch("hopullback expects a diagram over a cospan")
+    f, g = sorted(nonid, key=lambda m: C.src(m))
+    if C.tgt(f) != C.tgt(g) or C.src(f) == C.src(g):
+        raise TypeMismatch("hopullback expects a diagram over a cospan")
+    return D.action(f), D.action(g)
 
 
 def mapping_path_complex(p: ChainMap, q: ChainMap) -> ChainComplex:

@@ -7,7 +7,8 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.cli import run_command
-from holim_engine.dsl import parse, pretty_print
+from holim_engine.dsl import parse
+from holim_engine.printer import pretty_print
 from holim_engine.errors import TypeMismatch
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
@@ -354,7 +355,7 @@ diagram H over op(C) * C into Ch {
 
 
 def test_end_of_chain_bifunctor():
-    from holim_engine.dsl import parse, pretty_print
+    from holim_engine.dsl import parse
     ws = parse(CHAIN_END_SRC)
     rep = run_command(ws, "end H")
     # identity structure maps: the end is the diagonal copy of Q[0]

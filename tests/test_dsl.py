@@ -4,11 +4,12 @@ import pytest
 
 import holim_engine.cli as cli_mod
 from holim_engine.chaincx import betti_numbers
-from holim_engine.dsl import Binding, Workspace, parse, pretty_print
+from holim_engine.dsl import Binding, Workspace, parse
 from holim_engine.endkan import FinSetDiagram, hom_bifunctor
 from holim_engine.errors import (DiagramError, DSquareNonzero, EngineError,
                                  NotLoopFree, ParseError, UnknownBinding)
 from holim_engine.fincat import from_poset, product_mor
+from holim_engine.printer import pretty_print
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 

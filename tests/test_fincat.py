@@ -1,4 +1,5 @@
 import random
+import re
 from holim_engine.records import fields, replace
 
 import pytest
@@ -8,9 +9,10 @@ import holim_engine.fincat as fincat_mod
 from holim_engine.errors import (CompositionDomainError, FunctorError,
                                  IdentityViolation, NotLoopFree)
 from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
-                                 arrow_category, chain_poset, comma_from,
-                                 comma_over, comma_under_functor,
-                                 cospan_category, discrete_category,
+                                 arrow_category, category_from_presentation,
+                                 chain_poset, comma_from, comma_over,
+                                 comma_under_functor, cospan_category,
+                                 discrete_category,
                                  find_initial, find_terminal, from_poset,
                                  generating_morphisms, identity_functor,
                                  is_direct, object_inclusion, opposite,
@@ -335,3 +337,38 @@ def test_free_category_rejects_a_cyclic_generator_graph():
         free_category(["a", "b"], [("f", 0, 1), ("g", 1, 0)])
     with pytest.raises(NotLoopFree):
         free_category(["a"], [("e", 0, 0)])
+
+
+def test_a_line_presentation_composes_exactly_its_composable_pairs():
+    n = 12
+    C = category_from_presentation(
+        [f"o{i}" for i in range(n)],
+        [(f"a{i}", i, i + 1) for i in range(n - 1)])
+    P = chain_poset(n - 1)
+    assert [[len(C.hom(x, y)) for y in C.objects()] for x in C.objects()] \
+        == [[len(P.hom(x, y)) for y in P.objects()] for x in P.objects()]
+    # the identity entries first, then (g, f) by g, then f, in morphism order
+    nonid = C.non_identities()
+    want = [key for m in C.morphisms()
+            for key in ((C.identity[C.tgt(m)], m), (m, C.identity[C.src(m)]))]
+    want += [(g, f) for g in nonid for f in nonid if C.tgt(f) == C.src(g)]
+    assert list(C.compose_table) == list(dict.fromkeys(want))
+    assert set(C.compose_table) == {(g, f) for g in C.morphisms()
+                                    for f in C.morphisms()
+                                    if C.tgt(f) == C.src(g)}
+
+
+def test_the_first_omitted_pair_is_named():
+    C = chain_poset(3)
+    table = dict(C.compose_table)
+    nonid = C.non_identities()
+    pairs = [(g, f) for f in nonid for g in nonid if C.tgt(f) == C.src(g)]
+    for key in pairs[-1:] + pairs[:1]:
+        del table[key]
+    bad = FinCategory(C.n_objects, C.obj_labels, C.mor_src, C.mor_tgt,
+                      C.mor_labels, C.identity, table)
+    g, f = pairs[0]
+    with pytest.raises(CompositionDomainError, match=re.escape(
+            f"table omits the composable pair {C.mor_labels[g]!r} o "
+            f"{C.mor_labels[f]!r}")):
+        validate_category(bad)

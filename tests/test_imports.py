@@ -3,8 +3,10 @@
 `import holim_engine` loads no submodule; each exported name is
 imported from its submodule on first access, and a CLI command loads
 only the engine modules it runs, and neither `dataclasses` nor
-`inspect`.  No command loads `oracle`, and no other engine module
-imports it.  Every case that imports runs in a fresh interpreter, since
+`inspect`.  No command loads `oracle` or `printer`, only `verify` loads
+the verify suites, and only the commands that run an `endkan`
+algorithm load `endkan`.  No other engine module imports `oracle`.
+Every case that imports runs in a fresh interpreter, since
 `sys.modules` is shared by all tests in this one.
 """
 
@@ -24,18 +26,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(holim_engine.__file__).resolve().parents[1]
 CORPUS = SRC / "holim_engine" / "corpus"
 
-SUBMODULES = ("chaincx", "cli", "dsl", "endkan", "errors", "exactalg",
-              "fincat", "holim", "oracle", "randgen", "records", "ssets")
+SUBMODULES = ("chaincx", "cli", "diagrams", "dsl", "endkan", "errors",
+              "exactalg", "fincat", "holim", "oracle", "printer", "randgen",
+              "records", "ssets", "verify")
 
 # every name the package exported when it imported all its submodules
 EXPORTED = {
     "chaincx": ("ChainComplex", "ChainMap", "betti_numbers", "hom_complex",
                 "homology", "is_quasi_iso", "make_chain_map", "make_complex",
                 "power", "product_total"),
-    "endkan": ("ChainDiagram", "FinSetDiagram", "coend_finset",
-               "co_yoneda_check", "end_chain", "end_finset",
+    "diagrams": ("ChainDiagram", "FinSetDiagram", "restrict"),
+    "endkan": ("coend_finset", "co_yoneda_check", "end_chain", "end_finset",
                "finset_colimit", "finset_limit", "lan", "lan_via_coend",
-               "nat_trans_bruteforce", "ran", "ran_via_end", "restrict"),
+               "nat_trans_bruteforce", "ran", "ran_via_end"),
     "exactalg": ("RationalMatrix", "quotient_basis", "rank_kernel", "solve"),
     "fincat": ("DegreeFunction", "FinCategory", "FunctorData", "comma_over",
                "comma_under_functor", "is_direct", "opposite", "product",
@@ -93,18 +96,30 @@ def test_submodule_attribute_appears_only_on_import():
     assert out == [[False, False, True], True, True]
 
 
+# the modules every command loads: parsing a workspace needs these
+CORE = {"chaincx", "cli", "diagrams", "dsl", "errors", "exactalg", "fincat",
+        "records"}
+# no command loads these but `verify`, which loads only the first
+NEVER = ("verify", "oracle", "printer")
+FINSET = ("holim", "ssets", "randgen") + NEVER
+HOLIM = ("endkan", "randgen") + NEVER
+
+
 @pytest.mark.parametrize("fname,cmd,absent", [
-    ("arrow.hle", "lim S", ("holim", "ssets", "randgen", "oracle")),
-    ("arrow.hle", "colim S", ("holim", "ssets", "randgen", "oracle")),
-    ("arrow.hle", "lan ia P", ("holim", "ssets", "randgen", "oracle")),
-    ("arrow.hle", "ran ia P", ("holim", "ssets", "randgen", "oracle")),
-    ("arrow.hle", "homology Cone", ("holim", "ssets", "randgen", "oracle")),
-    ("hom_end.hle", "end H", ("holim", "ssets", "randgen", "oracle")),
-    ("hom_end.hle", "coend H", ("holim", "ssets", "randgen", "oracle")),
-    ("arrow.hle", "nerve C", ("holim", "randgen", "oracle")),
-    ("cospan.hle", "holim Loop", ("randgen", "oracle")),
-    ("cospan.hle", "fattot Loop --depth 4", ("randgen", "oracle")),
-    ("arrow.hle", "verify all", ("oracle",)),
+    ("arrow.hle", "lim S", FINSET),
+    ("arrow.hle", "colim S", FINSET),
+    ("arrow.hle", "lan ia P", FINSET),
+    ("arrow.hle", "ran ia P", FINSET),
+    ("arrow.hle", "homology Cone", ("endkan",) + FINSET),
+    ("hom_end.hle", "end H", FINSET),
+    ("hom_end.hle", "coend H", FINSET),
+    ("arrow.hle", "nerve C", ("endkan", "holim", "randgen") + NEVER),
+    ("cospan.hle", "holim Loop", HOLIM),
+    ("cospan.hle", "fattot Loop --depth 4", HOLIM),
+    ("arrow.hle", "verify all", NEVER[1:]),
+    ("cospan.hle", "hopullback Glue", HOLIM),
+    ("arrow.hle", "hoinitial ia", HOLIM),
+    ("arrow.hle", "compare-holim ia D", HOLIM),
 ])
 def test_cli_command_loads_only_what_it_runs(fname, cmd, absent):
     # a command's own flags follow its first " --"
@@ -122,8 +137,31 @@ def test_cli_command_loads_only_what_it_runs(fname, cmd, absent):
     code, loaded, stdlib = out
     assert code == 0
     assert not set(absent) & set(loaded), loaded
-    assert {"cli", "dsl", "endkan", "fincat"} <= set(loaded)
+    assert CORE <= set(loaded)
     assert stdlib == []
+
+
+@pytest.mark.parametrize("fname,cmd", [("arrow.hle", "verify all"),
+                                       ("cospan.hle", "holim Loop")])
+def test_the_entry_point_compiles_each_engine_module_once(fname, cmd):
+    # under `python -m holim_engine.cli` the command module is
+    # `__main__`: importing `holim_engine.cli` as well would compile it a
+    # second time, with a second `Report` class
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "holim_engine.cli",
+         str(CORPUS / fname), "--cmd", cmd], capture_output=True, text=True,
+        env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in res.stderr.splitlines()
+                if line.startswith("import time:")]
+    engine = [m for m in imported if m.split(".")[0] == "holim_engine"]
+    assert "holim_engine.cli" not in engine
+    assert len(engine) == len(set(engine)), engine
+    assert CORE - {"cli"} <= {m.partition(".")[2] for m in engine}
 
 
 def test_every_exported_name_resolves_to_its_submodule_object():

@@ -13,7 +13,7 @@ from holim_engine.chaincx import (betti_numbers, hom_complex, homology,
                                   identity_map, induced_homology_maps,
                                   is_quasi_iso, make_chain_map, make_complex,
                                   mapping_cone, validate_complex, zero_map)
-from holim_engine.dsl import Binding, Workspace, parse, pretty_print
+from holim_engine.dsl import Binding, Workspace, parse
 from holim_engine.endkan import ChainDiagram, FinSetDiagram
 from holim_engine.errors import EngineError
 from holim_engine.exactalg import (RationalMatrix, block_matrix,
@@ -27,6 +27,7 @@ from holim_engine.oracle import (chain_generators_by_levels,
                                  constant_cosimplicial, cosimplicial_levels,
                                  fat_chains_by_levels, fat_tot_by_columns,
                                  free_end_by_blocks, nerve_by_levels)
+from holim_engine.printer import pretty_print
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
                                   random_free_category,

@@ -36,11 +36,11 @@ CORPUS = Path(holim_engine.__file__).resolve().parent / "corpus"
 RECORDS = {
     "chaincx": {"ChainComplex": True, "ChainMap": True},
     "cli": {"Report": False},
+    "diagrams": {"FinSetDiagram": True},
     "dsl": {"Binding": False, "Workspace": False, "Token": True},
-    "endkan": {"FinSetDiagram": True, "LimitResult": True,
-               "ColimitResult": True, "KanExtension": True,
-               "CoYonedaReport": True, "ChainDiagramMap": False,
-               "EndChain": False},
+    "endkan": {"LimitResult": True, "ColimitResult": True,
+               "KanExtension": True, "CoYonedaReport": True,
+               "ChainDiagramMap": False, "EndChain": False},
     "fincat": {"FinCategory": True, "FunctorData": True,
                "DegreeFunction": True, "Comma": True},
     "holim": {"HolimResult": False,
