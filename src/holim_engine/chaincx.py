@@ -21,7 +21,7 @@ the rows of d_{k+1} that the pivot columns of d_k make redundant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -57,14 +57,6 @@ class ChainComplex:
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
-
-    @cached_property
-    def _hcache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _rcache(self) -> dict:
-        return {}
 
 
 ZERO_COMPLEX = ChainComplex(0, -1, {}, {})
@@ -223,24 +215,17 @@ def _total(parts: Sequence[tuple[ChainComplex, int]], blocks):
 def _homology_data(C: ChainComplex, k: int):
     """(betti, kernel matrix of d_k, projection to homology coordinates,
     cycle representatives)."""
-    if k in C._hcache:
-        return C._hcache[k]
     nk = C.dim(k)
     if nk == 0:
-        data = (0, RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 0), [])
-        C._hcache[k] = data
-        return data
-    C._rcache[k], ker = rank_kernel(C.d(k))
+        return 0, RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 0), []
+    _, ker = rank_kernel(C.d(k))
     K = RationalMatrix.from_columns(ker, nk)
     dk1 = C.d(k + 1)
     Y = solve_matrix(K, dk1)
     if Y is None:
         raise DSquareNonzero(k, "boundaries are not cycles")
     proj, qreps = quotient_basis(K.cols, Y.columns())
-    reps = [K.apply(r) for r in qreps]
-    data = (proj.rows, K, proj, reps)
-    C._hcache[k] = data
-    return data
+    return proj.rows, K, proj, [K.apply(r) for r in qreps]
 
 
 def homology(C: ChainComplex, k: int):
@@ -259,15 +244,11 @@ def betti_numbers(C: ChainComplex) -> dict[int, int]:
     d_k is annihilated by d_{k+1} (d o d = 0, checked by `make_complex`
     when the complex is built).  So each row of d_{k+1} indexed by P_k
     is a combination of the other rows, and rk d_{k+1} is the rank of
-    the rows outside P_k.  Ranks are cached on the complex; a degree
-    after a rank found in the cache is eliminated in full."""
-    ranks = C._rcache
-    cleared = frozenset()
+    the rows outside P_k.  Each call clears from scratch and leaves the
+    complex as it was: nothing is cached on it."""
+    ranks, cleared = {}, frozenset()
     for k in range(C.lo + 1, C.hi + 1):
-        if k in ranks:
-            cleared = frozenset()
-        else:
-            ranks[k], cleared = rank_pivots(C.d(k), cleared)
+        ranks[k], cleared = rank_pivots(C.d(k), cleared)
     out = {}
     for k in range(C.lo, C.hi + 1):
         b = C.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -3,7 +3,10 @@
 Objects and morphisms are interned integers; labels live in side
 tables, so every construction is deterministic and reproducible.
 Composition tables are total: `compose[(g, f)]` is defined exactly when
-tgt(f) = src(g).
+tgt(f) = src(g).  One fill, `_table`, lists those pairs g by g for
+posets, commas and the injective-simplex category; one builder,
+`_comma`, makes every comma category, the slice C over g being the
+comma of the identity functor over g.
 """
 
 from __future__ import annotations
@@ -234,85 +237,81 @@ def product_mor(P: FinCategory, f: int, g: int) -> int:
     return f * P.product_of[1].n_morphisms + g
 
 
-def _comma_from_records(C_amb: FinCategory, object_keys: list,
-                        obj_labels: list[str], records: list[tuple[int, int, int]],
-                        proj_obj: list[int],
-                        mor_label_of: dict[tuple[int, int, int], str]) -> Comma:
-    """Assemble a comma category from (src_obj, tgt_obj, underlying mor)
-    records; composition is inherited from the ambient category."""
-    index = {rec: i for i, rec in enumerate(records)}
+def _table(mor_src, mor_tgt, compose) -> dict[tuple[int, int], int]:
+    """The composition table {(g, f): compose(g, f)} over the composable
+    pairs only: g by g, and for each g the arrows f into src g in
+    morphism order."""
+    into: dict[int, list[int]] = {}
+    for f, y in enumerate(mor_tgt):
+        into.setdefault(y, []).append(f)
+    return {(g, f): compose(g, f)
+            for g, x in enumerate(mor_src) for f in into.get(x, ())}
+
+
+def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
+           keys: list, obj_labels: list[str]) -> Comma:
+    """The comma of f over (over=True) or under an object g of its target,
+    on the objects `pairs` (gamma, alpha) with alpha: f(gamma) -> g or
+    g -> f(gamma), keyed by `keys`: its morphisms are the m: gamma1 ->
+    gamma2 with alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as
+    records (i, j, m); composition is that of the source of f."""
+    G, comp = f.source, f.target.compose_table
+    homs: dict[tuple[int, int], list[int]] = {}
+    for m in G.morphisms():
+        homs.setdefault((G.mor_src[m], G.mor_tgt[m]), []).append(m)
+    records = [(i, j, m) for i, (x1, a1) in enumerate(pairs)
+               for j, (x2, a2) in enumerate(pairs)
+               for m in homs.get((x1, x2), ())
+               if (comp[(a2, f.morphism_map[m])] == a1 if over else
+                   comp[(f.morphism_map[m], a1)] == a2)]
+    index = {rec: k for k, rec in enumerate(records)}
+
+    def compose(j2, j1):
+        (b1, _, m1), (_, c2, m2) = records[j1], records[j2]
+        h = G.compose_table[(m2, m1)]
+        k = index.get((b1, c2, h))
+        if k is None:
+            lab = G.mor_labels
+            raise CompositionDomainError(
+                f"composite {lab[h]!r} = {lab[m2]!r} o {lab[m1]!r} is "
+                f"not an arrow {obj_labels[b1]!r} -> "
+                f"{obj_labels[c2]!r} of the comma category")
+        return k
+
     mor_src = tuple(r[0] for r in records)
     mor_tgt = tuple(r[1] for r in records)
-    labels = tuple(mor_label_of[r] for r in records)
-    identity = tuple(index[(i, i, C_amb.identity[proj_obj[i]])]
-                     for i in range(len(object_keys)))
-    table = {}
-    for j2, (b2, c2, m2) in enumerate(records):
-        for j1, (b1, c1, m1) in enumerate(records):
-            if c1 == b2:
-                h = C_amb.compose_table[(m2, m1)]
-                k = index.get((b1, c2, h))
-                if k is None:
-                    lab = C_amb.mor_labels
-                    raise CompositionDomainError(
-                        f"composite {lab[h]!r} = {lab[m2]!r} o {lab[m1]!r} is "
-                        f"not an arrow {obj_labels[b1]!r} -> "
-                        f"{obj_labels[c2]!r} of the comma category")
-                table[(j2, j1)] = k
-    cat = FinCategory(len(object_keys), tuple(obj_labels), mor_src, mor_tgt,
-                      labels, identity, table, validated=True)
-    proj = FunctorData(cat, C_amb, tuple(proj_obj),
+    cat = FinCategory(
+        len(pairs), tuple(obj_labels), mor_src, mor_tgt,
+        tuple(f"{G.mor_labels[m]}|{i}>{j}" for i, j, m in records),
+        tuple(index[(i, i, G.identity[x])] for i, (x, _) in enumerate(pairs)),
+        _table(mor_src, mor_tgt, compose), validated=True)
+    proj = FunctorData(cat, G, tuple(x for x, _ in pairs),
                        tuple(r[2] for r in records), validated=True)
-    return Comma(cat, proj, tuple(object_keys))
+    return Comma(cat, proj, tuple(keys))
 
 
 def comma_over(C: FinCategory, g: int) -> Comma:
-    """The slice C over g: objects are morphisms alpha: x -> g, morphisms
-    are m: x -> x' with alpha' o m = alpha.  id_g is terminal."""
+    """The slice C over g, the comma of the identity functor over g:
+    objects are morphisms alpha: x -> g, morphisms are m: x -> x' with
+    alpha' o m = alpha.  id_g is terminal."""
     C.require_object(g)
     objs = [a for a in C.morphisms() if C.mor_tgt[a] == g]
-    records, labels = [], {}
-    for i, a in enumerate(objs):
-        for j, a2 in enumerate(objs):
-            for m in C.morphisms():
-                if C.mor_src[m] == C.mor_src[a] and \
-                        C.mor_tgt[m] == C.mor_src[a2] and \
-                        C.compose_table[(a2, m)] == a:
-                    rec = (i, j, m)
-                    records.append(rec)
-                    labels[rec] = f"{C.mor_labels[m]}|{i}>{j}"
-    return _comma_from_records(
-        C, objs, [C.mor_labels[a] for a in objs], records,
-        [C.mor_src[a] for a in objs], labels)
+    return _comma(identity_functor(C), [(C.mor_src[a], a) for a in objs],
+                  True, objs, [C.mor_labels[a] for a in objs])
 
 
 def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
-    """The comma f over g (over=True) or g under f (over=False): objects
-    are pairs (gamma, alpha) with alpha: f(gamma) -> g, or alpha: g ->
-    f(gamma); morphisms m: gamma1 -> gamma2 with alpha2 o f(m) = alpha1,
-    or f(m) o alpha1 = alpha2.  Both list keys, records and labels in
-    the same order."""
+    """The comma f over g (over=True) or g under f (over=False), keyed by
+    its pairs (gamma, alpha) with alpha: f(gamma) -> g, or alpha: g ->
+    f(gamma)."""
     G, Gp = f.source, f.target
     Gp.require_object(g)
     near, far = (Gp.mor_src, Gp.mor_tgt) if over else \
         (Gp.mor_tgt, Gp.mor_src)
     keys = [(x, a) for x in G.objects() for a in Gp.morphisms()
             if near[a] == f.object_map[x] and far[a] == g]
-    comp = Gp.compose_table
-    records, labels = [], {}
-    for i, (x1, a1) in enumerate(keys):
-        for j, (x2, a2) in enumerate(keys):
-            for m in G.morphisms():
-                if G.mor_src[m] == x1 and G.mor_tgt[m] == x2:
-                    fm = f.morphism_map[m]
-                    if (comp[(a2, fm)] == a1) if over else \
-                            (comp[(fm, a1)] == a2):
-                        rec = (i, j, m)
-                        records.append(rec)
-                        labels[rec] = f"{G.mor_labels[m]}|{i}>{j}"
-    return _comma_from_records(
-        G, keys, [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys],
-        records, [x for x, _ in keys], labels)
+    return _comma(f, keys, over, keys,
+                  [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys])
 
 
 def comma_under_functor(f: FunctorData, gp: int) -> Comma:
@@ -456,11 +455,8 @@ def from_poset(labels: list[str], leq: set[tuple[int, int]]) -> FinCategory:
     mor_labels = tuple(labels[x] if x == y else f"{labels[x]}<{labels[y]}"
                        for x, y in pairs)
     identity = tuple(idx[(x, x)] for x in range(n))
-    table = {}
-    for j, (b, c) in enumerate(pairs):
-        for i, (a, b2) in enumerate(pairs):
-            if b2 == b:
-                table[(j, i)] = idx[(a, c)]
+    table = _table(mor_src, mor_tgt,
+                   lambda j, i: idx[(pairs[i][0], pairs[j][1])])
     return validate_category(FinCategory(
         n, tuple(labels), mor_src, mor_tgt, mor_labels, identity, table))
 

@@ -48,7 +48,7 @@ from .diagrams import ChainDiagram, restrict, validate_chain_diagram
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, TypeMismatch, WeightRejected)
 from .exactalg import RationalMatrix, _normal, block_matrix
-from .fincat import (FinCategory, FunctorData, comma_under_functor,
+from .fincat import (FinCategory, FunctorData, _table, comma_under_functor,
                      cospan_category, identities_terminal_in_slices,
                      is_direct, validate_category)
 from .records import record
@@ -358,15 +358,14 @@ def delta_plus_category(N: int) -> FinCategory:
     labels = tuple(f"<{','.join(map(str, t))}>:{m}->{n}"
                    for m, n, t in records)
     identity = tuple(index[(n, n, tuple(range(n + 1)))] for n in range(N + 1))
-    table = {}
-    for j, (b2, c2, t2) in enumerate(records):
-        for i, (a1, b1, t1) in enumerate(records):
-            if b1 == b2:
-                comp = tuple(t2[v] for v in t1)
-                table[(j, i)] = index[(a1, c2, comp)]
-    C = FinCategory(N + 1, tuple(objs), mor_src, mor_tgt, labels, identity,
-                    table)
-    return validate_category(C)
+
+    def compose(j, i):
+        (a, _, t1), (_, c, t2) = records[i], records[j]
+        return index[(a, c, tuple(t2[v] for v in t1))]
+
+    return validate_category(FinCategory(
+        N + 1, tuple(objs), mor_src, mor_tgt, labels, identity,
+        _table(mor_src, mor_tgt, compose)))
 
 
 @record(frozen=True)

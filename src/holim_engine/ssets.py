@@ -4,7 +4,10 @@ Nerves of loop-free categories, standard simplices, normalized chains,
 and homology-level contractibility.  One breadth-first enumerator,
 `_chains`, lists the chains of a set of arrows with their faces: over
 the non-identity arrows it is the nerve's basis (`nerve_chains`), over
-every arrow to a depth N the fat basis (`fat_chains`).
+every arrow to a depth N the fat basis (`fat_chains`).  One loop,
+`_comma_nerves`, makes the weight of the nerves of a family of commas:
+the nerve weight N(C over -) is the comma-nerve weight N(f over -) at
+f = id_C.
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -26,7 +29,7 @@ from .chaincx import ChainComplex, ChainMap, make_chain_map
 from .errors import (CompositionDomainError, EmptyComplex, NotLoopFree,
                      SimplicialError)
 from .exactalg import block_matrix
-from .fincat import (Comma, FinCategory, FunctorData, comma_over,
+from .fincat import (FinCategory, FunctorData, comma_over,
                      comma_under_functor, find_initial, is_direct)
 from .records import record
 
@@ -218,44 +221,38 @@ class Weight:
         return self.actions[mor]
 
 
-def _comma_mor_lookup(com: Comma) -> dict:
-    return {com.mor_key(m): m for m in com.cat.morphisms()}
-
-
-def _nerve_cell_map(com1: Comma, com2: Comma, obj_map: dict, K1, K2) -> SSetMap:
-    """Cell map N(com1) -> N(com2) induced by an object translation and
-    the identity on underlying morphisms."""
-    look = _comma_mor_lookup(com2)
-
-    def mor_image(m):
-        i, j, u = com1.mor_key(m)
-        return look[(obj_map[i], obj_map[j], u)]
-
-    mapping = {}
-    for c in K1.n_cells(0):
-        mapping[(0, c)] = obj_map[c]
-    for n in range(1, len(K1.cells)):
-        for chain in K1.n_cells(n):
-            mapping[(n, chain)] = tuple(mor_image(m) for m in chain)
-    return SSetMap(K1, K2, mapping)
+def _comma_nerves(C: FinCategory, commas, shift, provenance: str) -> Weight:
+    """The weight over C of the nerves of `commas`, one per object of C in
+    object order.  u: s -> t sends the object keyed k of commas[s] to the
+    one keyed shift(u, k) of commas[t], and a morphism (i, j, m) to the
+    one on the images of i and j over the same m."""
+    values = [nerve(com.cat) for com in commas]
+    looks = [{com.mor_key(m): m for m in com.cat.morphisms()}
+             for com in commas]
+    actions = {}
+    for u in C.morphisms():
+        s, t = C.src(u), C.tgt(u)
+        com, K = commas[s], values[s]
+        keys = {k: i for i, k in enumerate(commas[t].object_keys)}
+        obj = [keys[shift(u, k)] for k in com.object_keys]
+        mor = [looks[t][(obj[i], obj[j], m)]
+               for i, j, m in map(com.mor_key, com.cat.morphisms())]
+        mapping = {(0, c): obj[c] for c in K.n_cells(0)}
+        mapping.update(((n, c), tuple(mor[m] for m in c))
+                       for n in range(1, len(K.cells)) for c in K.cells[n])
+        actions[u] = SSetMap(K, values[t], mapping)
+    return Weight(C, tuple(values), actions, provenance=provenance)
 
 
 def nerve_weight(C: FinCategory) -> Weight:
     """gamma |-> N(C over gamma), acting by postcomposition on the
-    augmentations; a projectively cofibrant resolution of the point."""
+    augmentations; a projectively cofibrant resolution of the point.  It
+    is the comma-nerve weight of the identity functor, with each object
+    alpha of a slice keyed by alpha alone."""
     if is_direct(C) is None:
         raise NotLoopFree("nerve weight requires a loop-free category")
-    commas = [comma_over(C, g) for g in C.objects()]
-    values = [nerve(com.cat) for com in commas]
-    actions = {}
-    for u in C.morphisms():
-        s, t = C.src(u), C.tgt(u)
-        com1, com2 = commas[s], commas[t]
-        keys2 = {a: i for i, a in enumerate(com2.object_keys)}
-        obj_map = {i: keys2[C.comp(u, a)]
-                   for i, a in enumerate(com1.object_keys)}
-        actions[u] = _nerve_cell_map(com1, com2, obj_map, values[s], values[t])
-    return Weight(C, tuple(values), actions, provenance="nerve_weight")
+    return _comma_nerves(C, [comma_over(C, g) for g in C.objects()],
+                         C.comp, "nerve_weight")
 
 
 def nerve_of_comma_under(f: FunctorData) -> Weight:
@@ -271,17 +268,8 @@ def _nerve_of_commas(f: FunctorData, commas) -> Weight:
     """`nerve_of_comma_under(f)` from its commas f over gamma', one per
     object of the target of f, in object order."""
     Gp = f.target
-    values = [nerve(com.cat) for com in commas]
-    actions = {}
-    for u in Gp.morphisms():
-        s, t = Gp.src(u), Gp.tgt(u)
-        com1, com2 = commas[s], commas[t]
-        keys2 = {k: i for i, k in enumerate(com2.object_keys)}
-        obj_map = {i: keys2[(x, Gp.comp(u, a))]
-                   for i, (x, a) in enumerate(com1.object_keys)}
-        actions[u] = _nerve_cell_map(com1, com2, obj_map, values[s], values[t])
-    return Weight(Gp, tuple(values), actions,
-                  provenance="nerve_of_comma_under")
+    return _comma_nerves(Gp, commas, lambda u, k: (k[0], Gp.comp(u, k[1])),
+                         "nerve_of_comma_under")
 
 
 def constant_point_weight(C: FinCategory) -> Weight:

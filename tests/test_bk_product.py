@@ -285,7 +285,7 @@ def test_betti_numbers_eliminate_only_the_uncleared_rows(monkeypatch):
     d_{k-1}: dim C_{k-1} - rk d_{k-1} = rk d_k rows, 240 in all, where
     eliminating every nonzero row takes 472."""
     F = random_poset_chain_diagram(random.Random(1), chain_poset(6), 2, 2, 3)
-    C = validate_complex(bk_holim(F).complex)     # a fresh rank cache
+    C = validate_complex(bk_holim(F).complex)     # ranks found afresh
     handed = []
 
     def counted(rows, cols, _orig=exactalg_mod._echelon):

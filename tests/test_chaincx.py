@@ -101,6 +101,21 @@ def test_zero_selfmap_not_quasi_iso():
         ((Fraction(0),),)
 
 
+def test_homology_leaves_the_complex_as_it_was():
+    """`betti_numbers`, `homology` and `induced_homology_maps` cache
+    nothing on a complex: its attributes are the same before and after."""
+    rng = random.Random(2526)
+    for _ in range(30):
+        A = random_chain_complex(rng, max_dim=3, max_width=3)
+        B = random_chain_complex(rng, max_dim=3, max_width=3)
+        before = [dict(vars(C)) for C in (A, B)]
+        betti_numbers(A)
+        for k in B.degrees():
+            homology(B, k)
+        induced_homology_maps(random_chain_map(rng, A, B))
+        assert [vars(C) for C in (A, B)] == before
+
+
 def test_chain_rule_violation_detected():
     src = make_complex({0: 1, 1: 1}, {1: M([[1]])})
     tgt = single(0)

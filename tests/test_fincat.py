@@ -19,7 +19,10 @@ from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  product, terminal_category,
                                  validate_category, validate_functor)
 
-from holim_engine.randgen import free_category, random_loopfree_category
+from holim_engine.holim import delta_plus_category
+from holim_engine.randgen import (free_category,
+                                  random_functor_between_loopfree,
+                                  random_loopfree_category, random_poset)
 
 
 def test_terminal_category_valid():
@@ -147,6 +150,26 @@ def test_comma_under_point_inclusion():
     # under b-inclusion, the comma at a is empty
     g = object_inclusion(C, 1)
     assert comma_under_functor(g, 0).cat.n_objects == 0
+
+
+def test_composition_tables_list_the_composable_pairs_g_by_g():
+    """Posets, the three commas and the injective-simplex categories fill
+    their tables over the composable pairs only, g by g, each g meeting
+    the arrows into its source in morphism order.  The validators report
+    the first bad pair in this order."""
+    rng = random.Random(2527)
+    cats = [random_poset(rng, 5) for _ in range(20)]
+    for _ in range(20):
+        f = random_functor_between_loopfree(rng)
+        for C in (f.source, f.target):
+            cats += [comma_over(C, g).cat for g in C.objects()]
+        for g in f.target.objects():
+            cats += [comma_under_functor(f, g).cat, comma_from(f, g).cat]
+    cats += [delta_plus_category(N) for N in range(4)]
+    for C in cats:
+        assert list(C.compose_table) == [
+            (g, f) for g in C.morphisms() for f in C.morphisms()
+            if C.tgt(f) == C.src(g)]
 
 
 def test_comma_from_dual():

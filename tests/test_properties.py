@@ -67,8 +67,9 @@ def _betti_from_full_ranks(C):
        st.sampled_from(["complex", "bk_holim", "cone", "fat_tot",
                         "mixed_cache"]))
 def test_betti_numbers_by_clearing_match_full_ranks(seed, source):
-    """`betti_numbers` on a complex whose rank cache is empty, or (mixed
-    cache) partly filled by `homology`."""
+    """`betti_numbers` on complexes of five origins; for `mixed_cache` it
+    runs after `homology` has read some degrees, which leaves nothing on
+    the complex."""
     rng = random.Random(seed)
     if source == "bk_holim":
         F = random_poset_chain_diagram(rng, random_poset(rng, 4), 2, 2)

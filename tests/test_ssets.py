@@ -10,9 +10,10 @@ from holim_engine.errors import (CompositionDomainError, EmptyComplex,
                                  NotLoopFree, SimplicialError)
 from holim_engine.fincat import (FinCategory, arrow_category,
                                  category_from_presentation, chain_poset,
-                                 comma_over, cospan_category,
-                                 identity_functor, object_inclusion,
-                                 terminal_category, validate_category)
+                                 comma_over, comma_under_functor,
+                                 cospan_category, identity_functor,
+                                 object_inclusion, terminal_category,
+                                 validate_category)
 from holim_engine.oracle import (augmentation, boundary, euler_characteristic,
                                  validate_sset, validate_weight)
 from holim_engine.randgen import random_free_category, random_loopfree_category
@@ -253,13 +254,57 @@ def test_nerve_weight_functorial_randomized():
             validate_map(chains_of_map(W.action(m)))
 
 
+def _keyed_comma(com, key):
+    """The objects, morphisms and composition of a comma with each object
+    i written as key(object_keys[i]) and each morphism as (source,
+    target, underlying arrow) in those keys."""
+    def mor(m):
+        i, j, u = com.mor_key(m)
+        return key(com.object_keys[i]), key(com.object_keys[j]), u
+    table = {(mor(g), mor(f)): mor(h)
+             for (g, f), h in com.cat.compose_table.items()}
+    return {key(k) for k in com.object_keys}, \
+        {mor(m) for m in com.cat.morphisms()}, table
+
+
+def _keyed_weight(W, commas, key):
+    """The cells, faces and actions of a comma-nerve weight, each cell of
+    the value at g written in the keys of `_keyed_comma(commas[g], key)`."""
+    def cell(g, n, c):
+        com = commas[g]
+        if n == 0:
+            return key(com.object_keys[c])
+        return tuple((key(com.object_keys[i]), key(com.object_keys[j]), u)
+                     for i, j, u in map(com.mor_key, c))
+    C = W.base
+    cells = {(g, n, cell(g, n, c)) for g in C.objects()
+             for n, cs in enumerate(W.value(g).cells) for c in cs}
+    faces = {(g, n, cell(g, n, c)): tuple(cell(g, n - 1, d) for d in fs)
+             for g in C.objects() for (n, c), fs in W.value(g).faces.items()}
+    actions = {(u, n, cell(C.src(u), n, c)): cell(C.tgt(u), n, img)
+               for u in C.morphisms()
+               for (n, c), img in W.action(u).mapping.items()}
+    return cells, faces, actions
+
+
 def test_nerve_of_comma_under_identity_matches_nerve_weight():
-    C = chain_poset(2)
-    W1 = nerve_weight(C)
-    W2 = nerve_of_comma_under(identity_functor(C))
-    for x in C.objects():
-        assert [len(cs) for cs in W1.value(x).cells] == \
-            [len(cs) for cs in W2.value(x).cells]
+    """The slice C over g is the comma of the identity functor over g,
+    and the nerve weight N(C over -) is its comma-nerve weight: under the
+    key correspondence a <-> (src a, a), the commas have the same
+    objects, morphisms and composition, and the two weights the same
+    cells, faces and actions."""
+    rng = random.Random(2525)
+    for C in [chain_poset(2)] + [random_loopfree_category(rng)
+                                 for _ in range(30)]:
+        f = identity_functor(C)
+        overs = [comma_over(C, g) for g in C.objects()]
+        unders = [comma_under_functor(f, g) for g in C.objects()]
+        for a, b in zip(overs, unders):
+            assert _keyed_comma(a, lambda a: (C.src(a), a)) == \
+                _keyed_comma(b, lambda k: k)
+        assert _keyed_weight(nerve_weight(C), overs,
+                             lambda a: (C.src(a), a)) == \
+            _keyed_weight(nerve_of_comma_under(f), unders, lambda k: k)
 
 
 def test_nerve_of_comma_under_point_inclusions():
