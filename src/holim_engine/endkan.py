@@ -32,9 +32,8 @@ from .diagrams import (ChainDiagram, FinSetDiagram, restrict,  # noqa: F401
                        validate_chain_diagram, validate_finset_diagram)
 from .errors import DiagramError
 from .exactalg import RationalMatrix, block_diag, block_matrix, rank_kernel
-from .fincat import (Comma, FinCategory, FunctorData, UnionFind, comma_from,
-                     comma_under_functor, generating_morphisms, opposite,
-                     product_mor, product_obj)
+from .fincat import (Comma, FinCategory, FunctorData, UnionFind, _comma_family,
+                     generating_morphisms, opposite, product_mor, product_obj)
 from .records import record
 
 
@@ -261,21 +260,13 @@ def lan(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     G, Gp = f.source, f.target
     if F.base != G:
         raise DiagramError("diagram is not over the source of the functor")
-    commas = [comma_under_functor(f, gp) for gp in Gp.objects()]
+    commas, moves = _comma_family(f, True)
     colims = [finset_colimit(restrict(com.projection, F)) for com in commas]
     values = tuple(tuple(range(len(col.classes))) for col in colims)
-    actions = {}
-    for u in Gp.morphisms():
-        s, t = Gp.src(u), Gp.tgt(u)
-        com_s, com_t = commas[s], commas[t]
-        tgt_keys = {k: i for i, k in enumerate(com_t.object_keys)}
-        act = {}
-        for ci, members in enumerate(colims[s].classes):
-            i, x = members[0]
-            gamma, alpha = com_s.object_keys[i]
-            j = tgt_keys[(gamma, Gp.comp(u, alpha))]
-            act[ci] = colims[t].inject(j, x)
-        actions[u] = act
+    firsts = [[members[0] for members in col.classes] for col in colims]
+    actions = {u: {ci: colims[Gp.tgt(u)].inject(move[i], x)
+                   for ci, (i, x) in enumerate(firsts[Gp.src(u)])}
+               for u, move in enumerate(moves)}
     return KanExtension(FinSetDiagram(Gp, values, actions), tuple(commas),
                         tuple(colims))
 
@@ -285,20 +276,12 @@ def ran(f: FunctorData, F: FinSetDiagram) -> KanExtension:
     G, Gp = f.source, f.target
     if F.base != G:
         raise DiagramError("diagram is not over the source of the functor")
-    commas = [comma_from(f, gp) for gp in Gp.objects()]
+    commas, moves = _comma_family(f, False)
     lims = [finset_limit(restrict(com.projection, F)) for com in commas]
     values = tuple(tuple(lim.elements) for lim in lims)
-    actions = {}
-    for u in Gp.morphisms():
-        s, t = Gp.src(u), Gp.tgt(u)
-        com_s, com_t = commas[s], commas[t]
-        src_keys = {k: i for i, k in enumerate(com_s.object_keys)}
-        act = {}
-        for el in lims[s].elements:
-            img = tuple(el[src_keys[(gamma, Gp.comp(beta, u))]]
-                        for gamma, beta in com_t.object_keys)
-            act[el] = img
-        actions[u] = act
+    actions = {u: {el: tuple(el[i] for i in move)
+                   for el in lims[Gp.src(u)].elements}
+               for u, move in enumerate(moves)}
     return KanExtension(FinSetDiagram(Gp, values, actions), tuple(commas),
                         tuple(lims))
 

@@ -6,7 +6,9 @@ Composition tables are total: `compose[(g, f)]` is defined exactly when
 tgt(f) = src(g).  One fill, `_table`, lists those pairs g by g for
 posets, commas and the injective-simplex category; one builder,
 `_comma`, makes every comma category, the slice C over g being the
-comma of the identity functor over g.
+comma of the identity functor over g; `_comma_family` gives the commas
+over every object with the change of base along each arrow as an index
+map.  Each category indexes its hom sets once (`_homs`).
 """
 
 from __future__ import annotations
@@ -66,12 +68,19 @@ class FinCategory:
                 f"are not composable") from None
 
     def hom(self, x: int, y: int) -> list[int]:
-        return [m for m in self.morphisms()
-                if self.mor_src[m] == x and self.mor_tgt[m] == y]
+        return list(self._homs.get((x, y), ()))
 
     def require_object(self, x: int) -> None:
         if not isinstance(x, int) or not 0 <= x < self.n_objects:
             raise UnknownObject(f"no object with index {x}")
+
+    @cached_property
+    def _homs(self) -> dict[tuple[int, int], list[int]]:
+        """(x, y) -> the arrows x -> y in morphism order, built once."""
+        homs: dict[tuple[int, int], list[int]] = {}
+        for m, xy in enumerate(zip(self.mor_src, self.mor_tgt)):
+            homs.setdefault(xy, []).append(m)
+        return homs
 
     @cached_property
     def _degrees(self) -> Optional["DegreeFunction"]:
@@ -256,9 +265,7 @@ def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
     gamma2 with alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as
     records (i, j, m); composition is that of the source of f."""
     G, comp = f.source, f.target.compose_table
-    homs: dict[tuple[int, int], list[int]] = {}
-    for m in G.morphisms():
-        homs.setdefault((G.mor_src[m], G.mor_tgt[m]), []).append(m)
+    homs = G._homs
     records = [(i, j, m) for i, (x1, a1) in enumerate(pairs)
                for j, (x2, a2) in enumerate(pairs)
                for m in homs.get((x1, x2), ())
@@ -324,6 +331,27 @@ def comma_from(f: FunctorData, g: int) -> Comma:
     """The comma g under f: objects are pairs (gamma, alpha: g -> f(gamma)),
     morphisms m: gamma1 -> gamma2 with f(m) o alpha1 = alpha2."""
     return _functor_comma(f, g, False)
+
+
+def _comma_family(f: FunctorData, over: bool, slices=None):
+    """The commas f over g (over=True) or g under f, one per object g of
+    the target in object order, and the change of base along each arrow
+    u: s -> t as a tuple of object indices: over, u sends object i =
+    (gamma, alpha) of commas[s] to object moves[u][i] = (gamma, u o alpha)
+    of commas[t]; under, object i = (gamma, beta) of commas[t] comes from
+    object moves[u][i] = (gamma, beta o u) of commas[s].  `slices` are the
+    `comma_over` slices of f = id, whose key a stands for (src a, a)."""
+    Gp, make = f.target, comma_under_functor if over else comma_from
+    commas = slices or [make(f, g) for g in Gp.objects()]
+    keys = [[(Gp.mor_src[a], a) for a in com.object_keys] if slices
+            else com.object_keys for com in commas]
+    index = [{k: i for i, k in enumerate(ks)} for ks in keys]
+    comp = Gp.compose_table
+    moves = tuple(
+        tuple(index[t][(x, comp[(u, a)])] for x, a in keys[s]) if over else
+        tuple(index[s][(x, comp[(b, u)])] for x, b in keys[t])
+        for u, s, t in zip(Gp.morphisms(), Gp.mor_src, Gp.mor_tgt))
+    return commas, moves
 
 
 def is_direct(C: FinCategory) -> Optional[DegreeFunction]:

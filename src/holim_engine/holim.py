@@ -48,11 +48,12 @@ from .diagrams import ChainDiagram, restrict, validate_chain_diagram
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, TypeMismatch, WeightRejected)
 from .exactalg import RationalMatrix, _normal, block_matrix
-from .fincat import (FinCategory, FunctorData, _table, comma_under_functor,
-                     cospan_category, identities_terminal_in_slices,
-                     is_direct, validate_category)
+from .fincat import (FinCategory, FunctorData, _comma_family, _table,
+                     comma_under_functor, cospan_category,
+                     identities_terminal_in_slices, is_direct,
+                     validate_category)
 from .records import record
-from .ssets import (Weight, _levelwise_free, _nerve_of_commas, chains_of_map,
+from .ssets import (Weight, _comma_nerves, _levelwise_free, chains_of_map,
                     check_free_basis, check_point_resolution, fat_chains,
                     homology_contractible, nerve, nerve_chains,
                     normalized_chains)
@@ -496,8 +497,9 @@ def _change_of_diagrams(f: FunctorData, F: ChainDiagram,
         -> ChangeOfDiagramsReport:
     """`change_of_diagrams_iso` given f*F, the chains of G
     (`_chain_generators`) and E3, the chain product over them."""
-    commas = [comma_under_functor(f, gp) for gp in f.target.objects()]
-    basis = _levelwise_free(_nerve_of_commas(f, commas))
+    commas, moves = _comma_family(f, True)
+    basis = _levelwise_free(_comma_nerves(f.target, (commas, moves),
+                                          "nerve_of_comma_under"))
     E2 = free_end(F, basis)
     index, gens = chains
     match = {}                                  # generator of E3 -> of E2

@@ -7,7 +7,8 @@ the non-identity arrows it is the nerve's basis (`nerve_chains`), over
 every arrow to a depth N the fat basis (`fat_chains`).  One loop,
 `_comma_nerves`, makes the weight of the nerves of a family of commas:
 the nerve weight N(C over -) is the comma-nerve weight N(f over -) at
-f = id_C.
+f = id_C, and both move objects by the index maps of one
+`fincat._comma_family`.
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -29,8 +30,8 @@ from .chaincx import ChainComplex, ChainMap, make_chain_map
 from .errors import (CompositionDomainError, EmptyComplex, NotLoopFree,
                      SimplicialError)
 from .exactalg import block_matrix
-from .fincat import (FinCategory, FunctorData, comma_over,
-                     comma_under_functor, find_initial, is_direct)
+from .fincat import (FinCategory, FunctorData, _comma_family, comma_over,
+                     find_initial, identity_functor, is_direct)
 from .records import record
 
 
@@ -221,20 +222,19 @@ class Weight:
         return self.actions[mor]
 
 
-def _comma_nerves(C: FinCategory, commas, shift, provenance: str) -> Weight:
-    """The weight over C of the nerves of `commas`, one per object of C in
-    object order.  u: s -> t sends the object keyed k of commas[s] to the
-    one keyed shift(u, k) of commas[t], and a morphism (i, j, m) to the
-    one on the images of i and j over the same m."""
+def _comma_nerves(C: FinCategory, family, provenance: str) -> Weight:
+    """The weight over C of the nerves of a comma family over C, as
+    `fincat._comma_family` returns it: u: s -> t sends object i of
+    commas[s] to object moves[u][i] of commas[t], and a morphism (i, j,
+    m) to the one on the images of i and j over the same m."""
+    commas, moves = family
     values = [nerve(com.cat) for com in commas]
     looks = [{com.mor_key(m): m for m in com.cat.morphisms()}
              for com in commas]
     actions = {}
-    for u in C.morphisms():
+    for u, obj in enumerate(moves):
         s, t = C.src(u), C.tgt(u)
         com, K = commas[s], values[s]
-        keys = {k: i for i, k in enumerate(commas[t].object_keys)}
-        obj = [keys[shift(u, k)] for k in com.object_keys]
         mor = [looks[t][(obj[i], obj[j], m)]
                for i, j, m in map(com.mor_key, com.cat.morphisms())]
         mapping = {(0, c): obj[c] for c in K.n_cells(0)}
@@ -251,8 +251,9 @@ def nerve_weight(C: FinCategory) -> Weight:
     alpha of a slice keyed by alpha alone."""
     if is_direct(C) is None:
         raise NotLoopFree("nerve weight requires a loop-free category")
-    return _comma_nerves(C, [comma_over(C, g) for g in C.objects()],
-                         C.comp, "nerve_weight")
+    slices = [comma_over(C, g) for g in C.objects()]
+    return _comma_nerves(C, _comma_family(identity_functor(C), True, slices),
+                         "nerve_weight")
 
 
 def nerve_of_comma_under(f: FunctorData) -> Weight:
@@ -260,16 +261,7 @@ def nerve_of_comma_under(f: FunctorData) -> Weight:
     G, Gp = f.source, f.target
     if is_direct(G) is None or is_direct(Gp) is None:
         raise NotLoopFree("comma nerves require loop-free categories")
-    return _nerve_of_commas(
-        f, [comma_under_functor(f, gp) for gp in Gp.objects()])
-
-
-def _nerve_of_commas(f: FunctorData, commas) -> Weight:
-    """`nerve_of_comma_under(f)` from its commas f over gamma', one per
-    object of the target of f, in object order."""
-    Gp = f.target
-    return _comma_nerves(Gp, commas, lambda u, k: (k[0], Gp.comp(u, k[1])),
-                         "nerve_of_comma_under")
+    return _comma_nerves(Gp, _comma_family(f, True), "nerve_of_comma_under")
 
 
 def constant_point_weight(C: FinCategory) -> Weight:

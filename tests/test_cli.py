@@ -288,7 +288,21 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys):
         "error: byte 0xe9 is not UTF-8 at line 2, column 6\n"
 
 
-EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
+def test_a_monoid_table_that_is_not_associative_exits_1(tmp_path, capsys):
+    # every product of a and b is the identity, so (b o a) o a = a while
+    # b o (a o a) = b
+    src = tmp_path / "monoid.hle"
+    src.write_text("category M {\n  objects: x\n"
+                   "  arrows: a: x -> x, b: x -> x\n"
+                   "  compose: a * a = id_x, a * b = id_x, b * a = id_x, "
+                   "b * b = id_x\n}\n")
+    assert cli_mod.main([str(src), "--cmd", "holim M"]) == 1
+    assert capsys.readouterr().err == (
+        "error: in binding 'M' (declared at line 1): "
+        "('b' o 'a') o 'a' != 'b' o ('a' o 'a')\n")
+
+
+EXPECTED =Path(__file__).resolve().parents[1] / "bench" / "expected"
 
 # (payload in bench/expected, workspace, command, extra flags)
 GOLDEN = [

@@ -6,7 +6,8 @@ import pytest
 
 import holim_engine.fincat as fincat_mod
 
-from holim_engine.errors import (CompositionDomainError, FunctorError,
+from holim_engine.errors import (AssociativityViolation,
+                                 CompositionDomainError, FunctorError,
                                  IdentityViolation, NotLoopFree)
 from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  arrow_category, category_from_presentation,
@@ -20,7 +21,7 @@ from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  validate_category, validate_functor)
 
 from holim_engine.holim import delta_plus_category
-from holim_engine.randgen import (free_category,
+from holim_engine.randgen import (free_category, random_free_category,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset)
 
@@ -395,3 +396,109 @@ def test_the_first_omitted_pair_is_named():
             f"table omits the composable pair {C.mor_labels[g]!r} o "
             f"{C.mor_labels[f]!r}")):
         validate_category(bad)
+
+
+def test_a_changed_generator_triple_breaks_associativity():
+    """f: a -> b, g: b -> c, h: c -> d and k: a -> c, presented freely;
+    declaring g o f to be k keeps every source, target and identity law
+    but makes (h o g) o f = h.g.f differ from h o (g o f) = h.k."""
+    C, _ = fincat_mod._presented(
+        ["a", "b", "c", "d"],
+        [("f", 0, 1), ("g", 1, 2), ("h", 2, 3), ("k", 0, 2)])
+    validate_category(C)
+    f, g, k = (C.mor_labels.index(lab) for lab in ("f", "g", "k"))
+    table = dict(C.compose_table)
+    table[(g, f)] = k
+    with pytest.raises(AssociativityViolation, match=re.escape(
+            "('h' o 'g') o 'f' != 'h' o ('g' o 'f')")):
+        validate_category(replace(C, compose_table=table, validated=False))
+
+
+def _categories_of_every_kind(rng):
+    """Random posets, free categories, their products and opposites, and
+    the slices and functor commas of random functors."""
+    cats = []
+    for _ in range(10):
+        P, (D, _, _) = random_poset(rng), random_free_category(rng)
+        cats += [P, D, opposite(D), product(P, D), product(D, opposite(P))]
+        f = random_functor_between_loopfree(rng)
+        for g in f.target.objects():
+            cats += [comma_under_functor(f, g).cat, comma_from(f, g).cat]
+        cats += [comma_over(D, g).cat for g in D.objects()]
+    return cats
+
+
+def test_hom_reads_an_index_equal_to_the_morphism_scan():
+    for C in _categories_of_every_kind(random.Random(2601)):
+        for x in C.objects():
+            for y in C.objects():
+                scan = [m for m in C.morphisms()
+                        if C.src(m) == x and C.tgt(m) == y]
+                got = C.hom(x, y)
+                assert got == scan
+                got.append(-1)          # the caller's list is its own
+                assert C.hom(x, y) == scan
+
+
+def _functors_into_every_kind(rng):
+    """Random functors into posets, identity functors, and slice
+    projections into free categories, whose hom sets may hold parallel
+    arrows."""
+    fs = [random_functor_between_loopfree(rng) for _ in range(40)]
+    for _ in range(20):
+        D, _, _ = random_free_category(rng)
+        fs += [identity_functor(D)]
+        fs += [comma_over(D, g).projection for g in D.objects()]
+    return fs
+
+
+def _check_moves_compose(Gp, moves, over):
+    for u in Gp.morphisms():
+        for v in Gp.morphisms():
+            if Gp.src(v) != Gp.tgt(u):
+                continue
+            vu = moves[Gp.comp(v, u)]
+            if over:
+                assert vu == tuple(moves[v][i] for i in moves[u])
+            else:
+                assert vu == tuple(moves[u][i] for i in moves[v])
+
+
+def test_a_comma_family_moves_objects_by_its_change_of_base():
+    """Over, u: s -> t sends (gamma, alpha) to (gamma, u o alpha); under,
+    (gamma, beta) over t comes from (gamma, beta o u) over s; on slices
+    the key a stands for (src a, a).  Identities move every object to
+    itself, and the moves of v o u are those of u and v composed."""
+    family = fincat_mod._comma_family
+    for f in _functors_into_every_kind(random.Random(2602)):
+        Gp = f.target
+        for over, make in ((True, comma_under_functor), (False, comma_from)):
+            commas, moves = family(f, over)
+            assert commas == [make(f, g) for g in Gp.objects()]
+            assert len(moves) == Gp.n_morphisms
+            for u in Gp.morphisms():
+                s, t = Gp.src(u), Gp.tgt(u)
+                if over:
+                    want = tuple(commas[t].object_keys.index(
+                        (gamma, Gp.comp(u, alpha)))
+                        for gamma, alpha in commas[s].object_keys)
+                else:
+                    want = tuple(commas[s].object_keys.index(
+                        (gamma, Gp.comp(beta, u)))
+                        for gamma, beta in commas[t].object_keys)
+                assert moves[u] == want
+            for g in Gp.objects():
+                assert moves[Gp.identity[g]] == \
+                    tuple(range(commas[g].cat.n_objects))
+            _check_moves_compose(Gp, moves, over)
+        C = f.source
+        slices = [comma_over(C, g) for g in C.objects()]
+        commas, moves = family(identity_functor(C), True, slices)
+        assert commas is slices
+        for u in C.morphisms():
+            assert moves[u] == tuple(
+                slices[C.tgt(u)].object_keys.index(C.comp(u, a))
+                for a in slices[C.src(u)].object_keys)
+        for g in C.objects():
+            assert moves[C.identity[g]] == tuple(range(slices[g].cat.n_objects))
+        _check_moves_compose(C, moves, True)

@@ -7,7 +7,8 @@ only the engine modules it runs, and neither `dataclasses` nor
 the verify suites, and only the commands that run an `endkan`
 algorithm load `endkan`.  No other engine module imports `oracle`.
 Every case that imports runs in a fresh interpreter, since
-`sys.modules` is shared by all tests in this one.
+`sys.modules` is shared by all tests in this one.  Every name an
+engine module imports is used in it, so no import outlives its caller.
 """
 
 import ast
@@ -229,3 +230,34 @@ def test_oracle_is_imported_by_no_engine_module_and_shadows_none():
         == []
     production = set().union(*map(_top_level_names, trees.values()))
     assert _top_level_names(oracle) & production == set()
+
+
+def _bound_names(node):
+    """The names an import statement binds."""
+    for alias in node.names:
+        if isinstance(node, ast.Import) and alias.asname is None:
+            yield alias.name.split(".")[0]
+        else:
+            yield alias.asname or alias.name
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """A name an engine module imports is read somewhere in that module,
+    unless the import statement's first line says `# noqa: F401`, as
+    flake8 reads it (names imported back to resolve under the importing
+    module too)."""
+    stale = []
+    for path in sorted((SRC / "holim_engine").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            stale += [f"{path.name}: {name}" for name in _bound_names(node)
+                      if name not in used]
+    assert stale == []
