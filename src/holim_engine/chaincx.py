@@ -170,11 +170,18 @@ def map_sub(f: ChainMap, g: ChainMap) -> ChainMap:
 
 # --- direct sums ------------------------------------------------------------
 
+def sum_with_layout(summands: Sequence[ChainComplex]):
+    """The direct sum and its layout: starts[k][i] is where summand i
+    begins in degree k."""
+    summands = list(summands)
+    return _total([(c, 0) for c in summands], lambda k: [
+        (i, i, c.d(k)) for i, c in enumerate(summands)])
+
+
 def direct_sum(summands: Sequence[ChainComplex]):
     """Direct sum with inclusion and projection chain maps."""
     summands = list(summands)
-    S, starts = _total([(c, 0) for c in summands], lambda k: [
-        (i, i, c.d(k)) for i, c in enumerate(summands)])
+    S, starts = sum_with_layout(summands)
     incls, projs = [], []
     for i, c in enumerate(summands):
         comps_i, comps_p = {}, {}

@@ -375,8 +375,6 @@ def _category_from_table(objects, arrows, compose_entries) -> FinCategory:
     src = list(range(n)) + [s for _, s, _ in arrows]
     tgt = list(range(n)) + [t for _, _, t in arrows]
     mor_index = {lab: i for i, lab in enumerate(labels)}
-    if len(mor_index) != len(labels):
-        raise ParseError("duplicate morphism label")
     table = {}
     for m in range(len(labels)):
         table[(tgt[m], m)] = m

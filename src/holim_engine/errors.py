@@ -32,6 +32,10 @@ class UnknownObject(CategoryError):
     pass
 
 
+class DuplicateLabel(CategoryError):
+    pass
+
+
 class FunctorError(EngineError):
     pass
 

@@ -1,14 +1,16 @@
 """Finitely presented categories with total composition tables.
 
 Objects and morphisms are interned integers; labels live in side
-tables, so every construction is deterministic and reproducible.
+tables, unique among objects and among morphisms (`validate_category`),
+so every construction is deterministic and reproducible.
 Composition tables are total: `compose[(g, f)]` is defined exactly when
 tgt(f) = src(g).  One fill, `_table`, lists those pairs g by g for
 posets, commas and the injective-simplex category; one builder,
 `_comma`, makes every comma category, the slice C over g being the
-comma of the identity functor over g; `_comma_family` gives the commas
-over every object with the change of base along each arrow as an index
-map.  Each category indexes its hom sets once (`_homs`).
+comma of the identity functor over g, and keys every comma object by its
+pair (gamma, alpha); `_comma_family` gives the commas over every object
+with the change of base along each arrow as an index map.  Each category
+indexes its hom sets once (`_homs`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import cache, cached_property
 from typing import Optional
 
 from .errors import (AssociativityViolation, CompositionDomainError,
-                     FunctorError, IdentityViolation, NotLoopFree,
-                     UnknownObject)
+                     DuplicateLabel, FunctorError, IdentityViolation,
+                     NotLoopFree, UnknownObject)
 from .records import field, record, replace
 
 
@@ -115,9 +117,9 @@ class DegreeFunction:
 class Comma:
     """A comma category together with its projection functor.
 
-    `object_keys[i]` records which data object i stands for; comma
-    morphisms are determined by (source object, target object,
-    underlying morphism), recoverable from the projection.
+    `object_keys[i]` is the pair (gamma, alpha) object i stands for, in
+    every comma; comma morphisms are determined by (source object, target
+    object, underlying morphism), recoverable from the projection.
     """
     cat: FinCategory
     projection: FunctorData
@@ -131,13 +133,20 @@ class Comma:
 # --- validation -------------------------------------------------------------
 
 def validate_category(raw: FinCategory) -> FinCategory:
-    """Check all category laws on the full table; returns the data
-    marked validated."""
+    """Check that labels name one object or one morphism each and all
+    category laws on the full table; returns the data marked validated."""
     n, nm = raw.n_objects, raw.n_morphisms
     if len(raw.obj_labels) != n or len(raw.mor_labels) != nm:
         raise CompositionDomainError("label table length mismatch")
     if len(raw.mor_src) != nm or len(raw.mor_tgt) != nm:
         raise CompositionDomainError("src/tgt table length mismatch")
+    for kind, labels in (("object", raw.obj_labels),
+                         ("morphism", raw.mor_labels)):
+        seen = set()
+        for lab in labels:
+            if lab in seen:
+                raise DuplicateLabel(f"two {kind}s are labelled {lab!r}")
+            seen.add(lab)
     for x in range(n):
         i = raw.identity[x]
         if not (0 <= i < nm) or raw.mor_src[i] != x or raw.mor_tgt[i] != x:
@@ -258,11 +267,11 @@ def _table(mor_src, mor_tgt, compose) -> dict[tuple[int, int], int]:
 
 
 def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
-           keys: list, obj_labels: list[str]) -> Comma:
+           obj_labels: list[str]) -> Comma:
     """The comma of f over (over=True) or under an object g of its target,
     on the objects `pairs` (gamma, alpha) with alpha: f(gamma) -> g or
-    g -> f(gamma), keyed by `keys`: its morphisms are the m: gamma1 ->
-    gamma2 with alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as
+    g -> f(gamma), keyed by those pairs: its morphisms are the m: gamma1
+    -> gamma2 with alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as
     records (i, j, m); composition is that of the source of f."""
     G, comp = f.source, f.target.compose_table
     homs = G._homs
@@ -294,17 +303,17 @@ def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
         _table(mor_src, mor_tgt, compose), validated=True)
     proj = FunctorData(cat, G, tuple(x for x, _ in pairs),
                        tuple(r[2] for r in records), validated=True)
-    return Comma(cat, proj, tuple(keys))
+    return Comma(cat, proj, tuple(pairs))
 
 
 def comma_over(C: FinCategory, g: int) -> Comma:
-    """The slice C over g, the comma of the identity functor over g:
-    objects are morphisms alpha: x -> g, morphisms are m: x -> x' with
-    alpha' o m = alpha.  id_g is terminal."""
+    """The slice C over g, the comma of the identity functor over g: objects
+    (x, alpha) for the arrows alpha: x -> g in morphism order, labelled alpha;
+    morphisms m: x -> x' with alpha' o m = alpha.  (g, id_g) is terminal."""
     C.require_object(g)
     objs = [a for a in C.morphisms() if C.mor_tgt[a] == g]
     return _comma(identity_functor(C), [(C.mor_src[a], a) for a in objs],
-                  True, objs, [C.mor_labels[a] for a in objs])
+                  True, [C.mor_labels[a] for a in objs])
 
 
 def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
@@ -317,7 +326,7 @@ def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
         (Gp.mor_tgt, Gp.mor_src)
     keys = [(x, a) for x in G.objects() for a in Gp.morphisms()
             if near[a] == f.object_map[x] and far[a] == g]
-    return _comma(f, keys, over, keys,
+    return _comma(f, keys, over,
                   [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys])
 
 
@@ -336,15 +345,15 @@ def comma_from(f: FunctorData, g: int) -> Comma:
 def _comma_family(f: FunctorData, over: bool, slices=None):
     """The commas f over g (over=True) or g under f, one per object g of
     the target in object order, and the change of base along each arrow
-    u: s -> t as a tuple of object indices: over, u sends object i =
+    u: s -> t as a tuple of object indices, read off the keys (gamma,
+    alpha) of every comma, slices included: over, u sends object i =
     (gamma, alpha) of commas[s] to object moves[u][i] = (gamma, u o alpha)
     of commas[t]; under, object i = (gamma, beta) of commas[t] comes from
-    object moves[u][i] = (gamma, beta o u) of commas[s].  `slices` are the
-    `comma_over` slices of f = id, whose key a stands for (src a, a)."""
+    object moves[u][i] = (gamma, beta o u) of commas[s].  The `comma_over`
+    slices of f = id may be passed as `slices`, in their own object order."""
     Gp, make = f.target, comma_under_functor if over else comma_from
     commas = slices or [make(f, g) for g in Gp.objects()]
-    keys = [[(Gp.mor_src[a], a) for a in com.object_keys] if slices
-            else com.object_keys for com in commas]
+    keys = [com.object_keys for com in commas]
     index = [{k: i for i, k in enumerate(ks)} for ks in keys]
     comp = Gp.compose_table
     moves = tuple(

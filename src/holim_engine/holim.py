@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import chaincx
 from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
-                      direct_sum, hom_complex, hom_postcompose,
-                      hom_precompose, identity_map, is_quasi_iso,
-                      make_chain_map)
+                      hom_complex, hom_postcompose, hom_precompose,
+                      identity_map, is_quasi_iso, make_chain_map,
+                      sum_with_layout)
 from .diagrams import ChainDiagram, restrict, validate_chain_diagram
 from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, TypeMismatch, WeightRejected)
@@ -388,8 +388,8 @@ class Cosimplicial:
     def value(self, n: int) -> ChainComplex:
         """The level X^n, summed over the n-chains in basis order."""
         F = self.diagram
-        return direct_sum([F.value(x) for k, x, _, _ in
-                           fat_chains(F.base, n) if k == n])[0]
+        return sum_with_layout([F.value(x) for k, x, _, _ in
+                                fat_chains(F.base, n) if k == n])[0]
 
 
 def cosimplicial_replacement(F: ChainDiagram, N: int) -> Cosimplicial:

@@ -16,13 +16,13 @@ suite or engine module does.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 from . import chaincx, fincat
 from .chaincx import (ChainComplex, ChainMap, betti_numbers, compose_maps,
-                      direct_sum, hom_precompose, identity_map, is_quasi_iso,
-                      make_chain_map, map_sub, power, subcomplex_from_kernels)
+                      hom_precompose, identity_map, is_quasi_iso,
+                      make_chain_map, map_sub, power, subcomplex_from_kernels,
+                      sum_with_layout)
 from .endkan import (ChainDiagram, ChainDiagramMap, EndChain, FinSetDiagram,
                      end_chain, end_induced_map)
 from .errors import (DepthExceeded, DiagramError, NotComponentwiseWE,
@@ -478,16 +478,16 @@ def cosimplicial_levels(X: Cosimplicial) -> CosimplicialLevels:
     def value(c):
         return F.value(c[0] if len(c) == 1 else G.tgt(c[-1]))
 
-    levels, index = [], []
+    levels, layouts, index = [], [], []
     for n in range(N + 1):
-        levels.append(direct_sum([value(c) for c in chains[n]])[0])
+        level, layout = sum_with_layout([value(c) for c in chains[n]])
+        levels.append(level)
+        layouts.append(layout)
         index.append({c: i for i, c in enumerate(chains[n])})
     cofaces = {}
     for n in range(1, N + 1):
         # starts[k][j]: the column where chain j of X^{n-1} starts in degree k
-        starts = {k: list(accumulate((value(c).dim(k) for c in chains[n - 1]),
-                                     initial=0))
-                  for k in levels[n - 1].degrees()}
+        starts = layouts[n - 1]
         for i in range(n + 1):
             comps = {}
             for k in levels[n - 1].degrees():

@@ -273,10 +273,14 @@ def random_poset_chain_diagram(rng: random.Random, P: FinCategory,
            if P.hom(o, x)}
     actives = [[i for i, (o, _) in enumerate(summands) if (o, x) in leq]
                for x in P.objects()]
-    values = []
-    for x in P.objects():
-        S, _, _ = chaincx.direct_sum([summands[i][1] for i in actives[x]])
-        values.append(S)
+    # one sum per distinct set of summands; a lone summand is its own sum
+    sums = {}
+    for act in map(tuple, actives):
+        if act not in sums:
+            parts = [summands[i][1] for i in act]
+            sums[act] = parts[0] if len(parts) == 1 else \
+                chaincx.sum_with_layout(parts)[0]
+    values = [sums[tuple(act)] for act in actives]
 
     def action(m):
         x, y = P.src(m), P.tgt(m)

@@ -247,8 +247,8 @@ def _comma_nerves(C: FinCategory, family, provenance: str) -> Weight:
 def nerve_weight(C: FinCategory) -> Weight:
     """gamma |-> N(C over gamma), acting by postcomposition on the
     augmentations; a projectively cofibrant resolution of the point.  It
-    is the comma-nerve weight of the identity functor, with each object
-    alpha of a slice keyed by alpha alone."""
+    is the comma-nerve weight of the identity functor, read off the
+    slices, whose objects (src alpha, alpha) come in morphism order."""
     if is_direct(C) is None:
         raise NotLoopFree("nerve weight requires a loop-free category")
     slices = [comma_over(C, g) for g in C.objects()]

@@ -138,9 +138,8 @@ def _kan_of_nerves_bijection(f, n):
             over = over_commas[gamma]
 
             def tobj(i):
-                beta = over.object_keys[i]
-                return under_obj[(G.src(beta),
-                                  Gp.comp(alpha, f.morphism_map[beta]))]
+                x, beta = over.object_keys[i]
+                return under_obj[(x, Gp.comp(alpha, f.morphism_map[beta]))]
 
             if n == 0:
                 return tobj(cell)

@@ -65,10 +65,9 @@ def _last(G, k, c):
 def _cell_chain(G, com, p, cell):
     """A p-cell of N(G over g) as (chain of G, augmentation last -> g)."""
     if p == 0:
-        aug = com.object_keys[cell]
-        return G.src(aug), aug
+        return com.object_keys[cell]
     chain = tuple(com.mor_key(m)[2] for m in cell)
-    return chain, com.object_keys[com.mor_key(cell[-1])[1]]
+    return chain, com.object_keys[com.mor_key(cell[-1])[1]][1]
 
 
 def _product_to_diagonal_sum(F, R, S):

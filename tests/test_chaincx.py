@@ -16,7 +16,9 @@ from holim_engine.errors import (ChainRuleViolation, DSquareNonzero,
                                  ShapeMismatch, TotalDSquareNonzero)
 from holim_engine.exactalg import RationalMatrix
 from holim_engine.oracle import augmentation, boundary, equalizer_kernel
-from holim_engine.randgen import random_chain_complex, random_chain_map
+from holim_engine.fincat import chain_poset
+from holim_engine.randgen import (random_chain_complex, random_chain_map,
+                                  random_poset, random_poset_chain_diagram)
 from holim_engine.ssets import normalized_chains, point, standard_simplex
 
 M = RationalMatrix.from_rows
@@ -345,6 +347,48 @@ def test_direct_sum_projections():
     for k in a.degrees():
         if a.dim(k):
             assert comp.component(k) == RationalMatrix.identity(a.dim(k))
+
+
+def _poset_diagram_by_direct_sums(rng, P, max_dim, max_width):
+    """`random_poset_chain_diagram` from the same draws, each value the
+    `direct_sum` of the summands at or below its object and each action
+    the sum, over the summands of the source, of the target's inclusion
+    after the source's projection: values and action components."""
+    summands = [(rng.randrange(P.n_objects),
+                 random_chain_complex(rng, max_dim, max_width))
+                for _ in range(rng.randint(1, 3))]
+    sums = []
+    for x in P.objects():
+        below = [i for i, (o, _) in enumerate(summands) if P.hom(o, x)]
+        sums.append((below, direct_sum([summands[i][1] for i in below])))
+    actions = {}
+    for m in P.morphisms():
+        (bx, (Sx, _, px)), (by, (Sy, iy, _)) = sums[P.src(m)], sums[P.tgt(m)]
+        for k in Sx.degrees():
+            if Sx.dim(k):
+                acc = RationalMatrix.zero(Sy.dim(k), Sx.dim(k))
+                for j, i in enumerate(bx):
+                    acc = acc + iy[by.index(i)].component(k) * \
+                        px[j].component(k)
+                actions[(m, k)] = acc
+    return [S for _, (S, _, _) in sums], actions
+
+
+def test_random_poset_diagrams_equal_their_direct_sum_reference():
+    """The generator lays out each set of summands once and keeps a lone
+    summand as it is; values and actions equal those built from
+    `direct_sum` with its inclusions and projections."""
+    rng = random.Random(3101)
+    posets = [chain_poset(n) for n in range(1, 7)] + \
+        [random_poset(rng, 5) for _ in range(30)]
+    for seed, P in enumerate(posets):
+        F = random_poset_chain_diagram(random.Random(seed), P, 2, 2)
+        values, actions = _poset_diagram_by_direct_sums(
+            random.Random(seed), P, 2, 2)
+        assert [F.value(x) for x in P.objects()] == values
+        assert {(m, k): F.action(m).component(k) for m in P.morphisms()
+                for k in F.value(P.src(m)).degrees()
+                if F.value(P.src(m)).dim(k)} == actions
 
 
 def test_maps_through_equal_dims_but_different_complexes_rejected():

@@ -9,7 +9,7 @@ import holim_engine.cli as cli_mod
 from holim_engine.cli import run_command
 from holim_engine.dsl import parse
 from holim_engine.printer import pretty_print
-from holim_engine.errors import TypeMismatch
+from holim_engine.errors import NotLoopFree, TypeMismatch
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -300,6 +300,42 @@ def test_a_monoid_table_that_is_not_associative_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: in binding 'M' (declared at line 1): "
         "('b' o 'a') o 'a' != 'b' o ('a' o 'a')\n")
+
+
+Z2_WORKSPACE = """category Z2 {
+  objects: x
+  arrows: e: x -> x
+  compose: e * e = id_x
+}
+
+complex Q { degrees: 0..0; dim 0: 1 }
+complex Q2 { degrees: 0..0; dim 0: 2 }
+
+diagram Trivial over Z2 into Ch { at x: Q; on e: deg 0: [[1]] }
+diagram Sign over Z2 into Ch { at x: Q; on e: deg 0: [[-1]] }
+diagram Swap over Z2 into Ch { at x: Q2; on e: deg 0: [[0, 1], [1, 0]] }
+"""
+
+
+def test_fattot_over_a_base_with_loops(tmp_path, capsys):
+    """Over Z/2, one object with a loop e, the fat totalization at depth
+    N gives the invariants of e in degree 0, stable from degree 1 - N: Q
+    for the trivial action on Q, 0 for the sign, Q for the swap of Q^2.
+    `holim`, which needs a loop-free base, exits 1."""
+    src = tmp_path / "z2.hle"
+    src.write_text(Z2_WORKSPACE)
+    for name, betti in (("Trivial", {"0": 1}), ("Sign", {}),
+                        ("Swap", {"0": 1})):
+        for depth in (4, 8):
+            assert cli_mod.main([str(src), "--cmd", f"fattot {name}",
+                                 "--depth", str(depth), "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["betti"], out["stable_from"]) == (betti, 1 - depth)
+    assert cli_mod.main([str(src), "--cmd", "holim Trivial"]) == 1
+    assert capsys.readouterr().err == \
+        "error: bk_holim requires a loop-free base\n"
+    with pytest.raises(NotLoopFree):
+        run_command(parse(Z2_WORKSPACE), "holim Trivial")
 
 
 EXPECTED =Path(__file__).resolve().parents[1] / "bench" / "expected"

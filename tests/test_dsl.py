@@ -6,8 +6,9 @@ import holim_engine.cli as cli_mod
 from holim_engine.chaincx import betti_numbers
 from holim_engine.dsl import Binding, Workspace, parse
 from holim_engine.endkan import FinSetDiagram, hom_bifunctor
-from holim_engine.errors import (DiagramError, DSquareNonzero, EngineError,
-                                 NotLoopFree, ParseError, UnknownBinding)
+from holim_engine.errors import (DiagramError, DSquareNonzero, DuplicateLabel,
+                                 EngineError, NotLoopFree, ParseError,
+                                 UnknownBinding)
 from holim_engine.fincat import from_poset, product_mor
 from holim_engine.printer import pretty_print
 
@@ -273,6 +274,53 @@ functor G : C -> C { f => f; b => b }
 """
     with pytest.raises(ParseError):
         parse(src)
+
+
+# a category whose labels repeat, with a diagram S reading the repeated
+# label, and the error naming the label
+REPEATED_LABELS = {
+    "object": ("category C { objects: a, a }\n"
+               "diagram S over C into FinSet { at a: {x, y} }\n",
+               "two objects are labelled 'a'"),
+    "arrow": ("category C { objects: a, b, c; arrows: f: a -> b, f: b -> c }\n"
+              "diagram S over C into FinSet {\n"
+              "  at a: {x}; at b: {x}; at c: {x}; on f: x -> x }\n",
+              "two morphisms are labelled 'f'"),
+    "identity": ("category C { objects: a, b; arrows: id_a: a -> b }\n"
+                 "diagram S over C into FinSet {\n"
+                 "  at a: {x}; at b: {y}; on id_a: x -> y }\n",
+                 "two morphisms are labelled 'id_a'"),
+    "composite": ('category C { objects: a, b, c\n'
+                  '  arrows: f: a -> b, g: b -> c, "g.f": a -> c }\n'
+                  'diagram S over C into FinSet {\n'
+                  '  at a: {x}; at b: {x}; at c: {x}; on "g.f": x -> x }\n',
+                  "two morphisms are labelled 'g.f'"),
+    "table": ("category C { objects: a, b; arrows: f: a -> b, f: a -> b\n"
+              "  compose: f * id_a = f }\n"
+              "diagram S over C into FinSet { at a: {x}; at b: {y} }\n",
+              "two morphisms are labelled 'f'"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_LABELS)
+def test_a_repeated_label_is_a_located_error(case):
+    """Both modes, presentation and table, reject a label that names two
+    objects or two morphisms, the identities and composites named for
+    the declaration among them."""
+    src, what = REPEATED_LABELS[case]
+    with pytest.raises(DuplicateLabel) as exc:
+        parse(src)
+    assert str(exc.value) == f"in binding 'C' (declared at line 1): {what}"
+
+
+@pytest.mark.parametrize("case", REPEATED_LABELS)
+def test_a_repeated_label_exits_1(tmp_path, capsys, case):
+    src, what = REPEATED_LABELS[case]
+    path = tmp_path / "repeated.hle"
+    path.write_text(src)
+    assert cli_mod.main([str(path), "--cmd", "lim S"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: in binding 'C' (declared at line 1): {what}\n"
 
 
 def test_quoted_labels_parse_and_a_bad_escape_is_located():

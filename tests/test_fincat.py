@@ -7,8 +7,9 @@ import pytest
 import holim_engine.fincat as fincat_mod
 
 from holim_engine.errors import (AssociativityViolation,
-                                 CompositionDomainError, FunctorError,
-                                 IdentityViolation, NotLoopFree)
+                                 CompositionDomainError, DuplicateLabel,
+                                 FunctorError, IdentityViolation,
+                                 NotLoopFree)
 from holim_engine.fincat import (FinCategory, FunctorData, UnionFind,
                                  arrow_category, category_from_presentation,
                                  chain_poset, comma_from, comma_over,
@@ -62,6 +63,28 @@ def test_missing_identity_law_rejected():
     bad = FinCategory(2, ("a", "b"), src, tgt, labels, (0, 1), table)
     with pytest.raises(IdentityViolation):
         validate_category(bad)
+
+
+def test_every_builder_rejects_a_repeated_label():
+    """Labels name one object or one morphism each: a poset object
+    labelled like an arrow of the poset, a generator named like an
+    identity, a generator named like a composite and a repeated object."""
+    cases = [
+        (lambda: from_poset(["a", "a"], set()), "object", "a"),
+        (lambda: from_poset(["a", "b", "a<b"], {(0, 1)}), "morphism", "a<b"),
+        (lambda: category_from_presentation(["a", "b"], [("id_a", 0, 1)]),
+         "morphism", "id_a"),
+        (lambda: category_from_presentation(
+            ["a", "b", "c"], [("f", 0, 1), ("g", 1, 2), ("g.f", 0, 2)]),
+         "morphism", "g.f"),
+    ]
+    for build, kind, lab in cases:
+        with pytest.raises(DuplicateLabel) as exc:
+            build()
+        assert str(exc.value) == f"two {kind}s are labelled {lab!r}"
+    C = arrow_category()
+    with pytest.raises(DuplicateLabel):
+        validate_category(replace(C, mor_labels=("a", "a", "b")))
 
 
 def test_opposite_involution_bit_identical():
@@ -120,7 +143,7 @@ def test_comma_over_has_terminal_object():
             com = comma_over(C, g)
             t = find_terminal(com.cat)
             assert t is not None
-            assert com.object_keys[t] == C.identity[g]
+            assert com.object_keys[t] == (g, C.identity[g])
 
 
 def test_comma_over_discrete_is_terminal():
@@ -466,9 +489,10 @@ def _check_moves_compose(Gp, moves, over):
 
 def test_a_comma_family_moves_objects_by_its_change_of_base():
     """Over, u: s -> t sends (gamma, alpha) to (gamma, u o alpha); under,
-    (gamma, beta) over t comes from (gamma, beta o u) over s; on slices
-    the key a stands for (src a, a).  Identities move every object to
-    itself, and the moves of v o u are those of u and v composed."""
+    (gamma, beta) over t comes from (gamma, beta o u) over s; slices,
+    keyed alike, move as the commas of the identity functor.  Identities
+    move every object to itself, and the moves of v o u are those of u
+    and v composed."""
     family = fincat_mod._comma_family
     for f in _functors_into_every_kind(random.Random(2602)):
         Gp = f.target
@@ -497,8 +521,8 @@ def test_a_comma_family_moves_objects_by_its_change_of_base():
         assert commas is slices
         for u in C.morphisms():
             assert moves[u] == tuple(
-                slices[C.tgt(u)].object_keys.index(C.comp(u, a))
-                for a in slices[C.src(u)].object_keys)
+                slices[C.tgt(u)].object_keys.index((gamma, C.comp(u, a)))
+                for gamma, a in slices[C.src(u)].object_keys)
         for g in C.objects():
             assert moves[C.identity[g]] == tuple(range(slices[g].cat.n_objects))
         _check_moves_compose(C, moves, True)

@@ -241,7 +241,7 @@ def test_nerve_weight_over_arrow():
     act = W.action(f)
     com_b = comma_over(C, 1)
     vertex = act(0, W.value(0).n_cells(0)[0])
-    assert com_b.object_keys[vertex] == f
+    assert com_b.object_keys[vertex] == (0, f)
 
 
 def test_nerve_weight_functorial_randomized():
@@ -254,27 +254,26 @@ def test_nerve_weight_functorial_randomized():
             validate_map(chains_of_map(W.action(m)))
 
 
-def _keyed_comma(com, key):
+def _keyed_comma(com):
     """The objects, morphisms and composition of a comma with each object
-    i written as key(object_keys[i]) and each morphism as (source,
-    target, underlying arrow) in those keys."""
+    i written as object_keys[i] and each morphism as (source, target,
+    underlying arrow) in those keys."""
     def mor(m):
         i, j, u = com.mor_key(m)
-        return key(com.object_keys[i]), key(com.object_keys[j]), u
+        return com.object_keys[i], com.object_keys[j], u
     table = {(mor(g), mor(f)): mor(h)
              for (g, f), h in com.cat.compose_table.items()}
-    return {key(k) for k in com.object_keys}, \
-        {mor(m) for m in com.cat.morphisms()}, table
+    return set(com.object_keys), {mor(m) for m in com.cat.morphisms()}, table
 
 
-def _keyed_weight(W, commas, key):
+def _keyed_weight(W, commas):
     """The cells, faces and actions of a comma-nerve weight, each cell of
-    the value at g written in the keys of `_keyed_comma(commas[g], key)`."""
+    the value at g written in the keys of `_keyed_comma(commas[g])`."""
     def cell(g, n, c):
         com = commas[g]
         if n == 0:
-            return key(com.object_keys[c])
-        return tuple((key(com.object_keys[i]), key(com.object_keys[j]), u)
+            return com.object_keys[c]
+        return tuple((com.object_keys[i], com.object_keys[j], u)
                      for i, j, u in map(com.mor_key, c))
     C = W.base
     cells = {(g, n, cell(g, n, c)) for g in C.objects()
@@ -289,10 +288,9 @@ def _keyed_weight(W, commas, key):
 
 def test_nerve_of_comma_under_identity_matches_nerve_weight():
     """The slice C over g is the comma of the identity functor over g,
-    and the nerve weight N(C over -) is its comma-nerve weight: under the
-    key correspondence a <-> (src a, a), the commas have the same
-    objects, morphisms and composition, and the two weights the same
-    cells, faces and actions."""
+    and the nerve weight N(C over -) is its comma-nerve weight: keyed
+    alike by (src a, a), the commas have the same objects, morphisms and
+    composition, and the two weights the same cells, faces and actions."""
     rng = random.Random(2525)
     for C in [chain_poset(2)] + [random_loopfree_category(rng)
                                  for _ in range(30)]:
@@ -300,11 +298,9 @@ def test_nerve_of_comma_under_identity_matches_nerve_weight():
         overs = [comma_over(C, g) for g in C.objects()]
         unders = [comma_under_functor(f, g) for g in C.objects()]
         for a, b in zip(overs, unders):
-            assert _keyed_comma(a, lambda a: (C.src(a), a)) == \
-                _keyed_comma(b, lambda k: k)
-        assert _keyed_weight(nerve_weight(C), overs,
-                             lambda a: (C.src(a), a)) == \
-            _keyed_weight(nerve_of_comma_under(f), unders, lambda k: k)
+            assert _keyed_comma(a) == _keyed_comma(b)
+        assert _keyed_weight(nerve_weight(C), overs) == \
+            _keyed_weight(nerve_of_comma_under(f), unders)
 
 
 def test_nerve_of_comma_under_point_inclusions():
