@@ -16,7 +16,8 @@ from typing import Optional
 
 from . import dsl
 from .chaincx import betti_numbers
-from .errors import EngineError, ParseError, TypeMismatch, UnknownBinding
+from .errors import (EngineError, NotLoopFree, ParseError, TypeMismatch,
+                     UnknownBinding)
 from .records import record
 
 # `endkan`, `holim`, `ssets` and the verify suites (`verify`) are
@@ -73,7 +74,15 @@ def run_command(ws: dsl.Workspace, command: str, depth: int = 4,
         "fattot": _cmd_fattot, "hoinitial": _cmd_hoinitial,
         "compare-holim": _cmd_compare_holim, "verify": _cmd_verify,
     }[cmd]
-    return handler(ws, args, depth=depth, seed=seed)
+    try:
+        return handler(ws, args, depth=depth, seed=seed)
+    except NotLoopFree as e:    # name the binding whose base has a loop
+        b = ws.bindings.get(args[0]) if args else None
+        if b is None:
+            raise
+        if cmd == "holim":
+            e.args = (f"{e}; fattot takes a base with loops",)
+        raise dsl._named_error(b.name, e, b.meta.get("line"))
 
 
 def _one_arg(args, cmd):

@@ -145,14 +145,14 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
 
-    def peek(self, skip_newlines=True) -> Token:
+    def peek(self) -> Token:
         p = self.pos
-        while skip_newlines and self.toks[p].kind == "newline":
+        while self.toks[p].kind == "newline":
             p += 1
         return self.toks[p]
 
-    def next(self, skip_newlines=True) -> Token:
-        while skip_newlines and self.toks[self.pos].kind == "newline":
+    def next(self) -> Token:
+        while self.toks[self.pos].kind == "newline":
             self.pos += 1
         t = self.toks[self.pos]
         if t.kind != "eof":          # the end token is never consumed

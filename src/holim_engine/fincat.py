@@ -6,11 +6,11 @@ so every construction is deterministic and reproducible.
 Composition tables are total: `compose[(g, f)]` is defined exactly when
 tgt(f) = src(g).  One fill, `_table`, lists those pairs g by g for
 posets, commas and the injective-simplex category; one builder,
-`_comma`, makes every comma category, the slice C over g being the
-comma of the identity functor over g, and keys every comma object by its
-pair (gamma, alpha); `_comma_family` gives the commas over every object
-with the change of base along each arrow as an index map.  Each category
-indexes its hom sets once (`_homs`).
+`_functor_comma`, makes every comma category, the slice C over g being
+the comma of the identity functor over g, and keys every comma object
+by its pair (gamma, alpha), arrow-major; `_comma_family` gives the
+commas over every object with the change of base along each arrow as an
+index map.  Each category indexes its hom sets once (`_homs`).
 """
 
 from __future__ import annotations
@@ -266,15 +266,30 @@ def _table(mor_src, mor_tgt, compose) -> dict[tuple[int, int], int]:
             for g, x in enumerate(mor_src) for f in into.get(x, ())}
 
 
-def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
-           obj_labels: list[str]) -> Comma:
-    """The comma of f over (over=True) or under an object g of its target,
-    on the objects `pairs` (gamma, alpha) with alpha: f(gamma) -> g or
-    g -> f(gamma), keyed by those pairs: its morphisms are the m: gamma1
-    -> gamma2 with alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as
-    records (i, j, m); composition is that of the source of f."""
-    G, comp = f.source, f.target.compose_table
-    homs = G._homs
+def comma_over(C: FinCategory, g: int) -> Comma:
+    """The slice C over g, the comma of the identity functor over g: objects
+    (x, alpha) for the arrows alpha: x -> g in morphism order; morphisms
+    m: x -> x' with alpha' o m = alpha.  (g, id_g) is terminal."""
+    return _functor_comma(identity_functor(C), g, True)
+
+
+def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
+    """The comma f over g (over=True) or g under f (over=False), the one
+    builder of every comma.  Its objects are the pairs (gamma, alpha)
+    with alpha: f(gamma) -> g, or alpha: g -> f(gamma), listed
+    arrow-major (for each alpha in morphism order, each gamma in object
+    order), keyed and labelled by those pairs; over f = id they are the
+    slice's.  Its morphisms are the m: gamma1 -> gamma2 with
+    alpha2 o f(m) = alpha1, or f(m) o alpha1 = alpha2, as records
+    (i, j, m); composition is that of the source of f."""
+    G, Gp = f.source, f.target
+    Gp.require_object(g)
+    near, far = (Gp.mor_src, Gp.mor_tgt) if over else \
+        (Gp.mor_tgt, Gp.mor_src)
+    pairs = [(x, a) for a in Gp.morphisms() if far[a] == g
+             for x in G.objects() if f.object_map[x] == near[a]]
+    obj_labels = [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in pairs]
+    comp, homs = Gp.compose_table, G._homs
     records = [(i, j, m) for i, (x1, a1) in enumerate(pairs)
                for j, (x2, a2) in enumerate(pairs)
                for m in homs.get((x1, x2), ())
@@ -306,30 +321,6 @@ def _comma(f: FunctorData, pairs: list[tuple[int, int]], over: bool,
     return Comma(cat, proj, tuple(pairs))
 
 
-def comma_over(C: FinCategory, g: int) -> Comma:
-    """The slice C over g, the comma of the identity functor over g: objects
-    (x, alpha) for the arrows alpha: x -> g in morphism order, labelled alpha;
-    morphisms m: x -> x' with alpha' o m = alpha.  (g, id_g) is terminal."""
-    C.require_object(g)
-    objs = [a for a in C.morphisms() if C.mor_tgt[a] == g]
-    return _comma(identity_functor(C), [(C.mor_src[a], a) for a in objs],
-                  True, [C.mor_labels[a] for a in objs])
-
-
-def _functor_comma(f: FunctorData, g: int, over: bool) -> Comma:
-    """The comma f over g (over=True) or g under f (over=False), keyed by
-    its pairs (gamma, alpha) with alpha: f(gamma) -> g, or alpha: g ->
-    f(gamma)."""
-    G, Gp = f.source, f.target
-    Gp.require_object(g)
-    near, far = (Gp.mor_src, Gp.mor_tgt) if over else \
-        (Gp.mor_tgt, Gp.mor_src)
-    keys = [(x, a) for x in G.objects() for a in Gp.morphisms()
-            if near[a] == f.object_map[x] and far[a] == g]
-    return _comma(f, keys, over,
-                  [f"({G.obj_labels[x]},{Gp.mor_labels[a]})" for x, a in keys])
-
-
 def comma_under_functor(f: FunctorData, gp: int) -> Comma:
     """The comma f over gp: objects are pairs (gamma, alpha: f(gamma) -> gp),
     morphisms m: gamma1 -> gamma2 with alpha2 o f(m) = alpha1."""
@@ -342,17 +333,17 @@ def comma_from(f: FunctorData, g: int) -> Comma:
     return _functor_comma(f, g, False)
 
 
-def _comma_family(f: FunctorData, over: bool, slices=None):
+def _comma_family(f: FunctorData, over: bool):
     """The commas f over g (over=True) or g under f, one per object g of
     the target in object order, and the change of base along each arrow
     u: s -> t as a tuple of object indices, read off the keys (gamma,
-    alpha) of every comma, slices included: over, u sends object i =
-    (gamma, alpha) of commas[s] to object moves[u][i] = (gamma, u o alpha)
-    of commas[t]; under, object i = (gamma, beta) of commas[t] comes from
-    object moves[u][i] = (gamma, beta o u) of commas[s].  The `comma_over`
-    slices of f = id may be passed as `slices`, in their own object order."""
+    alpha) of every comma: over, u sends object i = (gamma, alpha) of
+    commas[s] to object moves[u][i] = (gamma, u o alpha) of commas[t];
+    under, object i = (gamma, beta) of commas[t] comes from object
+    moves[u][i] = (gamma, beta o u) of commas[s].  Over f = id the commas
+    are the slices `comma_over`."""
     Gp, make = f.target, comma_under_functor if over else comma_from
-    commas = slices or [make(f, g) for g in Gp.objects()]
+    commas = [make(f, g) for g in Gp.objects()]
     keys = [com.object_keys for com in commas]
     index = [{k: i for i, k in enumerate(ks)} for ks in keys]
     comp = Gp.compose_table

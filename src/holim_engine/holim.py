@@ -53,9 +53,9 @@ from .fincat import (FinCategory, FunctorData, _comma_family, _table,
                      identities_terminal_in_slices, is_direct,
                      validate_category)
 from .records import record
-from .ssets import (Weight, _comma_nerves, _levelwise_free, chains_of_map,
-                    check_free_basis, check_point_resolution, fat_chains,
-                    homology_contractible, nerve, nerve_chains,
+from .ssets import (Weight, _comma_nerves, _levelwise_free,
+                    _point_resolution, chains_of_map, check_free_basis,
+                    fat_chains, homology_contractible, nerve, nerve_chains,
                     normalized_chains)
 
 if TYPE_CHECKING:
@@ -110,24 +110,24 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     values are contractible because id_g is terminal in each G over g,
     which `fincat.identities_terminal_in_slices` reads off the
     composition table without building the slices.  An explicit weight
-    must pass `check_point_resolution`, and is then free on the basis
-    `ssets._levelwise_free` reads off it."""
+    must pass `check_point_resolution`, which reads its structure, not
+    its provenance; the end is taken over the free basis it certified."""
     G = F.base
     if is_direct(G) is None:
         raise NotLoopFree("bk_holim requires a loop-free base")
     if W is None:
-        provenance = "nerve_weight"
+        provenance, basis = "nerve_weight", nerve_chains(G)
         passed = identities_terminal_in_slices(G)
     else:
         if W.base != G:
             raise ShapeMismatch("weight and diagram have different bases")
-        provenance = W.provenance
-        passed = check_point_resolution(W).passed
+        report, basis = _point_resolution(W)
+        provenance, passed = W.provenance, report.passed
     if not passed:
         raise WeightRejected(
             f"weight (provenance {provenance!r}) is not a certified "
             f"cofibrant resolution of the point")
-    cx = free_end(F, nerve_chains(G) if W is None else _levelwise_free(W))
+    cx = free_end(F, basis)
     return HolimResult(cx, betti_numbers(cx),
                        f"bousfield-kan end, {provenance} weight")
 

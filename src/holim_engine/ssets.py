@@ -8,7 +8,10 @@ every arrow to a depth N the fat basis (`fat_chains`).  One loop,
 `_comma_nerves`, makes the weight of the nerves of a family of commas:
 the nerve weight N(C over -) is the comma-nerve weight N(f over -) at
 f = id_C, and both move objects by the index maps of one
-`fincat._comma_family`.
+`fincat._comma_family`.  One certificate, `check_point_resolution`,
+trusts a weight as a resolution of the point from its structure, never
+its label: it is free on `_levelwise_free`, and the weight that basis
+presents has contractible values.
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -23,15 +26,15 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Optional
 
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
 from .errors import (CompositionDomainError, EmptyComplex, NotLoopFree,
                      SimplicialError)
 from .exactalg import block_matrix
-from .fincat import (FinCategory, FunctorData, _comma_family, comma_over,
-                     find_initial, identity_functor, is_direct)
+from .fincat import (FinCategory, FunctorData, _comma_family,
+                     identity_functor, is_direct)
 from .records import record
 
 
@@ -247,12 +250,11 @@ def _comma_nerves(C: FinCategory, family, provenance: str) -> Weight:
 def nerve_weight(C: FinCategory) -> Weight:
     """gamma |-> N(C over gamma), acting by postcomposition on the
     augmentations; a projectively cofibrant resolution of the point.  It
-    is the comma-nerve weight of the identity functor, read off the
-    slices, whose objects (src alpha, alpha) come in morphism order."""
+    is the comma-nerve weight of the identity functor, whose commas are
+    the slices."""
     if is_direct(C) is None:
         raise NotLoopFree("nerve weight requires a loop-free category")
-    slices = [comma_over(C, g) for g in C.objects()]
-    return _comma_nerves(C, _comma_family(identity_functor(C), True, slices),
+    return _comma_nerves(C, _comma_family(identity_functor(C), True),
                          "nerve_weight")
 
 
@@ -312,26 +314,9 @@ def homology_contractible(K: SemiSimplicialSet) -> bool:
 @record(frozen=True)
 class PointResolutionReport:
     per_object: tuple[bool, ...]
-    whitelisted: bool
+    free: bool
     provenance: str
     passed: bool
-
-
-def contractible_values(W: Weight) -> tuple[bool, ...]:
-    """Per object: is the value nonempty and homology-contractible?"""
-    return tuple(not W.value(x).is_empty() and
-                 homology_contractible(W.value(x)) for x in W.base.objects())
-
-
-def _same_weight(W: Weight, ref: Weight) -> bool:
-    """Equal values and equal action mappings on every morphism."""
-    if W.values != ref.values:
-        return False
-    for m in W.base.morphisms():
-        a = W.actions.get(m)
-        if a is None or a.mapping != ref.actions[m].mapping:
-            return False
-    return True
 
 
 def _levelwise_free(W: Weight) -> Optional[tuple]:
@@ -370,25 +355,39 @@ def _levelwise_free(W: Weight) -> Optional[tuple]:
     return tuple(basis)
 
 
-def check_point_resolution(W: Weight) -> PointResolutionReport:
-    """Per-object homology contractibility plus structural cofibrancy.
+def _presented_value(C: FinCategory, basis, y: int) -> SemiSimplicialSet:
+    """The value at y of the weight a free basis presents: its n-cells
+    are the pairs (j, u) of an n-generator j at x and an arrow u: x -> y,
+    and d_i (j, u) = (g_i, u o u_i) for (g_i, u_i) = faces[i] of j."""
+    cells = [[] for _ in range(basis[-1][0] + 1 if basis else 0)]
+    faces = {}
+    for j, (n, x, _, fs) in enumerate(basis):
+        for u in C.hom(x, y):
+            cells[n].append((j, u))
+            faces[(n, (j, u))] = tuple((g, C.comp(u, v)) for g, v in fs)
+    return SemiSimplicialSet(tuple(map(tuple, cells)), faces)
 
-    A weight is trusted as free when it is, cell for cell, the weight
-    its provenance names: `nerve_weight(W.base)`, or the constant point
-    over a base with an initial object (the functor represented there).
-    A `nerve_of_comma_under` weight (f_! of the cofibrant nerve weight)
-    is trusted when it is levelwise free, and then resolves the point
-    exactly when every value is contractible."""
-    per_object = contractible_values(W)
-    if W.provenance == "nerve_weight":
-        white = is_direct(W.base) is not None and \
-            _same_weight(W, nerve_weight(W.base))
-    elif W.provenance == "nerve_of_comma_under":
-        white = _levelwise_free(W) is not None
-    elif W.provenance == "constant_point":
-        white = find_initial(W.base) is not None and \
-            _same_weight(W, constant_point_weight(W.base))
-    else:
-        white = False
-    return PointResolutionReport(per_object, white, W.provenance,
-                                 passed=white and all(per_object))
+
+def _point_resolution(W: Weight) -> tuple[PointResolutionReport,
+                                          Optional[tuple]]:
+    """`check_point_resolution` and the basis it certifies, or None."""
+    C, basis = W.base, _levelwise_free(W)
+    try:
+        if basis is not None:
+            check_free_basis(C, basis)
+    except SimplicialError:
+        basis = None
+    free = basis is not None
+    per_object = tuple(free and chaincx.betti_numbers(normalized_chains(
+        _presented_value(C, basis, y))) == {0: 1} for y in C.objects())
+    return PointResolutionReport(per_object, free, W.provenance,
+                                 passed=free and all(per_object)), basis
+
+
+def check_point_resolution(W: Weight) -> PointResolutionReport:
+    """One rule, whatever the provenance of W (only copied into the
+    report): W is free on `_levelwise_free(W)`, that basis presents a
+    semisimplicial diagram (`check_free_basis`; a failure is a refusal,
+    not a raise), and its value at each y, `per_object[y]`, has Betti
+    numbers {0: 1}.  Over Q, W is then a resolution of the point."""
+    return _point_resolution(W)[0]

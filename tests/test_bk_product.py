@@ -19,14 +19,18 @@ import holim_engine.ssets as ssets_mod
 from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   hom_postcompose, identity_map,
                                   induced_homology_maps, is_quasi_iso,
-                                  make_chain_map, validate_complex)
+                                  make_chain_map, make_complex,
+                                  validate_complex)
 from holim_engine.dsl import parse
 from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
-from holim_engine.errors import CompositionDomainError, WeightRejected
+from holim_engine.errors import (CompositionDomainError, SimplicialError,
+                                 WeightRejected)
 from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
 from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
-                                 comma_over, cospan_category, find_initial,
-                                 find_terminal, identities_terminal_in_slices,
+                                 comma_over, cospan_category,
+                                 discrete_category, find_initial,
+                                 find_terminal, from_poset,
+                                 identities_terminal_in_slices,
                                  identity_functor, object_inclusion)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
@@ -34,17 +38,17 @@ from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 homotopy_pullback, weighted_end)
 from holim_engine.oracle import (_simplex_inclusion, constant_cosimplicial,
                                  cosimplicial_levels, delta_plus_vertices,
-                                 holim_we_invariance)
+                                 holim_we_invariance, validate_weight)
 from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
                                   random_chain_map, random_cospan_diagram,
                                   random_free_category,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
-from holim_engine.ssets import (Weight, _levelwise_free,
-                                check_point_resolution,
-                                constant_point_weight, nerve,
-                                nerve_of_comma_under, nerve_weight,
+from holim_engine.ssets import (SemiSimplicialSet, SSetMap, Weight,
+                                _levelwise_free, check_point_resolution,
+                                constant_point_weight, identity_sset_map,
+                                nerve, nerve_of_comma_under, nerve_weight,
                                 normalized_chains, standard_simplex)
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
@@ -165,6 +169,62 @@ def test_bk_holim_rejects_relabelled_constant_point_weight():
     assert bk_holim(D).betti == {-1: 1}
 
 
+def _non_natural_free_weight():
+    """Over [1] = (a -> b): W(a) = Delta^1, vertices a0, a1 and the edge
+    ea with faces (a1, a0); W(b) the path b0 - b1 - b2, edges e1 with
+    faces (b1, b0) and e2 with faces (b2, b1); W(f) sends a0 to b1, a1
+    to b2 and ea to e1.  Every W_n is free (a0, a1, b0 and ea, e2
+    generate), and every value is contractible, but W(f) is no map:
+    d_0 W(f)(ea) = b1, while W(f)(d_0 ea) = b2."""
+    C = arrow_category()
+    A = SemiSimplicialSet((("a0", "a1"), ("ea",)), {(1, "ea"): ("a1", "a0")})
+    B = SemiSimplicialSet((("b0", "b1", "b2"), ("e1", "e2")),
+                          {(1, "e1"): ("b1", "b0"), (1, "e2"): ("b2", "b1")})
+    f = C.non_identities()[0]
+    return Weight(C, (A, B), {
+        C.identity[0]: identity_sset_map(A),
+        C.identity[1]: identity_sset_map(B),
+        f: SSetMap(A, B, {(0, "a0"): "b1", (0, "a1"): "b2",
+                          (1, "ea"): "e1"})})
+
+
+def test_bk_holim_refuses_a_free_weight_whose_action_is_no_map():
+    """The basis of the weight above presents at b two vertices joined
+    by two edges beside the vertex b0, which is not contractible, so the
+    weight is refused whatever its label; trusted by a label, its end of
+    the constant diagram Q gave {-1: 1, 0: 2} for {0: 1}."""
+    W = _non_natural_free_weight()
+    with pytest.raises(SimplicialError):
+        validate_weight(W)
+    Q = make_complex({0: 1})
+    F = arrow_chain_diagram(Q, Q, identity_map(Q))
+    assert bk_holim(F).betti == {0: 1}
+    for label in ("nerve_weight", "nerve_of_comma_under", "constant_point",
+                  "custom"):
+        rep = check_point_resolution(replace(W, provenance=label))
+        assert rep.free and rep.per_object == (True, False)
+        assert not rep.passed
+        with pytest.raises(WeightRejected):
+            bk_holim(F, replace(W, provenance=label))
+
+
+def test_constant_point_over_components_with_initial_objects():
+    """Over a base whose components each have an initial object the
+    constant point is free on those objects, so `bk_holim` takes it and
+    agrees with the nerve weight: Q at each of two discrete objects
+    gives {0: 2}, and the equalizer end agrees on random diagrams."""
+    rng = random.Random(3202)
+    D = discrete_category(["x", "y"])
+    Q = make_complex({0: 1})
+    F = ChainDiagram(D, [Q, Q], lambda m: identity_map(Q))
+    assert bk_holim(F, constant_point_weight(D)).betti == {0: 2}
+    for C in (D, from_poset(["a", "b", "c", "d"], {(0, 1), (2, 3)})):
+        for _ in range(3):
+            assert _check_free_end_against_equalizer(
+                random_poset_chain_diagram(rng, C, 2, 2),
+                constant_point_weight(C))
+
+
 def _slices_have_terminal_objects(C):
     """The oracle: build every slice C over g and search it."""
     return all(find_terminal(comma_over(C, g).cat) is not None
@@ -210,12 +270,14 @@ def test_bk_holim_rejects_a_table_where_identities_are_not_terminal():
 
 
 def test_comma_over_a_non_category_table_names_the_missing_composite():
-    # id_b swaps f and f': in the slice over b, f' is an arrow f -> id_b
-    # and id_b an arrow id_b -> id_b, but their composite f is not
+    # id_b swaps f and f': in the slice over b, f' is an arrow (a,f) ->
+    # (b,id_b) and id_b an arrow (b,id_b) -> (b,id_b), but their
+    # composite f is not
     swapped = _parallel_arrows((3, 2))
     with pytest.raises(CompositionDomainError,
                        match=r"composite 'f' = 'id_b' o \"f'\" is not an "
-                             r"arrow 'f' -> 'id_b' of the comma category"):
+                             r"arrow '\(a,f\)' -> '\(b,id_b\)' of the comma "
+                             r"category"):
         comma_over(swapped, 1)
 
 
@@ -303,7 +365,7 @@ def test_comma_under_weights_are_levelwise_free():
     rng = random.Random(2025)
     for _ in range(10):
         f = random_functor_between_loopfree(rng)
-        assert check_point_resolution(nerve_of_comma_under(f)).whitelisted
+        assert check_point_resolution(nerve_of_comma_under(f)).free
 
 
 def _nonzero_dims(C):

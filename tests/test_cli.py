@@ -321,7 +321,8 @@ def test_fattot_over_a_base_with_loops(tmp_path, capsys):
     """Over Z/2, one object with a loop e, the fat totalization at depth
     N gives the invariants of e in degree 0, stable from degree 1 - N: Q
     for the trivial action on Q, 0 for the sign, Q for the swap of Q^2.
-    `holim`, which needs a loop-free base, exits 1."""
+    `holim`, which needs a loop-free base, exits 1 with an error that
+    names the diagram, its line and `fattot`."""
     src = tmp_path / "z2.hle"
     src.write_text(Z2_WORKSPACE)
     for name, betti in (("Trivial", {"0": 1}), ("Sign", {}),
@@ -332,8 +333,9 @@ def test_fattot_over_a_base_with_loops(tmp_path, capsys):
             out = json.loads(capsys.readouterr().out)
             assert (out["betti"], out["stable_from"]) == (betti, 1 - depth)
     assert cli_mod.main([str(src), "--cmd", "holim Trivial"]) == 1
-    assert capsys.readouterr().err == \
-        "error: bk_holim requires a loop-free base\n"
+    assert capsys.readouterr().err == (
+        "error: in binding 'Trivial' (declared at line 10): bk_holim "
+        "requires a loop-free base; fattot takes a base with loops\n")
     with pytest.raises(NotLoopFree):
         run_command(parse(Z2_WORKSPACE), "holim Trivial")
 

@@ -19,14 +19,15 @@ from holim_engine.errors import EngineError
 from holim_engine.exactalg import (RationalMatrix, block_matrix,
                                    kernel_matrix, product_is_zero, rank)
 from holim_engine.fincat import (FinCategory, chain_poset, cospan_category,
-                                 find_initial, object_inclusion,
-                                 validate_category)
+                                 discrete_category, find_initial,
+                                 object_inclusion, validate_category)
 from holim_engine.holim import (_chain_generators, bk_holim,
                                 cosimplicial_replacement, fat_tot, free_end)
 from holim_engine.oracle import (chain_generators_by_levels,
                                  constant_cosimplicial, cosimplicial_levels,
                                  fat_chains_by_levels, fat_tot_by_columns,
-                                 free_end_by_blocks, nerve_by_levels)
+                                 free_end_by_blocks, nerve_by_levels,
+                                 validate_weight)
 from holim_engine.printer import pretty_print
 from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_cospan_diagram, random_finset_pair,
@@ -34,10 +35,12 @@ from holim_engine.randgen import (random_chain_complex, random_chain_map,
                                   random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
+from holim_engine.records import replace
 from holim_engine.ssets import (_levelwise_free, check_free_basis,
-                                constant_point_weight, fat_chains, nerve,
-                                nerve_chains, nerve_of_comma_under,
-                                nerve_weight)
+                                check_point_resolution,
+                                constant_point_weight, fat_chains,
+                                homology_contractible, nerve, nerve_chains,
+                                nerve_of_comma_under, nerve_weight)
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,3 +629,39 @@ def test_nerve_weight_is_a_functor(seed):
             af, ag, agf = W.action(f), W.action(g), W.action(G.comp(g, f))
             for n, cells in enumerate(W.value(G.src(f)).cells):
                 assert all(agf(n, c) == ag(n, af(n, c)) for c in cells)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["nerve", "comma_under", "point_poset",
+                        "point_bottom", "point_discrete"]))
+def test_point_resolution_verdict_reads_structure_not_label(seed, kind):
+    """On engine-built weights (each a functor, by the oracle) the
+    verdict of `check_point_resolution` is the same under every label
+    and is "levelwise free, and every value nonempty and contractible";
+    a free weight's presented values are its values."""
+    rng = random.Random(seed)
+    if kind == "nerve":
+        W = nerve_weight(random_loopfree_category(rng))
+    elif kind == "comma_under":
+        W = nerve_of_comma_under(random_functor_between_loopfree(rng))
+    elif kind == "point_discrete":
+        n = rng.randint(1, 4)
+        W = constant_point_weight(discrete_category([f"x{i}"
+                                                     for i in range(n)]))
+    else:
+        W = constant_point_weight(
+            random_poset(rng, 5, with_bottom=kind == "point_bottom"))
+    validate_weight(W)
+    reports = [check_point_resolution(replace(W, provenance=label))
+               for label in ("nerve_weight", "nerve_of_comma_under",
+                             "constant_point", "custom")]
+    assert len({replace(r, provenance="") for r in reports}) == 1
+    contractible = tuple(not W.value(x).is_empty() and
+                         homology_contractible(W.value(x))
+                         for x in W.base.objects())
+    free = _levelwise_free(W) is not None
+    assert reports[0].free == free
+    assert reports[0].passed == (free and all(contractible))
+    if free:
+        assert reports[0].per_object == contractible

@@ -17,8 +17,9 @@ from holim_engine.fincat import (FinCategory, arrow_category,
 from holim_engine.oracle import (augmentation, boundary, euler_characteristic,
                                  validate_sset, validate_weight)
 from holim_engine.randgen import random_free_category, random_loopfree_category
-from holim_engine.ssets import (EMPTY_SSET, Weight, chains_of_map,
-                                check_free_basis, check_point_resolution,
+from holim_engine.ssets import (EMPTY_SSET, SemiSimplicialSet, Weight,
+                                chains_of_map, check_free_basis,
+                                check_point_resolution,
                                 constant_point_weight, fat_chains,
                                 homology_contractible, identity_sset_map,
                                 nerve, nerve_chains, nerve_of_comma_under,
@@ -315,7 +316,7 @@ def test_nerve_of_comma_under_point_inclusions():
 
 def test_check_point_resolution_nerve_weight():
     rep = check_point_resolution(nerve_weight(arrow_category()))
-    assert rep.passed and rep.whitelisted and all(rep.per_object)
+    assert rep.passed and rep.free and all(rep.per_object)
 
 
 def test_check_point_resolution_constant_point():
@@ -323,16 +324,31 @@ def test_check_point_resolution_constant_point():
     assert rep.passed  # [1] has an initial object
     rep2 = check_point_resolution(constant_point_weight(cospan_category()))
     assert not rep2.passed  # the cospan has no initial object
+    assert not rep2.free and rep2.per_object == (False, False, False)
+
+
+PROVENANCES = ("nerve_weight", "nerve_of_comma_under", "constant_point",
+               "custom")
 
 
 def test_check_point_resolution_checks_structure_not_label():
-    C = arrow_category()
-    fake = replace(nerve_weight(C), provenance="constant_point")
-    assert not check_point_resolution(fake).whitelisted
-    fake2 = replace(constant_point_weight(cospan_category()),
-                    provenance="nerve_weight")
-    rep = check_point_resolution(fake2)
-    assert not rep.whitelisted and not rep.passed
+    """The verdict reads the weight's structure; its provenance is only
+    copied into the report, so no label trusts or refuses a weight."""
+    B, _ = boundary(2)
+    weights = [nerve_weight(arrow_category()),
+               nerve_weight(cospan_category()),
+               constant_point_weight(arrow_category()),
+               constant_point_weight(cospan_category()),
+               nerve_of_comma_under(object_inclusion(arrow_category(), 1)),
+               Weight(terminal_category(), (B,), {0: identity_sset_map(B)})]
+    verdicts = []
+    for W in weights:
+        rep = check_point_resolution(W)
+        verdicts.append(rep.passed)
+        for label in PROVENANCES:
+            assert check_point_resolution(replace(W, provenance=label)) == \
+                replace(rep, provenance=label)
+    assert verdicts == [True, True, True, False, False, False]
 
 
 def test_check_point_resolution_rejects_boundary_value():
@@ -341,6 +357,19 @@ def test_check_point_resolution_rejects_boundary_value():
     W = Weight(C, (B,), {0: identity_sset_map(B)}, provenance="custom")
     rep = check_point_resolution(W)
     assert not rep.passed and not rep.per_object[0]
+
+
+def test_check_point_resolution_refuses_a_basis_off_the_identities():
+    """A triangle whose faces are listed as (e12, e01, e02): d_0 d_1 is
+    v1 but d_0 d_0 is v2, so its basis presents no semisimplicial set
+    (and its d o d is not zero).  That is a refusal, not a raise."""
+    K = SemiSimplicialSet(
+        (("v0", "v1", "v2"), ("e01", "e12", "e02"), ("t",)),
+        {(1, "e01"): ("v1", "v0"), (1, "e12"): ("v2", "v1"),
+         (1, "e02"): ("v2", "v0"), (2, "t"): ("e12", "e01", "e02")})
+    rep = check_point_resolution(
+        Weight(terminal_category(), (K,), {0: identity_sset_map(K)}))
+    assert not rep.free and not rep.passed and rep.per_object == (False,)
 
 
 def test_augmentation_is_chain_map():
