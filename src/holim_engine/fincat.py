@@ -11,6 +11,11 @@ the comma of the identity functor over g, and keys every comma object
 by its pair (gamma, alpha), arrow-major; `_comma_family` gives the
 commas over every object with the change of base along each arrow as an
 index map.  Each category indexes its hom sets once (`_homs`).
+A presentation compiles in one pass over its paths (`_presented`): they
+are listed once in shortlex order, `UnionFind` over their indices makes
+each class's root its representative, and the congruence the relations
+generate is closed by a worklist; `generating_morphisms` closes its
+reached set by a worklist too, so each new fact is visited once.
 """
 
 from __future__ import annotations
@@ -388,27 +393,34 @@ def _longest_paths(n: int, edges) -> Optional[list[int]]:
 
 def generating_morphisms(C: FinCategory) -> list[int]:
     """A deterministic generating set of non-identity morphisms: greedily
-    add the smallest morphism not yet reachable by composition."""
-    reached = {C.identity[x] for x in C.objects()}
+    add the smallest morphism not yet reachable by composition.  The
+    reached set is closed by a worklist: each newly reached morphism is
+    composed, on either side, with itself and every morphism reached
+    before it, once."""
+    table = C.compose_table
+    reached = [C.identity[x] for x in C.objects()]   # grows while closing
+    seen = set(reached)
     gens: list[int] = []
+    done = 0
 
     def close():
-        changed = True
-        while changed:
-            changed = False
-            cur = sorted(reached)
-            for g in cur:
-                for f in cur:
-                    h = C.compose_table.get((g, f))
-                    if h is not None and h not in reached:
-                        reached.add(h)
-                        changed = True
+        nonlocal done
+        while done < len(reached):
+            h = reached[done]
+            done += 1
+            for f in reached[:done]:
+                for key in ((h, f), (f, h)):
+                    c = table.get(key)
+                    if c is not None and c not in seen:
+                        seen.add(c)
+                        reached.append(c)
 
     close()
     for m in C.morphisms():
-        if m not in reached:
+        if m not in seen:
             gens.append(m)
-            reached.add(m)
+            seen.add(m)
+            reached.append(m)
             close()
     return gens
 
@@ -472,10 +484,12 @@ def from_poset(labels: list[str], leq: set[tuple[int, int]]) -> FinCategory:
     lists the related pairs, reflexivity is added, transitivity required."""
     n = len(labels)
     rel = set(leq) | {(x, x) for x in range(n)}
-    for (x, y) in list(rel):
-        for (y2, z) in list(rel):
-            if y2 == y and (x, z) not in rel:
-                raise CompositionDomainError("relation is not transitive")
+    above: dict[int, list[int]] = {}
+    for (y, z) in rel:
+        above.setdefault(y, []).append(z)
+    # only the pairs that meet: (x, y), then each (y, z) out of y
+    if any((x, z) not in rel for (x, y) in rel for z in above.get(y, ())):
+        raise CompositionDomainError("relation is not transitive")
     pairs = sorted(rel)
     idx = {p: i for i, p in enumerate(pairs)}
     mor_src = tuple(p[0] for p in pairs)
@@ -535,98 +549,70 @@ def category_from_presentation(
 def _presented(obj_labels, arrows, relations=()):
     """The category of `category_from_presentation` and the
     representative path of each non-identity morphism, in morphism
-    order (a tuple of arrow indices, first arrow first)."""
+    order (a tuple of arrow indices, first arrow first).
+
+    Every path is listed once, shortest first and lexicographic within a
+    length, and `UnionFind` runs over the list's indices, so the root of
+    each class is its shortlex-least path: its representative.  The
+    congruence is closed by a worklist of pairs (Nelson and Oppen,
+    JACM 1980): a pair that merges two classes pushes its whiskers by
+    every generator on either side, once."""
     n = len(obj_labels)
     # the generator graph must be acyclic or path enumeration diverges
     if any(s == t for _, s, t in arrows):
         raise NotLoopFree("generator graph has a self-loop")
     if _longest_paths(n, [(s, t) for _, s, t in arrows]) is None:
         raise NotLoopFree("generator graph has a directed cycle")
-    # enumerate all paths; a path is a tuple of arrow indices in
-    # traversal order (first arrow first)
-    frontier = [((i,), arrows[i][1], arrows[i][2])
-                for i in range(len(arrows))]
-    all_paths: list[tuple[tuple[int, ...], int, int]] = []
-    while frontier:
-        all_paths.extend(frontier)
-        nxt = []
-        for p, s, t in frontier:
-            for i, (_, s2, t2) in enumerate(arrows):
-                if s2 == t:
-                    nxt.append((p + (i,), s, t2))
-        frontier = nxt
-    ends = {p: (s, t) for p, s, t in all_paths}
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, (_, s, t) in enumerate(arrows):
+        out[s].append(i)
+        into[t].append(i)
+    paths = [((i,), s, t) for i, (_, s, t) in enumerate(arrows)]
+    for p, s, t in paths:           # grows while it runs
+        paths.extend((p + (i,), s, arrows[i][2]) for i in out[t])
+    at = {p: k for k, (p, _, _) in enumerate(paths)}
 
-    uf = UnionFind(ends)
+    todo = []
     for lhs, rhs in relations:
-        if lhs not in ends or rhs not in ends:
+        if lhs not in at or rhs not in at:
             raise CompositionDomainError("relation names an unknown path")
-        if ends[lhs] != ends[rhs]:
+        if paths[at[lhs]][1:] != paths[at[rhs]][1:]:
             raise CompositionDomainError(
                 "relation equates paths with different endpoints")
-        uf.union(lhs, rhs)
-    changed = bool(relations)
-    while changed:
-        changed = False
-        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for p in ends:
-            classes.setdefault(uf.find(p), []).append(p)
-        for members in classes.values():
-            if len(members) < 2:
-                continue
-            for p in members:
-                for q in members:
-                    if p is q:
-                        continue
-                    for i, (_, s2, t2) in enumerate(arrows):
-                        if s2 == ends[p][1]:
-                            if uf.union(p + (i,), q + (i,)):
-                                changed = True
-                        if t2 == ends[p][0]:
-                            if uf.union((i,) + p, (i,) + q):
-                                changed = True
-    classes = {}
-    for p in sorted(ends, key=lambda p: (len(p), p)):
-        classes.setdefault(uf.find(p), []).append(p)
-    reps = sorted((min((len(p), p) for p in mem)[1] for mem in classes.values()),
-                  key=lambda p: (len(p), p))
-    rep_of = {}
-    for root, mem in classes.items():
-        rep = min(mem, key=lambda p: (len(p), p))
-        for p in mem:
-            rep_of[p] = rep
+        todo.append((at[lhs], at[rhs]))
+    uf = UnionFind(range(len(paths)))
+    while todo:
+        a, b = todo.pop()
+        if uf.union(a, b):
+            (p, s, t), q = paths[a], paths[b][0]
+            todo += [(at[p + (i,)], at[q + (i,)]) for i in out[t]]
+            todo += [(at[(i,) + p], at[(i,) + q]) for i in into[s]]
+    reps = [k for k in range(len(paths)) if uf.find(k) == k]
 
-    def path_label(p):
-        return ".".join(arrows[i][0] for i in reversed(p))
-
-    mor_src = [x for x in range(n)]
-    mor_tgt = [x for x in range(n)]
-    mor_labels = [f"id_{obj_labels[x]}" for x in range(n)]
-    index: dict[tuple[int, ...] | int, int] = {}
-    for rep in reps:
-        index[rep] = len(mor_src)
-        mor_src.append(ends[rep][0])
-        mor_tgt.append(ends[rep][1])
-        mor_labels.append(path_label(rep))
+    mor = {k: n + j for j, k in enumerate(reps)}
+    mor_src = list(range(n)) + [paths[k][1] for k in reps]
+    mor_tgt = list(range(n)) + [paths[k][2] for k in reps]
+    mor_labels = [f"id_{x}" for x in obj_labels] + [
+        ".".join(arrows[i][0] for i in reversed(paths[k][0])) for k in reps]
     identity = tuple(range(n))
     table: dict[tuple[int, int], int] = {}
-    nm = len(mor_src)
     # identities compose trivially
-    for m in range(nm):
+    for m in range(len(mor_src)):
         table[(identity[mor_tgt[m]], m)] = m
         table[(m, identity[mor_src[m]])] = m
-    # only composable pairs: each rep2 meets the reps that end where it
-    # starts, in the order of `reps`
-    by_tgt: dict[int, list[tuple[int, ...]]] = {}
-    for rep1 in reps:
-        by_tgt.setdefault(ends[rep1][1], []).append(rep1)
-    for rep2 in reps:
-        j = index[rep2]
-        for rep1 in by_tgt.get(ends[rep2][0], ()):
-            table[(j, index[rep1])] = index[rep_of[rep1 + rep2]]
+    # only composable pairs: each rep meets the reps that end where it
+    # starts, in rep order
+    by_tgt = [[] for _ in range(n)]
+    for k in reps:
+        by_tgt[paths[k][2]].append(k)
+    for k2 in reps:
+        for k1 in by_tgt[paths[k2][1]]:
+            table[(mor[k2], mor[k1])] = \
+                mor[uf.find(at[paths[k1][0] + paths[k2][0]])]
     return validate_category(FinCategory(
         n, tuple(obj_labels), tuple(mor_src), tuple(mor_tgt),
-        tuple(mor_labels), identity, table)), tuple(reps)
+        tuple(mor_labels), identity, table)), \
+        tuple(paths[k][0] for k in reps)
 
 
 def identity_functor(C: FinCategory) -> FunctorData:

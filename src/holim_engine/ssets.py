@@ -321,10 +321,11 @@ class PointResolutionReport:
 
 def _levelwise_free(W: Weight) -> Optional[tuple]:
     """The free basis of W, or None when some W_n is not a free diagram
-    of sets.  The generators in dimension n are the n-cells outside the
-    image of every non-identity action; W_n is free on them exactly
-    when, through the actions W(u) for u: x -> y, they map bijectively
-    onto every W(y)_n.
+    of sets or some generator's faces are missing or name no cell of its
+    value (a malformed value is refused, not raised on).  The generators
+    in dimension n are the n-cells outside the image of every
+    non-identity action; W_n is free on them exactly when, through the
+    actions W(u) for u: x -> y, they map bijectively onto every W(y)_n.
 
     The basis lists each generator as (n, x, cell, faces), where
     faces[i] = (j, u) is the unique generator j and morphism u with
@@ -349,9 +350,12 @@ def _levelwise_free(W: Weight) -> Optional[tuple]:
             if len(pairs) != len(cells) or \
                     set(preimage[(n, y)]) != set(cells):
                 return None
-        basis.extend((n, x, c, tuple(preimage[(n - 1, x)][d] for d in
-                                     W.value(x).faces[(n, c)]) if n else ())
-                     for x, c in gens)
+        for x, c in gens:
+            faces = tuple(preimage[(n - 1, x)].get(d) for d in
+                          W.value(x).faces.get((n, c), (None,))) if n else ()
+            if None in faces:
+                return None
+            basis.append((n, x, c, faces))
     return tuple(basis)
 
 

@@ -412,3 +412,33 @@ def test_end_of_chain_bifunctor():
     rep = run_command(ws, "end H")
     # identity structure maps: the end is the diagonal copy of Q[0]
     assert rep.payload["betti"] == {"0": 1}
+
+
+# A chain bifunctor whose end is the circle's diagonal copy: no corpus
+# binding is a chain bifunctor, so this golden is the only subprocess run
+# of `end` through `end_chain`.  The workspace stays here, out of the
+# corpus every benchmark set-up parses.
+CIRCLE_END_SRC = """\
+category C { objects: a, b; arrows: f: a -> b }
+complex Zero { degrees: 0..0 }
+complex Q0 { degrees: 0..0; dim 0: 1 }
+complex Circle { degrees: 0..1; dim 0: 1; dim 1: 1; d 1: [[0]] }
+diagram H over op(C) * C into Ch {
+  at (a,a): Q0
+  at (a,b): Q0
+  at (b,a): Zero
+  at (b,b): Circle
+  on (id_a,f): deg 0: [[1]]
+  on (f,id_b): deg 0: [[1]]
+}
+"""
+
+
+def test_end_of_chain_bifunctor_matches_golden_in_a_subprocess(tmp_path):
+    path = tmp_path / "circle_end.hle"
+    path.write_text(CIRCLE_END_SRC)
+    r = _run_cli([str(path), "--cmd", "end H", "--json"])
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout == b'{"betti": {"0": 1, "1": 1}, "command": "end"}\n'
+    r = _run_cli([str(path), "--cmd", "end H"])
+    assert (r.returncode, r.stdout) == (0, b"end complex betti: {0: 1, 1: 1}\n")

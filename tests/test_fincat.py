@@ -315,6 +315,12 @@ def test_generating_morphisms_monoid_with_cycle():
     M = validate_category(FinCategory(
         1, ("x",), (0, 0), (0, 0), ("id_x", "e"), (0,), table))
     assert generating_morphisms(M) == [1]
+    # Z/3 as a table: every element decomposes (g = g2 o g2), so no
+    # indecomposable generates, but g does
+    table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+    Z3 = validate_category(FinCategory(
+        1, ("x",), (0, 0, 0), (0, 0, 0), ("id_x", "g", "g2"), (0,), table))
+    assert generating_morphisms(Z3) == [1]
 
 
 def test_find_initial_terminal():
@@ -333,8 +339,24 @@ def test_bad_functor_rejected():
 
 
 def test_poset_requires_transitivity():
+    """Dropping a pair x < z from a poset breaks transitivity exactly
+    when some y lies strictly between."""
     with pytest.raises(CompositionDomainError):
         from_poset(["a", "b", "c"], {(0, 1), (1, 2)})
+    rng = random.Random(3303)
+    for _ in range(30):
+        P = random_poset(rng, 5)
+        rel = {(P.src(m), P.tgt(m)) for m in P.non_identities()}
+        for x, z in sorted(rel):
+            rest = rel - {(x, z)}
+            labels = list(P.obj_labels)
+            if any((x, y) in rest and (y, z) in rest for y in P.objects()):
+                with pytest.raises(CompositionDomainError,
+                                   match="^relation is not transitive$"):
+                    from_poset(labels, rest)
+            else:
+                assert from_poset(labels, rest).n_morphisms == \
+                    P.n_morphisms - 1
 
 
 def test_unknown_object_errors():
@@ -530,3 +552,173 @@ def test_a_comma_family_moves_objects_by_its_change_of_base():
         for g in C.objects():
             assert moves[C.identity[g]] == tuple(range(slices[g].cat.n_objects))
         _check_moves_compose(C, moves, True)
+
+
+# --- presentations: the compiler held to a naive rescan -----------------------
+
+def _shortlex(p):
+    return (len(p), p)
+
+
+def _paths(arrows):
+    """Every path of an acyclic generator graph, first arrow first."""
+    paths = [(i,) for i in range(len(arrows))]
+    for p in paths:             # grows while it runs
+        paths += [p + (i,) for i, (_, s, _) in enumerate(arrows)
+                  if s == arrows[p[-1]][2]]
+    return paths
+
+
+def _naive_classes(arrows, relations):
+    """path -> a member naming its class in the congruence the relations
+    generate: rescan every pair of equal paths and whisker it by every
+    arrow on either side until nothing changes."""
+    paths = _paths(arrows)
+    cls = {p: p for p in paths}
+
+    def merge(p, q):
+        a, b = cls[p], cls[q]
+        for r in paths:
+            if cls[r] == b:
+                cls[r] = a
+        return a != b
+
+    for lhs, rhs in relations:
+        merge(lhs, rhs)
+    changed = True
+    while changed:
+        changed = False
+        for p in paths:
+            for q in paths:
+                if p == q or cls[p] != cls[q]:
+                    continue
+                for i, (_, s, t) in enumerate(arrows):
+                    if s == arrows[p[-1]][2]:
+                        changed |= merge(p + (i,), q + (i,))
+                    if t == arrows[p[0]][1]:
+                        changed |= merge((i,) + p, (i,) + q)
+    return cls
+
+
+def _random_presentation(rng):
+    """Up to 5 objects, 7 arrows running up the object order, and up to
+    4 relations between parallel paths."""
+    n = rng.randint(1, 5)
+    arrows = []
+    for j in range(rng.randint(0, 7) if n > 1 else 0):
+        s = rng.randint(0, n - 2)
+        arrows.append((f"a{j}", s, rng.randint(s + 1, n - 1)))
+    paths = _paths(arrows)
+    relations = []
+    for _ in range(rng.randint(0, 4) if paths else 0):
+        p = rng.choice(paths)
+        parallel = [q for q in paths if arrows[q[0]][1] == arrows[p[0]][1]
+                    and arrows[q[-1]][2] == arrows[p[-1]][2]]
+        relations.append((p, rng.choice(parallel)))
+    return [f"o{i}" for i in range(n)], arrows, relations
+
+
+def test_a_presentation_identifies_exactly_what_a_naive_rescan_does():
+    """Two paths compose to the same morphism exactly when the naive
+    closure identifies them, and each morphism is labelled by the
+    shortlex-least path of its class, in shortlex order."""
+    rng = random.Random(3301)
+    related = 0
+    for _ in range(150):
+        labels, arrows, relations = _random_presentation(rng)
+        C, reps = fincat_mod._presented(labels, arrows, relations)
+        cls = _naive_classes(arrows, relations)
+        least = {}
+        for p in sorted(cls, key=_shortlex):
+            least.setdefault(cls[p], p)
+        want = sorted(least.values(), key=_shortlex)
+        assert reps == tuple(want)
+        n = len(labels)
+        assert C.mor_labels == tuple(f"id_{x}" for x in labels) + tuple(
+            ".".join(arrows[i][0] for i in reversed(p)) for p in want)
+        mor = {p: n + j for j, p in enumerate(want)}
+        for p in cls:
+            m = mor[least[cls[p[:1]]]]
+            for i in p[1:]:
+                m = C.comp(mor[least[cls[(i,)]]], m)
+            assert m == mor[least[cls[p]]]
+        related += len(want) < len(cls)
+    assert related >= 40
+
+
+def test_a_relation_naming_no_path_or_two_ends_is_refused_in_order():
+    objs, arrows = ["a", "b", "c"], [("f", 0, 1), ("g", 1, 2), ("h", 0, 2)]
+    for relations, message in [
+            ([((0, 1), (2,)), ((1, 0), (2,))], "names an unknown path"),
+            ([((0,), (2,)), ((1, 0), (2,))], "with different endpoints"),
+            ([((0, 1), (2,)), ((0,), (7,))], "names an unknown path")]:
+        with pytest.raises(CompositionDomainError, match=message):
+            category_from_presentation(objs, arrows, relations)
+
+
+def _grid(n):
+    """The commutative n x n grid: objects (i, j), arrows r: (i, j) ->
+    (i + 1, j) and u: (i, j) -> (i, j + 1), one relation per square."""
+    labels = [f"({i},{j})" for i in range(n + 1) for j in range(n + 1)]
+    arrows, right, up = [], {}, {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            x = i * (n + 1) + j
+            if i < n:
+                right[i, j] = len(arrows)
+                arrows.append((f"r{i}_{j}", x, x + n + 1))
+            if j < n:
+                up[i, j] = len(arrows)
+                arrows.append((f"u{i}_{j}", x, x + 1))
+    relations = [((right[i, j], up[i + 1, j]), (up[i, j], right[i, j + 1]))
+                 for i in range(n) for j in range(n)]
+    return labels, arrows, relations
+
+
+def test_a_commutative_grid_is_the_product_poset():
+    for n in range(1, 7):
+        C = category_from_presentation(*_grid(n))
+        assert C.n_morphisms == ((n + 1) * (n + 2) // 2) ** 2
+        P = product(chain_poset(n), chain_poset(n))
+        assert [[len(C.hom(x, y)) for y in C.objects()]
+                for x in C.objects()] == \
+            [[len(P.hom(x, y)) for y in P.objects()] for x in P.objects()]
+        assert all(len(C.hom(x, y)) <= 1
+                   for x in C.objects() for y in C.objects())
+
+
+def _naive_generating_morphisms(C):
+    """The greedy generating set, its reached set closed by rescanning
+    every pair until nothing changes."""
+    reached = {C.identity[x] for x in C.objects()}
+    gens = []
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            for g in sorted(reached):
+                for f in sorted(reached):
+                    h = C.compose_table.get((g, f))
+                    if h is not None and h not in reached:
+                        reached.add(h)
+                        changed = True
+
+    close()
+    for m in C.morphisms():
+        if m not in reached:
+            gens.append(m)
+            reached.add(m)
+            close()
+    return gens
+
+
+def test_generating_morphisms_equal_the_naive_greedy_choice():
+    rng = random.Random(3302)
+    cats = [random_loopfree_category(rng) for _ in range(40)]
+    cats += [random_poset(rng) for _ in range(20)]
+    cats += [random_free_category(rng)[0] for _ in range(20)]
+    cats += [category_from_presentation(*_random_presentation(rng))
+             for _ in range(20)]
+    for C in cats + [chain_poset(6)]:
+        assert generating_morphisms(C) == _naive_generating_morphisms(C)

@@ -123,14 +123,18 @@ def test_bk_holim_arrow_identity():
 
 
 def test_bk_holim_rejects_bad_weight():
-    from holim_engine.ssets import Weight, identity_sset_map
+    """A boundary value, and values whose edge has no faces entry or a
+    face naming no cell, end in `WeightRejected`, not a `KeyError`."""
+    from holim_engine.ssets import (SemiSimplicialSet, Weight,
+                                    identity_sset_map)
     from holim_engine.oracle import boundary
-    B, _ = boundary(2)
     C = terminal_category()
-    W = Weight(C, (B,), {0: identity_sset_map(B)})
     F = constant_diagram(C, single(0))
-    with pytest.raises(WeightRejected):
-        bk_holim(F, W)
+    for K in [boundary(2)[0],
+              SemiSimplicialSet((("v",), ("e",)), {}),
+              SemiSimplicialSet((("v",), ("e",)), {(1, "e"): ("w", "v")})]:
+        with pytest.raises(WeightRejected):
+            bk_holim(F, Weight(C, (K,), {0: identity_sset_map(K)}))
 
 
 def test_bk_holim_rejects_loops():

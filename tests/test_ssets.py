@@ -372,6 +372,17 @@ def test_check_point_resolution_refuses_a_basis_off_the_identities():
     assert not rep.free and not rep.passed and rep.per_object == (False,)
 
 
+def test_check_point_resolution_refuses_a_malformed_value():
+    """A one-vertex value whose edge e has no faces entry, or whose face
+    names w, which is no cell, is refused as an unfree weight is, not
+    raised on."""
+    for faces in ({}, {(1, "e"): ("w", "v")}):
+        K = SemiSimplicialSet((("v",), ("e",)), faces)
+        rep = check_point_resolution(
+            Weight(terminal_category(), (K,), {0: identity_sset_map(K)}))
+        assert not rep.free and not rep.passed and rep.per_object == (False,)
+
+
 def test_augmentation_is_chain_map():
     for n in range(4):
         validate_map(augmentation(standard_simplex(n)))
