@@ -48,8 +48,9 @@ def validate_finset_diagram(F: FinSetDiagram) -> FinSetDiagram:
         sx, tx = C.src(m), C.tgt(m)
         if set(a.keys()) != set(F.values[sx]):
             raise DiagramError(f"action of morphism {m} has wrong domain")
+        target = set(F.values[tx])
         for v in a.values():
-            if v not in set(F.values[tx]):
+            if v not in target:
                 raise DiagramError(f"action of morphism {m} leaves the target")
     for x in C.objects():
         ide = F.actions[C.identity[x]]

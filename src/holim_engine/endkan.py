@@ -24,7 +24,7 @@ its factors by the interchange law.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .chaincx import (ChainComplex, ChainMap, compose_maps, direct_sum,
                       subcomplex_from_kernels)
@@ -403,15 +403,14 @@ class EndChain:
     base: FinCategory              # G
 
 
-def end_chain(H: ChainDiagram,
-              generators: Optional[Sequence[int]] = None) -> EndChain:
+def end_chain(H: ChainDiagram) -> EndChain:
     """End of a chain bifunctor over product(opposite(G), G): the
     degreewise kernel of (pushforward - pullback) between the sums of
     diagonal values and of per-condition values, with the end wedge
     checked to commute at every generator."""
     P = H.base
     G = _split_product_base(P)
-    gens = list(generating_morphisms(G) if generators is None else generators)
+    gens = generating_morphisms(G)
     diag = [H.value(product_obj(P, g, g)) for g in G.objects()]
     S, s_incls, s_projs = direct_sum(diag)
     push = [H.action(product_mor(P, G.identity[G.src(f)], f)) for f in gens]

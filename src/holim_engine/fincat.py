@@ -14,8 +14,10 @@ index map.  Each category indexes its hom sets once (`_homs`).
 A presentation compiles in one pass over its paths (`_presented`): they
 are listed once in shortlex order, `UnionFind` over their indices makes
 each class's root its representative, and the congruence the relations
-generate is closed by a worklist; `generating_morphisms` closes its
-reached set by a worklist too, so each new fact is visited once.
+generate is closed by a worklist.  `generating_morphisms` reads a
+generating set off the composition table in one pass: the
+indecomposable arrows of a loop-free category, every non-identity of
+one with a loop.
 """
 
 from __future__ import annotations
@@ -392,37 +394,21 @@ def _longest_paths(n: int, edges) -> Optional[list[int]]:
 
 
 def generating_morphisms(C: FinCategory) -> list[int]:
-    """A deterministic generating set of non-identity morphisms: greedily
-    add the smallest morphism not yet reachable by composition.  The
-    reached set is closed by a worklist: each newly reached morphism is
-    composed, on either side, with itself and every morphism reached
-    before it, once."""
-    table = C.compose_table
-    reached = [C.identity[x] for x in C.objects()]   # grows while closing
-    seen = set(reached)
-    gens: list[int] = []
-    done = 0
-
-    def close():
-        nonlocal done
-        while done < len(reached):
-            h = reached[done]
-            done += 1
-            for f in reached[:done]:
-                for key in ((h, f), (f, h)):
-                    c = table.get(key)
-                    if c is not None and c not in seen:
-                        seen.add(c)
-                        reached.append(c)
-
-    close()
-    for m in C.morphisms():
-        if m not in seen:
-            gens.append(m)
-            seen.add(m)
-            reached.append(m)
-            close()
-    return gens
+    """A generating set of non-identity morphisms, in morphism order,
+    read off the composition table.  Over a loop-free C it is the
+    indecomposable arrows, those that are no composite g o f of two
+    non-identities: every generating set contains them, and they
+    generate, since each non-identity factor raises the longest-path
+    degree.  Over a C with a loop it is every non-identity, since there
+    the indecomposables may not generate (in Z/3 each arrow is the
+    square of the other)."""
+    non_ids = C.non_identities()
+    if is_direct(C) is None:
+        return non_ids
+    ids = set(C.identity)
+    composite = {h for (g, f), h in C.compose_table.items()
+                 if g not in ids and f not in ids}
+    return [m for m in non_ids if m not in composite]
 
 
 def find_terminal(C: FinCategory) -> Optional[int]:

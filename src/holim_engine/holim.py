@@ -71,8 +71,7 @@ class HolimResult:
 
 # --- weighted ends and the Bousfield-Kan formula ---------------------------------
 
-def weighted_end(F: ChainDiagram, W: Weight,
-                 generators: Optional[Sequence[int]] = None) -> EndChain:
+def weighted_end(F: ChainDiagram, W: Weight) -> EndChain:
     """The end over product(opposite(G), G) of
     (x, y) |-> Hom(chains of W(x), F(y))."""
     from .endkan import bifunctor_diagram, end_chain
@@ -98,7 +97,7 @@ def weighted_end(F: ChainDiagram, W: Weight,
         return compose_maps(post, pre)
 
     H = bifunctor_diagram(G, value_at, action_at)
-    return end_chain(H, generators=generators)
+    return end_chain(H)
 
 
 def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:

@@ -60,20 +60,15 @@ def random_free_category(rng: random.Random, max_objects: int = 4,
 def random_poset(rng: random.Random, max_objects: int = 4,
                  with_bottom: bool = False) -> FinCategory:
     n = rng.randint(1, max_objects)
-    rel = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.45:
-                rel.add((i, j))
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if c == b and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+    drawn = [[j for j in range(i + 1, n) if rng.random() < 0.45]
+             for i in range(n)]
+    # transitive closure: every pair has i < j, so closing from the
+    # highest index down reads only sets already closed
+    above: list[set[int]] = [set() for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in drawn[i]:
+            above[i] |= above[j] | {j}
+    rel = {(i, j) for i in range(n) for j in above[i]}
     if with_bottom:
         rel = {(a + 1, b + 1) for a, b in rel} | \
             {(0, k) for k in range(1, n + 1)}

@@ -27,6 +27,7 @@ from holim_engine.fincat import (arrow_category, chain_poset,
 from holim_engine.oracle import fubini_check, hom_set_bifunctor
 from holim_engine.randgen import (random_chain_complex, random_finset_diagram,
                                   random_finset_pair, random_free_category,
+                                  random_functor_between_loopfree,
                                   random_loopfree_category, random_poset,
                                   random_poset_chain_diagram)
 
@@ -392,7 +393,14 @@ def test_end_chain_zero_diagonal():
     assert E.complex.is_zero()
 
 
-def test_end_chain_generators_vs_all_morphisms():
+def _over_every_arrow(monkeypatch):
+    """Make every end, limit and colimit of `endkan` equalize over all
+    non-identity arrows instead of a generating set."""
+    monkeypatch.setattr(endkan, "generating_morphisms",
+                        lambda C: C.non_identities())
+
+
+def test_end_chain_generators_vs_all_morphisms(monkeypatch):
     rng = random.Random(68)
     from holim_engine.holim import weighted_end
     from holim_engine.ssets import nerve_weight
@@ -401,11 +409,64 @@ def test_end_chain_generators_vs_all_morphisms():
         F = random_poset_chain_diagram(rng, P, max_dim=2, max_width=2)
         W = nerve_weight(P)
         E1 = weighted_end(F, W)
-        E2 = weighted_end(F, W, generators=P.non_identities())
+        with monkeypatch.context() as m:
+            _over_every_arrow(m)
+            E2 = weighted_end(F, W)
         assert E1.complex.dims == E2.complex.dims
         for k in E1.complex.degrees():
             assert E1.inclusion.component(k) == E2.inclusion.component(k)
             assert E1.complex.d(k) == E2.complex.d(k)
+
+
+def _finset_results(F, G, f):
+    """Each finite-set construction that equalizes over generating
+    morphisms, on diagrams F, G over one base and a functor f out of it."""
+    H = hom_bifunctor(F, G)
+    return (finset_limit(F), finset_colimit(F), end_finset(H),
+            coend_finset(H), nat_trans_bruteforce(F, G), lan(f, F),
+            ran(f, F))
+
+
+def _z3_diagrams():
+    """Z/3 as a one-object composition table, acting on three points by
+    rotation and on two points trivially."""
+    table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+    Z3 = fincat.validate_category(fincat.FinCategory(
+        1, ("x",), (0, 0, 0), (0, 0, 0), ("id_x", "g", "g2"), (0,), table))
+    turn = FinSetDiagram(Z3, ((0, 1, 2),), {
+        m: {e: (e + m) % 3 for e in range(3)} for m in Z3.morphisms()})
+    fixed = FinSetDiagram(Z3, (("p", "q"),), {
+        m: {"p": "p", "q": "q"} for m in Z3.morphisms()})
+    return Z3, validate_finset_diagram(turn), validate_finset_diagram(fixed)
+
+
+def test_finset_generators_vs_all_morphisms(monkeypatch):
+    """Limits, colimits, ends, coends, natural transformations and Kan
+    extensions equalized over a generating set equal those equalized
+    over every arrow."""
+    rng = random.Random(3401)
+    bases = [random_poset(rng, 4) for _ in range(15)]
+    bases += [random_loopfree_category(rng) for _ in range(15)]
+    bases += [chain_poset(n) for n in range(1, 9)]
+    cases = [(random_finset_diagram(rng, C, max_size=2),
+              random_finset_diagram(rng, C, max_size=2), identity_functor(C))
+             for C in bases]
+    for _ in range(10):
+        f = random_functor_between_loopfree(rng)
+        F = random_finset_diagram(rng, f.source, max_size=2)
+        cases.append((F, random_finset_diagram(rng, f.source, max_size=2), f))
+    Z3, turn, fixed = _z3_diagrams()
+    cases += [(F, G, identity_functor(Z3))
+              for F in (turn, fixed) for G in (turn, fixed)]
+    fewer = 0
+    for F, G, f in cases:
+        want = _finset_results(F, G, f)
+        with monkeypatch.context() as m:
+            _over_every_arrow(m)
+            assert _finset_results(F, G, f) == want
+        C = F.base
+        fewer += len(fincat.generating_morphisms(C)) < len(C.non_identities())
+    assert fewer >= 10
 
 
 def test_validate_chain_diagram_randomized():

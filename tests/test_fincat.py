@@ -292,35 +292,47 @@ def test_is_direct_sorts_once_per_instance(monkeypatch):
     assert len(calls) == 3
 
 
-def test_generating_morphisms_generate():
-    rng = random.Random(5)
-    for _ in range(20):
-        C = random_loopfree_category(rng)
-        gens = generating_morphisms(C)
-        reached = {C.identity[x] for x in C.objects()} | set(gens)
-        changed = True
-        while changed:
-            changed = False
-            for g in list(reached):
-                for f in list(reached):
-                    h = C.compose_table.get((g, f))
-                    if h is not None and h not in reached:
-                        reached.add(h)
-                        changed = True
-        assert reached == set(C.morphisms())
+def _rescan_closure(C, gens):
+    """The morphisms that the identities and `gens` reach by composition,
+    closed by rescanning every pair until nothing changes."""
+    reached = {C.identity[x] for x in C.objects()} | set(gens)
+    changed = True
+    while changed:
+        changed = False
+        for g in sorted(reached):
+            for f in sorted(reached):
+                h = C.compose_table.get((g, f))
+                if h is not None and h not in reached:
+                    reached.add(h)
+                    changed = True
+    return reached
 
 
-def test_generating_morphisms_monoid_with_cycle():
+def _table_monoids():
+    """Z/2 (e o e = id) and Z/3 as one-object composition tables."""
     table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    M = validate_category(FinCategory(
+    Z2 = validate_category(FinCategory(
         1, ("x",), (0, 0), (0, 0), ("id_x", "e"), (0,), table))
-    assert generating_morphisms(M) == [1]
-    # Z/3 as a table: every element decomposes (g = g2 o g2), so no
-    # indecomposable generates, but g does
     table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
     Z3 = validate_category(FinCategory(
         1, ("x",), (0, 0, 0), (0, 0, 0), ("id_x", "g", "g2"), (0,), table))
-    assert generating_morphisms(Z3) == [1]
+    return Z2, Z3
+
+
+def test_generating_morphisms_generate():
+    rng = random.Random(5)
+    cats = [random_loopfree_category(rng) for _ in range(20)]
+    for C in cats + list(_table_monoids()):
+        gens = generating_morphisms(C)
+        assert _rescan_closure(C, gens) == set(C.morphisms())
+
+
+def test_generating_morphisms_monoid_with_cycle():
+    Z2, Z3 = _table_monoids()
+    assert generating_morphisms(Z2) == [1]
+    # every element of Z/3 decomposes (g = g2 o g2, g2 = g o g), so no
+    # arrow is indecomposable: over a loop every non-identity is taken
+    assert generating_morphisms(Z3) == [1, 2]
 
 
 def test_find_initial_terminal():
@@ -357,6 +369,34 @@ def test_poset_requires_transitivity():
             else:
                 assert from_poset(labels, rest).n_morphisms == \
                     P.n_morphisms - 1
+
+
+def test_random_poset_closes_its_draws_as_a_rescan_does():
+    """`random_poset` makes the draws it always made, and its relation is
+    their transitive closure as a rescan of every pair finds it."""
+    for seed in range(1000):
+        max_objects, with_bottom = 1 + seed % 6, seed % 3 == 0
+        rng = random.Random(seed)
+        P = random_poset(rng, max_objects, with_bottom)
+        ref = random.Random(seed)
+        n = ref.randint(1, max_objects)
+        rel = {(i, j) for i in range(n) for j in range(i + 1, n)
+               if ref.random() < 0.45}
+        assert rng.getstate() == ref.getstate()
+        changed = True
+        while changed:
+            changed = False
+            for (a, b) in list(rel):
+                for (c, d) in list(rel):
+                    if c == b and (a, d) not in rel:
+                        rel.add((a, d))
+                        changed = True
+        if with_bottom:
+            rel = {(a + 1, b + 1) for a, b in rel} | \
+                {(0, k) for k in range(1, n + 1)}
+            n += 1
+        assert P.n_objects == n
+        assert {(P.src(m), P.tgt(m)) for m in P.non_identities()} == rel
 
 
 def test_unknown_object_errors():
@@ -687,33 +727,10 @@ def test_a_commutative_grid_is_the_product_poset():
                    for x in C.objects() for y in C.objects())
 
 
-def _naive_generating_morphisms(C):
-    """The greedy generating set, its reached set closed by rescanning
-    every pair until nothing changes."""
-    reached = {C.identity[x] for x in C.objects()}
-    gens = []
-
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            for g in sorted(reached):
-                for f in sorted(reached):
-                    h = C.compose_table.get((g, f))
-                    if h is not None and h not in reached:
-                        reached.add(h)
-                        changed = True
-
-    close()
-    for m in C.morphisms():
-        if m not in reached:
-            gens.append(m)
-            reached.add(m)
-            close()
-    return gens
-
-
-def test_generating_morphisms_equal_the_naive_greedy_choice():
+def test_generating_morphisms_are_the_indecomposables():
+    """Over a loop-free category the generating set is the arrows that
+    are no composite of two non-identities, checked over every pair, and
+    none of them can be left out."""
     rng = random.Random(3302)
     cats = [random_loopfree_category(rng) for _ in range(40)]
     cats += [random_poset(rng) for _ in range(20)]
@@ -721,4 +738,14 @@ def test_generating_morphisms_equal_the_naive_greedy_choice():
     cats += [category_from_presentation(*_random_presentation(rng))
              for _ in range(20)]
     for C in cats + [chain_poset(6)]:
-        assert generating_morphisms(C) == _naive_generating_morphisms(C)
+        assert is_direct(C) is not None
+        non_ids = C.non_identities()
+        composites = {C.compose_table.get((g, f))
+                      for g in non_ids for f in non_ids}
+        gens = generating_morphisms(C)
+        assert gens == [h for h in non_ids if h not in composites]
+        for m in gens:
+            assert m not in _rescan_closure(C, [g for g in gens if g != m])
+    P = chain_poset(24)
+    assert [(P.src(m), P.tgt(m)) for m in generating_morphisms(P)] == \
+        [(i, i + 1) for i in range(24)]
