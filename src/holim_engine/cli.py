@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shlex
 import sys
@@ -24,10 +25,6 @@ from .records import record
 # imported inside the handlers that call them, so that a command loads
 # only the engine modules it runs; without cached bytecode every import
 # is a compile.
-
-USAGE_COMMANDS = ("end", "coend", "lim", "colim", "lan", "ran", "nerve",
-                  "homology", "holim", "hopullback", "fattot", "hoinitial",
-                  "compare-holim", "verify")
 
 
 @record
@@ -63,19 +60,11 @@ def run_command(ws: dsl.Workspace, command: str, depth: int = 4,
     cmd, args = parts[0], parts[1:]
     if depth < 0:
         raise TypeMismatch(f"--depth must be at least 0, got {depth}")
-    if cmd not in USAGE_COMMANDS:
+    if cmd not in COMMANDS:
         raise TypeMismatch(f"unknown command {cmd!r}; commands: "
-                           f"{', '.join(USAGE_COMMANDS)}")
-    handler = {
-        "end": _cmd_end, "coend": _cmd_coend, "lim": _cmd_lim,
-        "colim": _cmd_colim, "lan": _cmd_lan, "ran": _cmd_ran,
-        "nerve": _cmd_nerve, "homology": _cmd_homology,
-        "holim": _cmd_holim, "hopullback": _cmd_hopullback,
-        "fattot": _cmd_fattot, "hoinitial": _cmd_hoinitial,
-        "compare-holim": _cmd_compare_holim, "verify": _cmd_verify,
-    }[cmd]
+                           f"{', '.join(COMMANDS)}")
     try:
-        return handler(ws, args, depth=depth, seed=seed)
+        return COMMANDS[cmd](ws, args, depth=depth, seed=seed)
     except NotLoopFree as e:    # name the binding whose base has a loop
         b = ws.bindings.get(args[0]) if args else None
         if b is None:
@@ -311,6 +300,17 @@ def _cmd_verify(ws, args, seed=0, **kw):
         verdict=verdict)
 
 
+# every command and its handler, in the order the usage text lists them
+COMMANDS = {
+    "end": _cmd_end, "coend": _cmd_coend, "lim": _cmd_lim,
+    "colim": _cmd_colim, "lan": _cmd_lan, "ran": _cmd_ran,
+    "nerve": _cmd_nerve, "homology": _cmd_homology,
+    "holim": _cmd_holim, "hopullback": _cmd_hopullback,
+    "fattot": _cmd_fattot, "hoinitial": _cmd_hoinitial,
+    "compare-holim": _cmd_compare_holim, "verify": _cmd_verify,
+}
+
+
 # --- entry point --------------------------------------------------------------------
 
 def _workspace_text(data: bytes) -> str:
@@ -348,17 +348,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             source = _workspace_text(fh.read())
         ws = dsl.parse(source)
         report = run_command(ws, ns.cmd, depth=ns.depth, seed=ns.seed)
-    except EngineError as e:
+    except (EngineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    try:
+        print(json.dumps(report.payload, sort_keys=True, separators=(
+            ", ", ": ")) if ns.json else report.human, flush=True)
+    except BrokenPipeError:     # the reader closed stdout: exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if ns.json:
-        print(json.dumps(report.payload, sort_keys=True,
-                         separators=(", ", ": ")))
-    else:
-        print(report.human)
     return report.exit_code
 
 

@@ -17,7 +17,7 @@ each class's root its representative, and the congruence the relations
 generate is closed by a worklist.  `generating_morphisms` reads a
 generating set off the composition table in one pass: the
 indecomposable arrows of a loop-free category, every non-identity of
-one with a loop.
+one with a loop.  `ssets._chains` checks the laws each chain rests on.
 """
 
 from __future__ import annotations
@@ -416,19 +416,6 @@ def find_terminal(C: FinCategory) -> Optional[int]:
         if all(len(C.hom(x, t)) == 1 for x in C.objects()):
             return t
     return None
-
-
-def identities_terminal_in_slices(C: FinCategory) -> bool:
-    """Whether id_g is terminal in the slice C over g for every object g,
-    read off the composition table: id_g is an endomorphism of g and, for
-    every arrow a: x -> g, the only h in C(x, g) with id_g o h = a is a
-    itself, since id_g o h = h for every arrow h into g.  Every category
-    passes; on any table whose slices can be built it is at least as
-    strict as asking for some terminal object in each `comma_over(C, g)`."""
-    table, ident = C.compose_table, C.identity
-    return all(C.mor_src[ident[g]] == C.mor_tgt[ident[g]] == g
-               for g in C.objects()) and \
-        all(table.get((ident[C.mor_tgt[h]], h)) == h for h in C.morphisms())
 
 
 def find_initial(C: FinCategory) -> Optional[int]:

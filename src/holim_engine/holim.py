@@ -17,8 +17,8 @@ totalization of the cosimplicial replacement of F, truncated at N, is
 the end over the chains [n] -> G with identities allowed and n <= N
 (`ssets.fat_chains`); both bases come from the one chain enumerator,
 `ssets._chains`, over the non-identity arrows or over every arrow to
-depth N.  `fat_tot` checks F and that basis
-(`ssets.check_free_basis`) and takes `free_end` over it.  The levels
+depth N, which checks the laws their faces rest on.  `fat_tot` checks
+F and takes `free_end` over that basis.  The levels
 and cofaces of the replacement, and the truncated injective-simplex
 category they are a diagram over, are the oracle's
 (`oracle.cosimplicial_levels`).  The equalizer end (`weighted_end`) is
@@ -49,13 +49,12 @@ from .errors import (DiagramError, NotLoopFree, ShapeMismatch,
                      TruncationTooShallow, TypeMismatch, WeightRejected)
 from .exactalg import RationalMatrix, _normal, block_matrix
 from .fincat import (FinCategory, FunctorData, _comma_family, _table,
-                     comma_under_functor, cospan_category,
-                     identities_terminal_in_slices, is_direct,
+                     comma_under_functor, cospan_category, is_direct,
                      validate_category)
 from .records import record
 from .ssets import (Weight, _comma_nerves, _levelwise_free,
-                    _point_resolution, chains_of_map, check_free_basis,
-                    fat_chains, homology_contractible, nerve, nerve_chains,
+                    _point_resolution, chains_of_map, fat_chains,
+                    homology_contractible, nerve, nerve_chains,
                     normalized_chains)
 
 if TYPE_CHECKING:
@@ -107,8 +106,7 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
     With no weight the resolution is the nerve weight
     g |-> N(G over g), free on the chains of G (`ssets.nerve_chains`).  Its
     values are contractible because id_g is terminal in each G over g,
-    which `fincat.identities_terminal_in_slices` reads off the
-    composition table without building the slices.  An explicit weight
+    by the unit law that `ssets._chains` checks.  An explicit weight
     must pass `check_point_resolution`, which reads its structure, not
     its provenance; the end is taken over the free basis it certified."""
     G = F.base
@@ -116,16 +114,15 @@ def bk_holim(F: ChainDiagram, W: Optional[Weight] = None) -> HolimResult:
         raise NotLoopFree("bk_holim requires a loop-free base")
     if W is None:
         provenance, basis = "nerve_weight", nerve_chains(G)
-        passed = identities_terminal_in_slices(G)
     else:
         if W.base != G:
             raise ShapeMismatch("weight and diagram have different bases")
         report, basis = _point_resolution(W)
-        provenance, passed = W.provenance, report.passed
-    if not passed:
-        raise WeightRejected(
-            f"weight (provenance {provenance!r}) is not a certified "
-            f"cofibrant resolution of the point")
+        provenance = W.provenance
+        if not report.passed:
+            raise WeightRejected(
+                f"weight (provenance {provenance!r}) is not a certified "
+                f"cofibrant resolution of the point")
     cx = free_end(F, basis)
     return HolimResult(cx, betti_numbers(cx),
                        f"bousfield-kan end, {provenance} weight")
@@ -417,18 +414,15 @@ def fat_tot(X: Cosimplicial) -> FatTotResult:
     n <= N (`ssets.fat_chains`): the double complex with columns X^n
     shifted down by n and horizontal map the alternating sum of the
     cofaces, laid out degree by degree in basis order.  F is checked to
-    be a functor and the chains to satisfy the simplicial identities
-    (`ssets.check_free_basis`); together they give every coface
-    identity.
+    be a functor and, by `ssets._chains`, the chains to satisfy the
+    simplicial identities; together they give every coface identity.
 
     Homology is final in degrees >= max_x hi(F(x)) - N + 1: level n only
     reaches total degree k when lo(X^n) - n <= k <= hi(X^n) - n."""
     if not isinstance(X, Cosimplicial):
         raise ShapeMismatch("fat_tot expects a Cosimplicial complex")
     F, N = validate_chain_diagram(X.diagram), X.depth
-    basis = fat_chains(F.base, N)
-    check_free_basis(F.base, basis)
-    T = free_end(F, basis)
+    T = free_end(F, fat_chains(F.base, N))
     his = [V.hi for V in map(F.value, F.base.objects()) if not V.is_zero()]
     stable_from = (max(his) - N + 1) if his else T.lo
     return FatTotResult(T, betti_numbers(T),

@@ -2,16 +2,17 @@
 
 Nerves of loop-free categories, standard simplices, normalized chains,
 and homology-level contractibility.  One breadth-first enumerator,
-`_chains`, lists the chains of a set of arrows with their faces: over
-the non-identity arrows it is the nerve's basis (`nerve_chains`), over
-every arrow to a depth N the fat basis (`fat_chains`).  One loop,
-`_comma_nerves`, makes the weight of the nerves of a family of commas:
-the nerve weight N(C over -) is the comma-nerve weight N(f over -) at
-f = id_C, and both move objects by the index maps of one
-`fincat._comma_family`.  One certificate, `check_point_resolution`,
-trusts a weight as a resolution of the point from its structure, never
-its label: it is free on `_levelwise_free`, and the weight that basis
-presents has contractible values.
+`_chains`, lists the chains of a set of arrows with their faces and
+checks the laws those faces rest on: over the non-identity arrows it
+is the nerve's basis (`nerve_chains`), over every arrow to a depth N
+the fat basis (`fat_chains`).  One loop, `_comma_nerves`, makes the
+weight of the nerves of a family of commas: the nerve weight
+N(C over -) is the comma-nerve weight N(f over -) at f = id_C, and both
+move objects by the index maps of one `fincat._comma_family`.  One
+certificate, `check_point_resolution`, trusts a weight as a resolution
+of the point from its structure, never its label: it is free on
+`_levelwise_free`, whose faces `check_free_basis` compares pair by
+pair, and the weight that basis presents has contractible values.
 Degeneracies are never materialized: every construction used here
 (nerves, postcomposition actions, functor-induced cell maps) preserves
 nondegeneracy, and normalized chains only see nondegenerate cells.
@@ -30,7 +31,8 @@ from typing import Mapping, Optional
 
 from . import chaincx
 from .chaincx import ChainComplex, ChainMap, make_chain_map
-from .errors import (CompositionDomainError, EmptyComplex, NotLoopFree,
+from .errors import (AssociativityViolation, CompositionDomainError,
+                     EmptyComplex, IdentityViolation, NotLoopFree,
                      SimplicialError)
 from .exactalg import block_matrix
 from .fincat import (FinCategory, FunctorData, _comma_family,
@@ -123,12 +125,26 @@ def _chains(C: FinCategory, arrows, N: int) -> tuple:
     object.  An n-chain extends its d_n by one arrow m, so d_i c with
     i < n - 1 extends d_i d_n c by m, and d_{n-1} c extends
     d_{n-1} d_n c by the composite of the last two arrows, which must
-    be one of `arrows` ending where m does."""
-    ident, tgt = C.identity, C.mor_tgt
+    be one of `arrows` ending where m does.  It checks the laws those
+    faces rest on once each: identities are endomorphisms and two-sided
+    units, and each chain's last three arrows associate (the others are
+    its d_n's), so by induction every face is the chain's own face and
+    d_i d_j = d_{j-1} d_i holds as `check_free_basis` would check it."""
+    ident, src, tgt, lab = C.identity, C.mor_src, C.mor_tgt, C.mor_labels
+    table = C.compose_table
+    for x in C.objects():
+        if not (0 <= (i := ident[x]) < len(src) and src[i] == tgt[i] == x):
+            raise IdentityViolation(f"identity of {C.obj_labels[x]!r} is "
+                                    f"not an endomorphism of it")
+    for m in C.morphisms():
+        if table.get((ident[tgt[m]], m)) != m:
+            raise IdentityViolation(f"id o {lab[m]!r} != {lab[m]!r}")
+        if table.get((m, ident[src[m]])) != m:
+            raise IdentityViolation(f"{lab[m]!r} o id != {lab[m]!r}")
     basis = [(0, x, x, ()) for x in C.objects()]
     ext: list[dict] = [{} for _ in basis]   # ext[j][m]: chain j, then m
     for m in arrows if N > 0 else ():
-        x, y = C.src(m), tgt[m]
+        x, y = src[m], tgt[m]
         ext[x][m] = len(basis)
         basis.append((1, y, (m,), ((y, ident[y]), (x, m))))
     p = C.n_objects
@@ -141,10 +157,14 @@ def _chains(C: FinCategory, arrows, N: int) -> tuple:
             d = ext[pf[-1][0]].get(u := C.comp(m, c[-1]))
             if d is None or tgt[u] != z:    # the table is not a category's
                 raise CompositionDomainError(
-                    f"{C.mor_labels[m]!r} o {C.mor_labels[c[-1]]!r} is not "
-                    f"a non-identity arrow {C.obj_labels[C.src(c[-1])]!r} -> "
-                    f"{C.obj_labels[z]!r}")
+                    f"{lab[m]!r} o {lab[c[-1]]!r} is not a non-identity arrow "
+                    f"{C.obj_labels[src[c[-1]]]!r} -> {C.obj_labels[z]!r}")
             fs = [(ext[g][m], ident[z]) for g, _ in pf[:-1]]
+            # d_{k-1} d_k = d_{k-1} d_{k-1}: the last three arrows associate
+            if k > 1 and basis[d][3][-2] != basis[fs[-1][0]][3][-2]:
+                raise AssociativityViolation(
+                    f"({lab[m]!r} o {lab[c[-1]]!r}) o {lab[c[-2]]!r} != "
+                    f"{lab[m]!r} o ({lab[c[-1]]!r} o {lab[c[-2]]!r})")
             basis.append((k + 1, z, c + (m,), (*fs, (d, ident[z]), (p, m))))
         p += 1
     return tuple(basis)
@@ -169,14 +189,14 @@ def fat_chains(C: FinCategory, N: int) -> tuple:
 
 
 def check_free_basis(C: FinCategory, basis) -> None:
-    """Raise `SimplicialError` unless `basis` (`nerve_chains`,
-    `fat_chains`, `_levelwise_free`) presents a semisimplicial diagram
-    over C: the faces of every n-generator are n + 1 generators
+    """Raise `SimplicialError` unless `basis` presents a semisimplicial
+    diagram over C: the faces of every n-generator are n + 1 generators
     (g_i, u_i) of dimension n - 1 with u_i an arrow from the object of
     g_i to that of the generator, and for i < j face i of face j equals
     face j - 1 of face i as a pair (generator, composite arrow of C).
     With a functorial F this gives every coface identity of the product
-    `holim.free_end` lays out over the basis."""
+    `holim.free_end` lays out over the basis.  Production runs it only
+    on weights' bases (`_point_resolution`); `_chains` checks its own."""
     comp = C.compose_table.__getitem__
     for n, x, cell, faces in basis:
         if len(faces) != (n + 1 if n else 0) or any(

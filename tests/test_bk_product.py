@@ -23,14 +23,13 @@ from holim_engine.chaincx import (ZERO_COMPLEX, _hom_blocks, betti_numbers,
                                   validate_complex)
 from holim_engine.dsl import parse
 from holim_engine.endkan import ChainDiagram, end_induced_map, restrict
-from holim_engine.errors import (CompositionDomainError, SimplicialError,
-                                 WeightRejected)
+from holim_engine.errors import (CompositionDomainError, IdentityViolation,
+                                 SimplicialError, WeightRejected)
 from holim_engine.exactalg import RationalMatrix, rank, solve_matrix
 from holim_engine.fincat import (FinCategory, arrow_category, chain_poset,
                                  comma_over, cospan_category,
                                  discrete_category, find_initial,
                                  find_terminal, from_poset,
-                                 identities_terminal_in_slices,
                                  identity_functor, object_inclusion)
 from holim_engine.holim import (bk_holim, change_of_diagrams_iso,
                                 check_homotopy_initial, comparison_map,
@@ -48,8 +47,9 @@ from holim_engine.randgen import (fattened_quasi_iso, random_chain_complex,
 from holim_engine.ssets import (SemiSimplicialSet, SSetMap, Weight,
                                 _levelwise_free, check_point_resolution,
                                 constant_point_weight, identity_sset_map,
-                                nerve, nerve_of_comma_under, nerve_weight,
-                                normalized_chains, standard_simplex)
+                                nerve, nerve_chains, nerve_of_comma_under,
+                                nerve_weight, normalized_chains,
+                                standard_simplex)
 
 CORPUS = Path(cli_mod.__file__).parent / "corpus"
 
@@ -238,7 +238,7 @@ def test_slice_certificate_agrees_with_comma_oracle():
         cats += [random_loopfree_category(rng), random_free_category(rng)[0],
                  random_poset(rng, 5)]
     for C in cats:
-        assert identities_terminal_in_slices(C)
+        nerve_chains(C)     # its enumerator checks the unit law
         assert _slices_have_terminal_objects(C)
 
 
@@ -255,7 +255,7 @@ def _parallel_arrows(id_b_after):
 def test_bk_holim_rejects_a_table_where_identities_are_not_terminal():
     c = random_chain_complex(random.Random(2032), max_dim=2, max_width=2)
     good = _parallel_arrows((2, 3))
-    assert identities_terminal_in_slices(good)
+    nerve_chains(good)
     bk_holim(ChainDiagram(good, [c, c], lambda m: identity_map(c)))
     # id_b o f' = f: nothing in the slice over b is terminal
     collapsed = _parallel_arrows((2, 2))
@@ -263,9 +263,10 @@ def test_bk_holim_rejects_a_table_where_identities_are_not_terminal():
     # id_b swaps f and f': each arrow into b still has exactly one map
     # to id_b, but id_b o h != h
     swapped = _parallel_arrows((3, 2))
-    for C in (collapsed, swapped):
-        assert not identities_terminal_in_slices(C)
-        with pytest.raises(WeightRejected):
+    for C, h in ((collapsed, "\"f'\""), (swapped, "'f'")):
+        with pytest.raises(IdentityViolation, match=f"^id o {h} != {h}$"):
+            nerve_chains(C)
+        with pytest.raises(IdentityViolation):
             bk_holim(ChainDiagram(C, [c, c], lambda m: identity_map(c)))
 
 

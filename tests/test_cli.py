@@ -124,6 +124,30 @@ def _run_cli(args, env=None):
         capture_output=True, env=e)
 
 
+def test_unknown_command_lists_every_command():
+    err = _run_cli([str(CORPUS / "arrow.hle"), "--cmd", "frobnicate X"])
+    assert err.returncode == 1
+    assert err.stdout == b""
+    assert err.stderr == (
+        b"error: unknown command 'frobnicate'; commands: end, coend, lim, "
+        b"colim, lan, ran, nerve, homology, holim, hopullback, fattot, "
+        b"hoinitial, compare-holim, verify\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_reader_that_closes_stdout_early_ends_the_cli_quietly(flags):
+    """The reader closes the pipe before the child writes: the write
+    fails with EPIPE, and the child exits 1 with no traceback."""
+    p = subprocess.Popen(
+        [sys.executable, "-m", "holim_engine.cli", str(CORPUS / "arrow.hle"),
+         "--cmd", "verify all", "--seed", "7", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    p.stdout.close()
+    err = p.stderr.read()
+    assert p.wait() == 1
+    assert err == b""
+
+
 def test_cli_json_deterministic_across_runs():
     cmds = [(CORPUS / "cospan.hle", "holim Loop"),
             (CORPUS / "cospan.hle", "hopullback Glue"),

@@ -19,7 +19,7 @@ from holim_engine.errors import EngineError
 from holim_engine.exactalg import (RationalMatrix, block_matrix,
                                    kernel_matrix, product_is_zero, rank)
 from holim_engine.fincat import (FinCategory, chain_poset, cospan_category,
-                                 discrete_category, find_initial,
+                                 discrete_category, find_initial, is_direct,
                                  object_inclusion, validate_category)
 from holim_engine.holim import (_chain_generators, bk_holim,
                                 cosimplicial_replacement, fat_tot, free_end)
@@ -584,6 +584,54 @@ def test_free_bases_pass_the_simplicial_certificate(seed, kind):
                         random_free_category(rng, 3, 4)[0], _IDEMPOTENT])
         basis = fat_chains(G, rng.randint(0, 4))
     check_free_basis(G, basis)
+
+
+# Z/3 as a one-object table: every arrow is parallel to every other
+_Z3 = validate_category(FinCategory(
+    1, ("x",), (0, 0, 0), (0, 0, 0), ("id_x", "g", "g2"), (0,),
+    {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["poset", "free", "loopfree", "cospan", "Z3",
+                        "idempotent"]),
+       st.booleans())
+def test_chain_enumerator_certifies_its_bases(seed, kind, mutated):
+    """`ssets._chains` checks the unit law once per arrow and the
+    associativity of each chain's last three arrows as it lists them.
+    On categories, and on their tables with one composite changed,
+    `nerve_chains` (over a loop-free table) and `fat_chains` either
+    raise an `EngineError` or return a basis that the pairwise
+    `check_free_basis` accepts; neither refuses a table that passes
+    `validate_category`."""
+    rng = random.Random(seed)
+    G = {"poset": lambda: random_poset(rng, 5),
+         "free": lambda: random_free_category(rng, 4, 10)[0],
+         "loopfree": lambda: random_loopfree_category(rng),
+         "cospan": cospan_category, "Z3": lambda: _Z3,
+         "idempotent": lambda: _IDEMPOTENT}[kind]()
+    if mutated:
+        key = rng.choice(sorted(G.compose_table))
+        G = replace(G, compose_table={**G.compose_table,
+                                      key: rng.choice(G.morphisms())},
+                    validated=False)
+    try:
+        validate_category(G)
+        valid = True
+    except EngineError:
+        valid = False
+    N = rng.randint(0, 4)
+    builds = [lambda: fat_chains(G, N)]
+    if is_direct(G) is not None:
+        builds.append(lambda: nerve_chains(G))
+    for build in builds:
+        try:
+            basis = build()
+        except EngineError:
+            assert not valid
+        else:
+            check_free_basis(G, basis)
 
 
 @settings(max_examples=150, deadline=None)

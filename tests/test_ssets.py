@@ -6,8 +6,10 @@ from math import comb
 import pytest
 
 from holim_engine.chaincx import betti_numbers, validate_map
-from holim_engine.errors import (CompositionDomainError, EmptyComplex,
-                                 NotLoopFree, SimplicialError)
+from holim_engine.errors import (AssociativityViolation,
+                                 CompositionDomainError, EmptyComplex,
+                                 IdentityViolation, NotLoopFree,
+                                 SimplicialError)
 from holim_engine.fincat import (FinCategory, arrow_category,
                                  category_from_presentation, chain_poset,
                                  comma_over, comma_under_functor,
@@ -92,6 +94,42 @@ def test_nerve_rejects_a_table_whose_composite_skips_an_object():
                                match="'1<2' o '0<1' is not a non-identity "
                                      "arrow '0' -> '2'"):
                 build(C)
+
+
+def test_fat_chains_refuse_an_identity_that_is_no_endomorphism():
+    """The identity of object 1 given as id_0, or as an index past the
+    arrows: the enumerator names the object instead of listing a face
+    at the wrong object or failing on the index."""
+    P = chain_poset(1)
+    for i in (P.identity[0], P.n_morphisms):
+        C = replace(P, identity=(P.identity[0], i), validated=False)
+        with pytest.raises(IdentityViolation,
+                           match="identity of '1' is not an endomorphism"):
+            fat_chains(C, 1)
+
+
+def test_fat_chains_refuse_exactly_the_tables_that_do_not_associate():
+    """One object with arrows id_x, a and b, id_x a two-sided unit, and
+    each of the 81 fillings of the composites of a and b: to depth 3
+    the fat chains contain every composable triple, so `fat_chains`
+    raises an `AssociativityViolation` naming three arrows exactly when
+    `validate_category` finds a triple that does not associate."""
+    refused = 0
+    for fill in product(range(3), repeat=4):
+        table = {(0, m): m for m in range(3)} | {(m, 0): m for m in range(3)}
+        table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], fill))
+        M = FinCategory(1, ("x",), (0, 0, 0), (0, 0, 0),
+                        ("id_x", "a", "b"), (0,), table)
+        try:
+            validate_category(M)
+        except AssociativityViolation:
+            refused += 1
+            with pytest.raises(AssociativityViolation,
+                               match=r"^\('[ab]' o '[ab]'\) o '[ab]' != "):
+                fat_chains(M, 3)
+        else:
+            fat_chains(M, 3)
+    assert refused
 
 
 def test_nerve_simplicial_identities_randomized():
